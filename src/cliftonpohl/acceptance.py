@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .continuation import PathPolyline, completeness_probe, continue_path
+from .errors import CliftonPohlError
 from .families import sample, solve, solve_generic
 from .manifold import (
     GeodesicClass,
@@ -140,7 +141,7 @@ def criterion_2() -> CriterionResult:
             try:
                 (u, v), (du, dv) = s.position_velocity(t)
                 ddu, ddv = s.acceleration(t)
-            except Exception:
+            except CliftonPohlError:
                 continue
             if max(abs(u), abs(v), abs(du), abs(dv)) > 1e6:
                 continue
@@ -200,7 +201,7 @@ def criterion_4() -> CriterionResult:
         t = rand_complex(r, 0.1, 1.0)
         try:
             pt, vel = sample(s, t)
-        except Exception:
+        except CliftonPohlError:
             continue
         trace = continue_path(g, PathPolyline((0, t)), 1e-10)
         if not trace.completed:

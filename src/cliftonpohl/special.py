@@ -166,20 +166,15 @@ def carlson_rf(x: complex, y: complex, z: complex) -> complex:
     return series / cmath.sqrt(A)
 
 
-def _segment_hits(points: list[complex], a: complex, b: complex, tol: float) -> bool:
-    """True if any point lies within tol of the segment [a, b]."""
+def dist_to_segment(p: complex, a: complex, b: complex) -> float:
+    """Distance from p to the closed segment [a, b] of the complex plane."""
     ab = b - a
     L2 = abs(ab) ** 2
-    for w in points:
-        if L2 == 0.0:
-            d = abs(w - a)
-        else:
-            s = ((w - a) * ab.conjugate()).real / L2
-            s = min(1.0, max(0.0, s))
-            d = abs(w - (a + s * ab))
-        if d < tol:
-            return True
-    return False
+    if L2 == 0.0:
+        return abs(p - a)
+    s = ((p - a) * ab.conjugate()).real / L2
+    s = min(1.0, max(0.0, s))
+    return abs(p - (a + s * ab))
 
 
 def elliptic_F(z: complex, m: complex) -> complex:
@@ -200,7 +195,8 @@ def elliptic_F(z: complex, m: complex) -> complex:
     if m != 0:
         r = 1.0 / cmath.sqrt(m)
         branch_points += [r, -r]
-    if _segment_hits(branch_points, 0.0 + 0j, z, 1e-12 * (1.0 + abs(z))):
+    near = 1e-12 * (1.0 + abs(z))
+    if any(dist_to_segment(w, 0j, z) < near for w in branch_points):
         raise SingularPathError(
             f"integration path 0 -> {z!r} passes through a branch point"
         )

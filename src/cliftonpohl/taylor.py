@@ -2,8 +2,10 @@
 
 The geodesic right-hand side is rational in the state, so Taylor
 coefficients of a solution follow from Cauchy-product recurrences order
-by order.  Two consumers:
+by order.  Three consumers:
 
+* the continuation stepper, which steps with these coefficients and
+  reads its own nearest-singularity estimate off them;
 * an exact polynomial mini-step used to move an on-axis germ into
   generic position before classification;
 * a nearest-singularity estimator (complex ratio test with Richardson
@@ -14,6 +16,9 @@ by order.  Two consumers:
 from __future__ import annotations
 
 State = tuple[complex, complex, complex, complex]
+
+#: Series order of ``nearest_singularity``.
+ESTIMATE_ORDER = 26
 
 
 def geodesic_series(state: State, order: int) -> tuple[list[complex], list[complex]]:
@@ -124,19 +129,14 @@ def _ratio_estimate(coeffs: list[complex]) -> tuple[complex, float] | None:
     return best
 
 
-def nearest_singularity(
-    state: State, order: int = 26, max_spread: float = 0.35
+def series_estimate(
+    U: list[complex], V: list[complex], max_spread: float = 0.35
 ) -> tuple[complex, float] | None:
-    """Estimated offset of the closest solution singularity, or None.
+    """Nearest-singularity offset read off the coefficients of (u, v).
 
-    The offset is measured from the state's base time.  ``max_spread``
-    rejects unstable ratio sequences (several comparable singularities,
-    or an entire solution).
+    ``max_spread`` rejects unstable ratio sequences (several comparable
+    singularities, or an entire solution).
     """
-    try:
-        U, V = geodesic_series(state, order)
-    except (ZeroDivisionError, OverflowError):
-        return None
     ests = []
     for coeffs in (U, V):
         est = _ratio_estimate(coeffs)
@@ -153,3 +153,16 @@ def nearest_singularity(
         if abs(other[0]) < 0.6 * abs(best[0]):
             best = other
     return best
+
+
+def nearest_singularity(state: State) -> tuple[complex, float] | None:
+    """Estimated offset of the closest solution singularity, or None.
+
+    The offset is measured from the state's base time; the series goes
+    to ``ESTIMATE_ORDER``.
+    """
+    try:
+        U, V = geodesic_series(state, ESTIMATE_ORDER)
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return series_estimate(U, V)

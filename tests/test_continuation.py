@@ -8,6 +8,7 @@ import pytest
 
 from cliftonpohl.continuation import (
     PathPolyline,
+    _integrate_segment,
     completeness_probe,
     continue_path,
     loop_monodromy,
@@ -149,6 +150,80 @@ class TestOracleAgreement:
         f = e.u * e.u + e.v * e.v
         assert abs(e.du * e.dv / f - fi.A) < 1e-9
         assert abs(e.u / e.du + e.v / e.dv - fi.B) < 1e-9
+
+
+def odefun_state(state, waypoints):
+    """30-digit ``mpmath.odefun`` state at the end of a polyline."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        y = [mp.mpc(c) for c in state]
+        for a, b in zip(waypoints, waypoints[1:]):
+            e = mp.mpc(b) - mp.mpc(a)
+            length = abs(e)
+            e /= length
+
+            def rhs(s, w, e=e):
+                u, v, p, q = w
+                f = u * u + v * v
+                return [e * p, e * q, e * 2 * u * p * p / f, e * 2 * v * q * q / f]
+
+            y = mp.odefun(rhs, 0, y, tol=mp.mpf(10) ** -20, degree=20)(length)
+        return [complex(c) for c in y]
+
+
+# a proportional germ whose straight path of length 5 passes within
+# 2e-3 (relative) of the cone u^2 + v^2 = 0 near t = 1.19 - 2.47i
+_NEAR_CONE = germ(
+    -0.5460548940458464 + 0.5863883922776303j,
+    0.06282643978443297 - 0.4710494331352545j,
+    0.9639032193252449 - 0.7649935525961125j,
+    -0.20361719975877168 + 0.7008619979318623j,
+)
+
+
+class TestDeliveredAccuracy:
+    @pytest.mark.parametrize(
+        "g, end",
+        [
+            (germ(1, 0, 1, 0), 0.6 + 0.5j),
+            (germ(0, 1, 1, 0), 1 + 1j),
+            (_NEAR_CONE, 0.6 * (2.1643899551329846 - 4.507262597422014j)),
+            (germ(1, 2, 1, 1), 1.5 + 1j),
+        ],
+        ids=["rational", "tan", "proportional", "generic"],
+    )
+    def test_endpoint_within_tol(self, g, end):
+        tol = 1e-10
+        tr = continue_path(g, PathPolyline((0, end)), tol)
+        assert tr.completed
+        ref = odefun_state(g.state(), (0, end))
+        e = tr.endpoint
+        for got, want in zip((e.u, e.v, e.du, e.dv), ref):
+            assert abs(got - want) <= tol * (1 + abs(want))
+
+
+class TestTaylorStepper:
+    def test_grazing_singularity_is_stepped_through(self):
+        # a singularity passes about 5e-3 off this path near
+        # -1.156 - 0.090i; continuation must go past it, not stop there
+        g = germ(
+            -0.02874328442545476 - 1.1585569309617647j,
+            -0.31767368439829674 - 0.5165174740368349j,
+            0.38593730130246673 + 1.09250417460064j,
+            0.4618810990620963 + 0.3927052178707551j,
+        )
+        tr = continue_path(g, PathPolyline((0, -4.983027093884124 - 0.41163209497892583j)), 1e-10)
+        assert tr.status == "Completed"
+
+    def test_step_budget(self):
+        # tripwire: order-20 steps cross this length-5 ray in about 40
+        steps = []
+        g = germ(1.3, -0.7, 0.9, 1.1)
+        res = _integrate_segment(
+            g.state(), 0j, 5 * cmath.exp(0.3j), 1e-10, collect=lambda t, y: steps.append(t)
+        )
+        assert res.status == "done"
+        assert len(steps) <= 150
 
 
 class TestConservation:
