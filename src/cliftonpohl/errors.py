@@ -4,19 +4,20 @@ from __future__ import annotations
 
 
 class CliftonPohlError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``location`` is where the failure sits in the relevant complex plane
+    (a pole, a zero of the log chart, a stalled quadrature panel), when
+    one is known.
+    """
+
+    def __init__(self, message: str = "", location: complex | None = None):
+        super().__init__(message)
+        self.location = location
 
 
 class PoleError(CliftonPohlError):
-    """A function was evaluated at (or too close to) a pole.
-
-    ``location`` is the estimated pole position in the relevant complex
-    plane, when one is known.
-    """
-
-    def __init__(self, message: str, location: complex | None = None):
-        super().__init__(message)
-        self.location = location
+    """A function was evaluated at (or too close to) a pole."""
 
 
 class SingularPathError(CliftonPohlError):

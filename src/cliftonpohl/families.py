@@ -47,6 +47,7 @@ from .errors import (
     BothComponentsZeroError,
     ChartDegeneracyError,
     ClassificationMismatchError,
+    ConvergenceError,
     DegenerateCoefficientsError,
     PoleError,
 )
@@ -63,6 +64,12 @@ from .special import POLE_THRESHOLD, _jacobi_raw
 from .taylor import taylor_step
 
 QUAD_TOL = 1e-12
+
+#: Most 16-point panels (``_gl_pair`` calls) one quadrature may spend.
+#: Regular targets at |t| <= 3 need at most about 100; near a chain root,
+#: cancellation in 1 + Y^2 puts a noise floor above ``QUAD_TOL`` and
+#: bisection would otherwise grind through tens of thousands.
+MAX_PANELS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +121,37 @@ def _gl_pair(f, a: complex, b: complex, n: int = 16) -> tuple[complex, complex]:
 def adaptive_segment_integral(
     f, a: complex, b: complex, tol: float = QUAD_TOL, depth: int = 48
 ) -> tuple[complex, complex]:
-    """Adaptive bisection of a 16-point Gauss-Legendre pair rule."""
-    whole = _gl_pair(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl_pair(f, a, mid)
-    right = _gl_pair(f, mid, b)
-    fine = (left[0] + right[0], left[1] + right[1])
-    err = max(abs(fine[0] - whole[0]), abs(fine[1] - whole[1]))
-    if err <= tol * (1.0 + abs(fine[0]) + abs(fine[1])):
-        return fine
-    if depth <= 0:
-        raise PoleError("quadrature failed to converge on the path", location=mid)
-    l = adaptive_segment_integral(f, a, mid, tol, depth - 1)
-    r = adaptive_segment_integral(f, mid, b, tol, depth - 1)
-    return l[0] + r[0], l[1] + r[1]
+    """Adaptive bisection of a 16-point Gauss-Legendre pair rule.
+
+    A panel is bisected until its two halves agree with it to ``tol``;
+    each half then serves as the whole of its own bisection, so no panel
+    is evaluated twice.  Work is bounded: at most ``MAX_PANELS`` calls of
+    the 16-point rule, else ``ConvergenceError`` at the panel that
+    stalled, and at most ``depth`` bisections, else ``PoleError``.
+    """
+    panels = 1
+
+    def bisect(a: complex, b: complex, whole, depth: int) -> tuple[complex, complex]:
+        nonlocal panels
+        mid = 0.5 * (a + b)
+        if panels + 2 > MAX_PANELS:
+            raise ConvergenceError(
+                f"quadrature exceeded {MAX_PANELS} panels", location=mid
+            )
+        panels += 2
+        left = _gl_pair(f, a, mid)
+        right = _gl_pair(f, mid, b)
+        fine = (left[0] + right[0], left[1] + right[1])
+        err = max(abs(fine[0] - whole[0]), abs(fine[1] - whole[1]))
+        if err <= tol * (1.0 + abs(fine[0]) + abs(fine[1])):
+            return fine
+        if depth <= 0:
+            raise PoleError("quadrature failed to converge on the path", location=mid)
+        l = bisect(a, mid, left, depth - 1)
+        r = bisect(mid, b, right, depth - 1)
+        return l[0] + r[0], l[1] + r[1]
+
+    return bisect(a, b, _gl_pair(f, a, b), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +349,24 @@ class GenericEllipticSampler:
         return 1j * Y, 1j * self.D * Yp
 
     def _chain(self, t: complex) -> tuple[complex, complex, complex, complex]:
-        """cosh(phi), phi', omega', eta' at t."""
+        """cosh(phi), phi', omega', eta' at t.
+
+        A root of 1 + Y^2 (psi = +/-1) is refused by what it is.  There
+        omega' and eta' have residues AB/(Y D Y') + i/(2Y) and
+        AB/(Y D Y') - i/(2Y), which differ by i/Y = +/-1.  A residue -1
+        is a pole of u or v (``PoleError``); residues +1 and 0 are a zero
+        of u or v, where the log chart breaks (``ChartDegeneracyError``).
+        At B = 0 the roots are double, with residues +1 and -1; the
+        formula gives +1/2 and -1/2 there, the same signs, so they count
+        as poles.
+        """
         Y, Yp = self.curve_point(t)
         one = 1.0 + Y * Y
         if abs(one) * POLE_THRESHOLD < 4.0 * max(1.0, abs(Y * Y)):
-            raise PoleError("chain pole: psi = +/-1", location=t)
+            r, h = self.A * self.B / (Y * self.D * Yp), 0.5j / Y
+            if min((r + h).real, (r - h).real) < 0.0:
+                raise PoleError("chain root: pole of u or v", location=t)
+            raise ChartDegeneracyError("chain root: zero of u or v", location=t)
         ch = (1.0 - Y * Y) / one
         phid = 2j * self.D * Yp / one
         ab = self.A * self.B * ch
@@ -350,9 +387,15 @@ class GenericEllipticSampler:
         return self.omega0 + ab + 0.5 * iphi, self.eta0 + ab - 0.5 * iphi
 
     def position_velocity(self, t: complex):
+        """(u, v), (u', v') at t, integrated from t0 along the segment.
+
+        The chain is evaluated at t first, so a chain root is refused
+        before any quadrature (0 panels); any other call spends at most
+        ``MAX_PANELS`` panels.
+        """
+        od, ed = self.log_rates(t)
         om, et = self._omega_eta(t)
         u, v = cmath.exp(om), cmath.exp(et)
-        od, ed = self.log_rates(t)
         return (u, v), (od * u, ed * v)
 
     def acceleration(self, t: complex):
@@ -469,6 +512,11 @@ def solve(g: GeodesicGerm) -> GeodesicSampler:
 
 
 def sample(sampler: GeodesicSampler, t: complex) -> tuple[Point, tuple[complex, complex]]:
-    """Evaluate a sampler: position as a domain-checked Point, velocity exact."""
+    """Evaluate a sampler: position as a domain-checked Point, velocity exact.
+
+    Closed-form families cost O(1).  The generic chain refuses a root of
+    1 + Y^2 at t with no quadrature, and otherwise spends at most
+    ``MAX_PANELS`` 16-point panels integrating from t0 to t.
+    """
     (u, v), (du, dv) = sampler.position_velocity(complex(t))
     return Point(u, v), (du, dv)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConvergenceError, PoleError, SingularPathError
 
@@ -66,6 +67,24 @@ def artanh_principal(z: complex) -> complex:
     return 0.5 * cmath.log((1.0 + z) / (1.0 - z))
 
 
+@lru_cache(maxsize=64)
+def _landen_ladder(m: complex) -> tuple[tuple[complex, ...], complex]:
+    """The descending Landen moduli k1 for parameter m, and the final m.
+
+    The ladder depends on m alone, and a sampler evaluates at one fixed
+    m, so it is computed once per m (DLMF 22.7).
+    """
+    scale = []
+    while abs(m) >= LANDEN_TOL:
+        kp = cmath.sqrt(1.0 - m)
+        k1 = (1.0 - kp) / (1.0 + kp)
+        scale.append(k1)
+        m = k1 * k1
+        if len(scale) > 64:
+            raise ConvergenceError(f"Landen recursion stalled at m = {m!r}")
+    return tuple(scale), m
+
+
 def _jacobi_raw(z: complex, m: complex) -> tuple[complex, complex, complex]:
     """Jacobi (sn, cn, dn) with no pole guard; used by the solution chain.
 
@@ -85,17 +104,7 @@ def _jacobi_raw(z: complex, m: complex) -> tuple[complex, complex, complex]:
         c = 1.0 / cmath.cosh(z)
         return s, c, c
 
-    scale = []
-    depth = 0
-    while abs(m) >= LANDEN_TOL:
-        kp = cmath.sqrt(1.0 - m)
-        k1 = (1.0 - kp) / (1.0 + kp)
-        scale.append(k1)
-        m = k1 * k1
-        depth += 1
-        if depth > 64:
-            raise ConvergenceError(f"Landen recursion stalled at m = {m!r}")
-
+    scale, m = _landen_ladder(m)
     z1 = z
     for k1 in scale:
         z1 /= 1.0 + k1

@@ -6,14 +6,18 @@ import random
 
 import pytest
 
+from cliftonpohl import families
+from cliftonpohl.continuation import PathPolyline, continue_path
 from cliftonpohl.errors import (
     BothComponentsZeroError,
     ChartDegeneracyError,
     ClassificationMismatchError,
+    CliftonPohlError,
     DegenerateCoefficientsError,
     PoleError,
 )
 from cliftonpohl.families import (
+    MAX_PANELS,
     GenericEllipticSampler,
     psi_coefficients,
     sample,
@@ -290,3 +294,123 @@ class TestFamilyResiduals:
                 assert abs(B_t - fi.B) < 1e-9 * (1 + abs(fi.B))
             else:
                 assert abs(du * dv) < 1e-12
+
+
+# germ 0 of the benchmark's input pool (perfbench/inputs.py); it has a pole and a
+# zero of (u, v) among its chain roots near t0 = 0
+POOL_GERM = (
+    0.5489339746819318 - 0.04362951729725319j,
+    0.8002960731860939 + 1.111461147886121j,
+    0.35184573791857693 - 0.2674275062483081j,
+    0.5434065966447698 - 0.9587860542405724j,
+)
+
+
+def chain_root(s, t):
+    """Newton on 1 + Y^2 = 0 from t."""
+    for _ in range(8):
+        Y, Yp = s.curve_point(t)
+        t -= (1 + Y * Y) / (2 * Y * Yp * s.D)
+    return t
+
+
+def contour_residues(s, p, rho=0.05, n=64):
+    """Residues of (omega', eta') at p: trapezoid rule on |t - p| = rho."""
+    ru = rv = 0j
+    for k in range(n):
+        w = rho * cmath.exp(2j * math.pi * k / n)
+        od, ed = s.log_rates(p + w)
+        ru += od * w
+        rv += ed * w
+    return ru / n, rv / n
+
+
+def reference_quadrature(f, a, b, tol=families.QUAD_TOL, depth=48):
+    """Bisection that evaluates every panel afresh, with no budget."""
+    whole = families._gl_pair(f, a, b)
+    mid = 0.5 * (a + b)
+    left = families._gl_pair(f, a, mid)
+    right = families._gl_pair(f, mid, b)
+    fine = (left[0] + right[0], left[1] + right[1])
+    err = max(abs(fine[0] - whole[0]), abs(fine[1] - whole[1]))
+    if err <= tol * (1.0 + abs(fine[0]) + abs(fine[1])):
+        return fine
+    if depth <= 0:
+        raise PoleError("quadrature failed to converge on the path", location=mid)
+    l = reference_quadrature(f, a, mid, tol, depth - 1)
+    r = reference_quadrature(f, mid, b, tol, depth - 1)
+    return l[0] + r[0], l[1] + r[1]
+
+
+@pytest.fixture
+def panels(monkeypatch):
+    """Every 16-point Gauss-Legendre panel the quadrature evaluates."""
+    calls = []
+    real = families._gl_pair
+
+    def counted(f, a, b):
+        calls.append((a, b))
+        return real(f, a, b)
+
+    monkeypatch.setattr(families, "_gl_pair", counted)
+    return calls
+
+
+SPREAD_GERM = germ(1.3, -0.7, 0.9, 1.1)
+SPREAD_TARGETS = [2.5 * cmath.exp(1j * (0.3 + 0.8 * k)) for k in range(8)]
+
+
+class TestBoundedWork:
+    @pytest.mark.parametrize(
+        "state, start, error, residues",
+        [
+            ((1, 2, 1, 1), 3.25162, PoleError, (0, -1)),
+            ((1, 2, 1, 1), -1.21315, ChartDegeneracyError, (1, 0)),
+            (POOL_GERM, -0.37618 + 1.20099j, PoleError, (0, -1)),
+            (POOL_GERM, -1.00137 - 0.53648j, ChartDegeneracyError, (1, 0)),
+            # B = 0: a double root, at which u has a zero and v a pole
+            ((1, 2, 1, -2), -1.0926342554893351, PoleError, (1, -1)),
+        ],
+        ids=["pole", "zero", "pool-pole", "pool-zero", "B=0"],
+    )
+    def test_chain_root_is_refused_by_kind(self, state, start, error, residues, panels):
+        # residue -1 of omega' or eta' is a pole of u or v, +1 a zero
+        s = solve_generic(germ(*state))
+        p = chain_root(s, start)
+        with pytest.raises(error) as err:
+            s.position_velocity(p)
+        assert err.value.location == p
+        assert panels == []  # refused before any quadrature
+        ru, rv = contour_residues(s, p)
+        assert abs(ru - residues[0]) < 1e-6 and abs(rv - residues[1]) < 1e-6
+
+    @pytest.mark.parametrize("start", [3.25162, -1.21315], ids=["pole", "zero"])
+    def test_near_root_targets_spend_bounded_work(self, start, panels):
+        # 1 + Y^2 cancels near a root, so from about 1e-7 away the rule
+        # never meets QUAD_TOL; the panel budget ends the bisection
+        s = solve_generic(germ(1, 2, 1, 1))
+        p = chain_root(s, start)
+        for k in range(2, 12):
+            for d in (1, 1j, cmath.exp(2.5j)):
+                panels.clear()
+                try:
+                    s.position_velocity(p + d * 10.0**-k)
+                except CliftonPohlError:
+                    pass
+                assert len(panels) <= MAX_PANELS
+
+    def test_panel_budget_on_regular_targets(self, panels):
+        # each half-panel is the whole of the next bisection: 68 panels
+        # here, 90 when every bisection re-evaluates its whole
+        s = solve(SPREAD_GERM)
+        got = [s.position_velocity(t) for t in SPREAD_TARGETS]
+        assert len(panels) <= 70
+        for t, ((u, v), (du, dv)) in zip(SPREAD_TARGETS, got):
+            e = continue_path(SPREAD_GERM, PathPolyline((SPREAD_GERM.t0, t))).endpoint
+            assert max(abs(e.u - u), abs(e.v - v), abs(e.du - du), abs(e.dv - dv)) < 1e-9
+
+    def test_half_panel_reuse_changes_no_result(self, monkeypatch):
+        s = solve(SPREAD_GERM)
+        got = [s.position_velocity(t) for t in SPREAD_TARGETS]
+        monkeypatch.setattr(families, "adaptive_segment_integral", reference_quadrature)
+        assert got == [s.position_velocity(t) for t in SPREAD_TARGETS]

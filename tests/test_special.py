@@ -15,6 +15,7 @@ from cliftonpohl.special import (
     elliptic_F,
     jacobi_elliptic,
     _jacobi_raw,
+    _landen_ladder,
 )
 
 
@@ -140,6 +141,24 @@ class TestJacobi:
             return
         assert abs(s * s + c * c - 1) < 1e-9
         assert abs(d * d + m * s * s - 1) < 1e-9
+
+    def test_against_mpmath(self):
+        # 30-digit reference at complex m; 1.32+0.61i is the m of a generic
+        # benchmark germ, m = 1 takes the tanh branch, and every m is
+        # evaluated twice so the second call reads the cached Landen ladder
+        mpmath = pytest.importorskip("mpmath")
+        ms = (0.3, -0.8 + 0.2j, 0.5 + 0.5j, 1.32 + 0.61j, 2.5 - 0.3j, 1.0)
+        zs = (0.1 + 0.05j, 0.7 - 0.3j, -0.4 + 0.9j, 1.2 + 0.2j, -0.9 - 0.6j, 0.05j)
+        hits = _landen_ladder.cache_info().hits
+        for m in ms:
+            for z in zs:
+                with mpmath.workdps(30):
+                    ref = [complex(mpmath.ellipfun(k, z, m=m)) for k in ("sn", "cn", "dn")]
+                got = _jacobi_raw(z, m)
+                assert _jacobi_raw(z, m) == got
+                for g, r in zip(got, ref):
+                    assert abs(g - r) <= 1e-13 * abs(r)
+        assert _landen_ladder.cache_info().hits >= hits + 5 * len(zs)
 
 
 class TestEllipticF:
