@@ -1,22 +1,24 @@
 """Completeness probes for one exemplar germ of each solution family.
 
-Writes one JSON report per family under out/ (created if missing) and
-prints a summary table.
+Runs ``cph probe`` once per family, writing one JSON report per family
+under out/ (created if missing), and prints a summary table read back
+from the reports.
 
 Run:  python scripts/probe_families.py [--radius 5] [--rays 64]
 """
 
 import argparse
+import json
+import sys
 from pathlib import Path
 
-from cliftonpohl import completeness_probe, germ
-from cliftonpohl.cli import _manifest, _report_json, dumps
+from cliftonpohl import cli
 
 FAMILIES = {
-    "null_rational": germ(1, 0, 1, 0),
-    "null_tan": germ(0, 1, 1, 0),
-    "exponential": germ(1, 1, 1, 1),
-    "generic": germ(1, 2, 1, 1),
+    "null_rational": (1, 0, 1, 0),
+    "null_tan": (0, 1, 1, 0),
+    "exponential": (1, 1, 1, 1),
+    "generic": (1, 2, 1, 1),
 }
 
 
@@ -30,17 +32,22 @@ def main() -> None:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, g in FAMILIES.items():
-        rep = completeness_probe(g, args.radius, args.rays, args.tol)
-        man = _manifest(
-            "probe", g, {"radius": args.radius, "rays": args.rays}, {"tol": args.tol}
-        )
+    for name, state in FAMILIES.items():
+        spec = {k: [z, 0] for k, z in zip(("alpha", "beta", "x", "y"), state)}
         path = outdir / f"probe_{name}.json"
-        path.write_text(dumps(_report_json(rep, man)) + "\n")
-        obs = ", ".join(f"{z:.4f}" for z in rep.obstructions) or "none"
+        rc = cli.main([
+            "probe", "--germ", json.dumps(spec),
+            "--radius", repr(args.radius), "--rays", str(args.rays),
+            "--tol", repr(args.tol), "--out", str(path),
+        ])
+        if rc != 0:
+            sys.exit(rc)
+        rep = json.loads(path.read_text())
+        found = [complex(*p) for p in rep["obstructions"]]
+        obs = ", ".join(f"{z:.4f}" for z in found) or "none"
         print(
-            f"{name:14s} obstructions={len(rep.obstructions):2d} "
-            f"min_sep={rep.min_separation:.4f}  [{obs}]  -> {path}"
+            f"{name:14s} obstructions={len(found):2d} "
+            f"min_sep={rep['min_separation']:.4f}  [{obs}]  -> {path}"
         )
 
 

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .special import (
     EllipticTriple,
-    artanh_principal,
     carlson_rf,
     elliptic_F,
     jacobi_elliptic,
@@ -84,7 +83,6 @@ __all__ = [
     "PoleError",
     "SingularPathError",
     "EllipticTriple",
-    "artanh_principal",
     "carlson_rf",
     "elliptic_F",
     "jacobi_elliptic",

@@ -385,6 +385,9 @@ _CRITERIA = {
 
 
 def run(numbers: list[int] | None = None) -> list[CriterionResult]:
+    unknown = set(numbers or ()) - _CRITERIA.keys()
+    if unknown:
+        raise ValueError(f"unknown criteria {sorted(unknown)}; known: {sorted(_CRITERIA)}")
     results = []
     for n in numbers or sorted(_CRITERIA):
         res = _CRITERIA[n]()

@@ -21,6 +21,7 @@ from .continuation import (
     ContinuationTrace,
     ObstructionReport,
     PathPolyline,
+    TraceSample,
     completeness_probe,
     continue_path,
 )
@@ -109,7 +110,7 @@ def _as_complex(v, what: str) -> complex:
     if (
         not isinstance(v, list)
         or len(v) != 2
-        or not all(isinstance(c, (int, float)) for c in v)
+        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
     ):
         raise InputError(f"{what} must be a two-element [re, im] array")
     return complex(float(v[0]), float(v[1]))
@@ -161,25 +162,16 @@ def _manifest(command: str, g: GeodesicGerm, parameters: dict, tolerances: dict)
     }
 
 
+def _sample_record(s: TraceSample) -> dict:
+    return {"t": s.t, "u": s.u, "v": s.v, "du": s.du, "dv": s.dv}
+
+
 def _trace_json(trace: ContinuationTrace, manifest: dict) -> dict:
     return {
         "manifest": manifest,
         "status": trace.status,
-        "samples": [
-            {"t": s.t, "u": s.u, "v": s.v, "du": s.du, "dv": s.dv}
-            for s in trace.samples
-        ],
-        "endpoint": (
-            {
-                "t": trace.endpoint.t,
-                "u": trace.endpoint.u,
-                "v": trace.endpoint.v,
-                "du": trace.endpoint.du,
-                "dv": trace.endpoint.dv,
-            }
-            if trace.completed
-            else None
-        ),
+        "samples": [_sample_record(s) for s in trace.samples],
+        "endpoint": _sample_record(trace.endpoint) if trace.completed else None,
         "obstruction": (
             {"t_star": trace.obstruction.t_star, "radius": trace.obstruction.radius}
             if trace.obstruction is not None
@@ -231,10 +223,10 @@ def _write_csv(trace: ContinuationTrace, out: str) -> None:
 
 
 def _cmd_shoot(args) -> int:
+    if args.csv and args.out is None:
+        raise InputError("--csv requires --out")
     g = parse_germ(args.germ)
     path = parse_path(args.path)
-    if abs(path.waypoints[0] - g.t0) > 1e-12 * (1.0 + abs(g.t0)):
-        raise InputError("path must start at the germ's t0")
     trace = continue_path(g, path, args.tol)
     manifest = _manifest(
         "shoot",
@@ -244,8 +236,6 @@ def _cmd_shoot(args) -> int:
     )
     _write_output(dumps(_trace_json(trace, manifest)), args.out)
     if args.csv:
-        if args.out is None:
-            raise InputError("--csv requires --out")
         _write_csv(trace, str(Path(args.out).with_suffix(".csv")))
     return 0 if trace.completed else 3
 
@@ -267,10 +257,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_probe(args) -> int:
     g = parse_germ(args.germ)
-    if args.radius <= 0:
-        raise InputError("--radius must be positive")
-    if args.rays < 4:
-        raise InputError("--rays must be at least 4")
     rep = completeness_probe(g, args.radius, args.rays, args.tol)
     manifest = _manifest(
         "probe",

@@ -37,8 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 from .manifold import GeodesicGerm
-from .special import dist_to_segment
-from .taylor import geodesic_series, nearest_singularity, series_estimate
+from .special import dist_to_segment, require_finite
+from .taylor import _horner, geodesic_series, nearest_singularity, series_estimate
 
 State = tuple[complex, complex, complex, complex]
 
@@ -72,6 +72,7 @@ class PathPolyline:
     def __post_init__(self):
         pts = tuple(complex(w) for w in self.waypoints)
         object.__setattr__(self, "waypoints", pts)
+        require_finite(*pts)
         if len(pts) < 2:
             raise ValueError("a path needs at least two waypoints")
         for a, b in zip(pts, pts[1:]):
@@ -162,13 +163,6 @@ def _tail_step(coeffs: list[complex], tol: float) -> float:
     return h
 
 
-def _horner(coeffs: list[complex], x: complex) -> complex:
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * x + coeffs[k]
-    return acc
-
-
 def _integrate_segment(
     y: State,
     t_from: complex,
@@ -233,6 +227,11 @@ def _obstructed(t: complex, y: State, U: list[complex], V: list[complex]) -> _Se
 def _check_tol(tol: float) -> None:
     if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
         raise ValueError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
+
+
+def _check_radius(radius: float) -> None:
+    if not (0.0 < radius < math.inf):  # also catches NaN
+        raise ValueError("radius must be finite and positive")
 
 
 def continue_path(
@@ -307,7 +306,6 @@ def _probe_ray(
     y: State = g.state()
     t_cur = t0
     found: list[tuple[complex, float]] = []
-    ghost: list[complex] = []  # unlocalizable candidates, suppressed only
     rho_detour = max(5e-3, min(0.03, 0.008 * radius))
     sin_gap = math.sin(math.pi / n_rays)
     detours = 0
@@ -317,11 +315,7 @@ def _probe_ray(
         return 1.6 * abs(t - t0) * sin_gap + 0.005 * radius
 
     def suppressed(cand: complex) -> bool:
-        if any(abs(cand - p) < max(5e-4, 3.0 * r) for p, r in found):
-            return True
-        return any(abs(cand - p) < 5e-3 for p in ghost)
-
-    last_candidate: list[complex | None] = [None]
+        return any(abs(cand - p) < max(5e-4, 3.0 * r) for p, r in found)
 
     def scan(t: complex, w: State, est) -> bool:
         # the step's own estimate first, full order only on a near hit
@@ -331,11 +325,7 @@ def _probe_ray(
         est = nearest_singularity(w)
         if est is None or abs(est[0]) >= wd:
             return False
-        cand = t + est[0]
-        if suppressed(cand):
-            return False
-        last_candidate[0] = cand
-        return True
+        return not suppressed(t + est[0])
 
     def record(p: complex, r: float) -> None:
         for i, (q, rq) in enumerate(found):
@@ -352,25 +342,17 @@ def _probe_ray(
         if res.status == "done":
             break
 
-        if res.status == "halted":
-            loc = _walk_localize(res.t, res.y, tol)
-            t_cur, y = res.t, res.y
-            if loc is None:
-                # unlocalizable candidate: suppress it so the ray advances
-                if last_candidate[0] is not None:
-                    ghost.append(last_candidate[0])
-                continue
-            t_star, rad = loc
-            record(t_star, rad)
-            if dist_to_segment(t_star, t_cur, ray_end) >= rho_detour:
-                continue  # off-path: resume straight, suppression skips it
-        else:  # obstructed
-            t_star, rad = res.t_star, res.radius
-            loc = _walk_localize(res.t, res.y, tol)
-            if loc is not None and loc[1] < max(rad, 1e-9):
-                t_star, rad = loc
-            record(t_star, rad)
-            t_cur, y = res.t, res.y
+        t_cur, y = res.t, res.y
+        halted = res.status == "halted"
+        # a halt comes from scan's nearest_singularity(y), the walk's first
+        # estimate, so after a halt the walk always returns a location
+        loc = _walk_localize(t_cur, y, tol)
+        if not halted and (loc is None or loc[1] >= max(res.radius, 1e-9)):
+            loc = res.t_star, res.radius  # the collapse estimate is sharper
+        t_star, rad = loc
+        record(t_star, rad)
+        if halted and dist_to_segment(t_star, t_cur, ray_end) >= rho_detour:
+            continue  # off-path: resume straight, suppression skips it
 
         # flank the blocking singularity and resume behind it
         if detours >= 24:
@@ -433,8 +415,9 @@ def completeness_probe(
     inputs regardless of evaluation order.
     """
     _check_tol(tol)
-    if radius <= 0 or n_rays < 4:
-        raise ValueError("radius must be positive and n_rays >= 4")
+    _check_radius(radius)
+    if n_rays < 4:
+        raise ValueError("n_rays must be at least 4")
     per_ray = []
     allpts: list[complex] = []
     for k in range(n_rays):
@@ -472,6 +455,8 @@ def loop_monodromy(
     obstruction.
     """
     _check_tol(tol)
+    _check_radius(loop_radius)
+    require_finite(center)
     base = center + loop_radius
     leg = _integrate_segment(g.state(), g.t0, base, tol) if base != g.t0 else None
     if leg is not None and leg.status != "done":

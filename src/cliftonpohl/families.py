@@ -52,16 +52,17 @@ from .errors import (
     PoleError,
 )
 from .manifold import (
+    AXIS_STEP,
     FirstIntegrals,
     GeodesicClass,
     GeodesicGerm,
     Point,
+    _off_axis,
     classify,
     first_integrals,
     germ as make_germ,
 )
 from .special import POLE_THRESHOLD, _jacobi_raw
-from .taylor import taylor_step
 
 QUAD_TOL = 1e-12
 
@@ -182,13 +183,31 @@ def psi_coefficients(fi: FirstIntegrals) -> PsiCoefficients:
 # Samplers
 
 
-class NullRationalSampler:
+class _NullSampler:
+    """Coordinate ``moving`` follows ``_moving_value``; the other is the constant k."""
+
+    def __init__(self, moving: str, k: complex):
+        self.moving = moving
+        self.k = k
+
+    def position_velocity(self, t: complex):
+        w, dw, _ = self._moving_value(t)
+        if self.moving == "u":
+            return (w, self.k), (dw, 0j)
+        return (self.k, w), (0j, dw)
+
+    def acceleration(self, t: complex):
+        _, _, ddw = self._moving_value(t)
+        return (ddw, 0j) if self.moving == "u" else (0j, ddw)
+
+
+class NullRationalSampler(_NullSampler):
     """Null geodesic with zero constant coordinate: m(t) = 1/(C - B t)."""
 
     family = "NullRational"
 
     def __init__(self, moving: str, B: complex, C: complex):
-        self.moving = moving
+        super().__init__(moving, 0j)
         self.B = B
         self.C = C
 
@@ -203,29 +222,18 @@ class NullRationalSampler:
         w = 1.0 / d
         return w, self.B * w * w, 2.0 * self.B * self.B * w * w * w
 
-    def position_velocity(self, t: complex):
-        w, dw, _ = self._moving_value(t)
-        if self.moving == "u":
-            return (w, 0j), (dw, 0j)
-        return (0j, w), (0j, dw)
-
-    def acceleration(self, t: complex):
-        _, _, ddw = self._moving_value(t)
-        return (ddw, 0j) if self.moving == "u" else (0j, ddw)
-
     def poles_within(self, center: complex, radius: float) -> list[complex]:
         p = self.pole
         return [p] if abs(p - center) <= radius else []
 
 
-class NullTanSampler:
+class NullTanSampler(_NullSampler):
     """Null geodesic with constant coordinate k != 0: m(t) = k tan(a t + b)."""
 
     family = "NullTan"
 
     def __init__(self, moving: str, k: complex, a: complex, b: complex):
-        self.moving = moving
-        self.k = k
+        super().__init__(moving, k)
         self.a = a
         self.b = b
 
@@ -262,16 +270,6 @@ class NullTanSampler:
             out.extend(keep)
             n += 1
         return sorted(set(out), key=lambda p: (p.real, p.imag))
-
-    def position_velocity(self, t: complex):
-        w, dw, _ = self._moving_value(t)
-        if self.moving == "u":
-            return (w, self.k), (dw, 0j)
-        return (self.k, w), (0j, dw)
-
-    def acceleration(self, t: complex):
-        _, _, ddw = self._moving_value(t)
-        return (ddw, 0j) if self.moving == "u" else (0j, ddw)
 
 
 class ExponentialSampler:
@@ -314,14 +312,11 @@ class GenericEllipticSampler:
         omega0: complex,
         eta0: complex,
         t0: complex,
-        phi0: complex,
-        psi0: complex,
     ):
         self.A, self.B, self.m, self.D = A, B, m, D
         self.Y0, self.Yp0 = Y0, Yp0
         self.omega0, self.eta0 = omega0, eta0
         self.t0 = t0
-        self.phi0, self.psi0 = phi0, psi0
 
     # -- elliptic curve point (Y, dY/dTheta), propagated by the addition law
 
@@ -459,6 +454,12 @@ def solve_exponential(g: GeodesicGerm) -> ExponentialSampler:
 def _generic_from_state(
     state: tuple[complex, complex, complex, complex], t0: complex
 ) -> GenericEllipticSampler:
+    a, b = state[0], state[1]
+    if a == 0 or b == 0 or abs(a + b) <= 1e-12 * (abs(a) + abs(b)):
+        # the log chart breaks on an axis, and psi = tanh(phi/2) has a
+        # pole on the line beta = -alpha: anchor the chain a mini-step
+        # away, the sampler still covers t0
+        state, t0 = _off_axis(state), t0 + AXIS_STEP
     a, b, x, y = state
     fi = first_integrals(make_germ(a, b, x, y, t0))
     co = psi_coefficients(fi)
@@ -467,7 +468,6 @@ def _generic_from_state(
     m = -R
     D = 1j * P
     psi0 = (a - b) / (a + b)  # tanh(log(a/b)/2), branch-free
-    phi0 = cmath.log(a) - cmath.log(b)
     phid0 = x / a - y / b
     psid0 = 0.5 * phid0 * (1.0 - psi0 * psi0)
     Y0 = -1j * psi0
@@ -476,7 +476,7 @@ def _generic_from_state(
     if defect > 1e-8 * (1.0 + abs(Yp0) ** 2):
         raise ChartDegeneracyError("inconsistent elliptic curve point for this germ")
     return GenericEllipticSampler(
-        A, B, m, D, Y0, Yp0, cmath.log(a), cmath.log(b), t0, phi0, psi0
+        A, B, m, D, Y0, Yp0, cmath.log(a), cmath.log(b), t0
     )
 
 
@@ -485,17 +485,11 @@ def solve_generic(g: GeodesicGerm) -> GenericEllipticSampler:
     tag = classify(g).tag
     if tag is not GeodesicClass.GENERIC:
         raise ClassificationMismatchError(f"classified {tag.value}, not Generic")
-    a, b, x, y = g.state()
-    if a == 0 or b == 0:
+    if g.alpha == 0 or g.beta == 0:
         raise ChartDegeneracyError(
             "germ sits on a coordinate axis; advance it off the axis first"
         )
-    if abs(a + b) <= 1e-12 * (abs(a) + abs(b)):
-        # psi = tanh(phi/2) has a pole on the line beta = -alpha; anchor
-        # the chain a mini-step away, the sampler still covers t0
-        state = taylor_step((a, b, x, y), 1e-3, order=8)
-        return _generic_from_state(state, g.t0 + 1e-3)
-    return _generic_from_state((a, b, x, y), g.t0)
+    return _generic_from_state(g.state(), g.t0)
 
 
 def solve(g: GeodesicGerm) -> GeodesicSampler:
@@ -505,10 +499,7 @@ def solve(g: GeodesicGerm) -> GeodesicSampler:
         return solve_null(g)
     if tag is GeodesicClass.EXPONENTIAL:
         return solve_exponential(g)
-    if g.alpha == 0 or g.beta == 0:
-        state = taylor_step(g.state(), 1e-3, order=8)
-        return _generic_from_state(state, g.t0 + 1e-3)
-    return solve_generic(g)
+    return _generic_from_state(g.state(), g.t0)
 
 
 def sample(sampler: GeodesicSampler, t: complex) -> tuple[Point, tuple[complex, complex]]:

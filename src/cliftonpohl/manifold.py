@@ -26,7 +26,7 @@ from .errors import (
     OutOfDomainError,
 )
 from .special import require_finite
-from .taylor import taylor_step
+from .taylor import State, taylor_step
 
 #: Relative tolerance of the cone-membership test.  The excluded set is a
 #: cone, so the test must be homogeneous in the coordinates.
@@ -37,6 +37,11 @@ PROPORTIONAL_EPS = 1e-12
 
 #: Step used to move an on-axis germ into generic position.
 AXIS_STEP = 1e-3
+
+
+def _off_axis(state: State) -> State:
+    """The state ``AXIS_STEP`` later along its geodesic (order-8 Taylor step)."""
+    return taylor_step(state, AXIS_STEP, order=8)
 
 
 def in_domain(u: complex, v: complex) -> bool:
@@ -174,8 +179,6 @@ def classify(g: GeodesicGerm) -> Classification:
     alpha*beta != 0).
     """
     a, b, x, y = g.state()
-    if x == 0 and y == 0:
-        raise ValueError("invalid germ")
     if x == 0:
         return Classification(GeodesicClass.NULL_U_CONST)
     if y == 0:
@@ -183,7 +186,7 @@ def classify(g: GeodesicGerm) -> Classification:
 
     fi = first_integrals(g)
     if a == 0 or b == 0:
-        a, b, x, y = taylor_step((a, b, x, y), AXIS_STEP, order=4)
+        a, b, x, y = _off_axis((a, b, x, y))
         if abs(a) < 1e-30 or abs(b) < 1e-30:
             raise DegenerateGermError("germ could not be moved off the axis")
 

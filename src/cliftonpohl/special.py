@@ -7,7 +7,6 @@ principal values mid-path.
 
 Branch conventions
 ------------------
-* ``artanh_principal`` cuts along (-inf, -1] and [1, inf).
 * Square roots are ``cmath.sqrt`` (cut along the negative real axis).
 * Jacobi functions are evaluated by a descending Landen recursion whose
   parameters come from the arithmetic-geometric mean; this is uniformly
@@ -53,18 +52,6 @@ class EllipticTriple:
             abs(self.sn * self.sn + self.cn * self.cn - 1.0),
             abs(self.dn * self.dn + m * self.sn * self.sn - 1.0),
         )
-
-
-def artanh_principal(z: complex) -> complex:
-    """Principal inverse hyperbolic tangent, (1/2) log((1+z)/(1-z)).
-
-    Raises PoleError at the logarithmic singularities z = +1, -1.
-    """
-    z = complex(z)
-    require_finite(z)
-    if abs(z - 1.0) < 1e-15 or abs(z + 1.0) < 1e-15:
-        raise PoleError("artanh pole at z = +/-1", location=z)
-    return 0.5 * cmath.log((1.0 + z) / (1.0 - z))
 
 
 @lru_cache(maxsize=64)

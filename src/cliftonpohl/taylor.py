@@ -7,7 +7,7 @@ by order.  Three consumers:
 * the continuation stepper, which steps with these coefficients and
   reads its own nearest-singularity estimate off them;
 * an exact polynomial mini-step used to move an on-axis germ into
-  generic position before classification;
+  generic position before classification or solving;
 * a nearest-singularity estimator (complex ratio test with Richardson
   acceleration) used by the completeness probe to localize obstructions
   that sit near, but not on, an integration ray.
@@ -86,14 +86,19 @@ def geodesic_series(state: State, order: int) -> tuple[list[complex], list[compl
     return U, V
 
 
-def taylor_step(state: State, h: complex, order: int = 4) -> State:
+def _horner(coeffs: list[complex], x: complex) -> complex:
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * x + coeffs[k]
+    return acc
+
+
+def taylor_step(state: State, h: complex, order: int) -> State:
     """Advance a geodesic state by h with a single series evaluation."""
     U, V = geodesic_series(state, order)
-    u = sum(U[k] * h**k for k in range(order + 1))
-    v = sum(V[k] * h**k for k in range(order + 1))
-    du = sum(k * U[k] * h ** (k - 1) for k in range(1, order + 1))
-    dv = sum(k * V[k] * h ** (k - 1) for k in range(1, order + 1))
-    return u, v, du, dv
+    dU = [k * U[k] for k in range(1, order + 1)]
+    dV = [k * V[k] for k in range(1, order + 1)]
+    return _horner(U, h), _horner(V, h), _horner(dU, h), _horner(dV, h)
 
 
 def _ratio_estimate(coeffs: list[complex]) -> tuple[complex, float] | None:

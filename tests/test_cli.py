@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cliftonpohl.cli import main
 
 RATIONAL = '{"alpha":[1,0],"beta":[0,0],"x":[1,0],"y":[0,0]}'
@@ -50,6 +52,27 @@ class TestExitCodes:
 
     def test_path_must_match_t0(self):
         assert run(["shoot", "--germ", RATIONAL, "--path", "[[0.5,0],[1,0]]"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shoot", "--germ", RATIONAL, "--path", "[[0,0],[0,NaN]]"],
+            ["shoot", "--germ", RATIONAL, "--path", "[[0,0],[true,false]]"],
+            [
+                "shoot",
+                "--germ", '{"alpha":[true,false],"beta":[0,0],"x":[1,0],"y":[0,0]}',
+                "--path", "[[0,0],[1,0]]",
+            ],
+            ["probe", "--germ", RATIONAL, "--radius", "nan"],
+            ["probe", "--germ", RATIONAL, "--radius", "inf"],
+        ],
+        ids=["nan-waypoint", "bool-waypoint", "bool-germ", "nan-radius", "inf-radius"],
+    )
+    def test_bad_value_is_2_with_nothing_written(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestClassifyCommand:
@@ -157,11 +180,12 @@ class TestCsv:
         assert abs(last[0] - 0.5) < 1e-12
         assert abs(last[2] - 2) < 1e-8
 
-    def test_csv_needs_out(self):
+    def test_csv_needs_out(self, capsys):
         assert (
             run(["shoot", "--germ", RATIONAL, "--path", "[[0,0],[0.5,0]]", "--csv"])
             == 2
         )
+        assert capsys.readouterr().out == ""
 
 
 class TestGermFiles:
@@ -182,5 +206,9 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "criterion 9" in out and "PASS" in out
 
-    def test_bad_criteria_arg(self):
+    def test_bad_criteria_arg(self, capsys):
         assert run(["verify", "--criteria", "abc"]) == 2
+        assert run(["verify", "--criteria", "99"]) == 2
+        # an unknown number is refused before any criterion runs
+        assert run(["verify", "--criteria", "9,99"]) == 2
+        assert capsys.readouterr().out == ""

@@ -6,16 +6,18 @@ import random
 
 import pytest
 
+from cliftonpohl.acceptance import _DISCRETENESS_GERMS
 from cliftonpohl.continuation import (
     PathPolyline,
     _integrate_segment,
+    _walk_localize,
     completeness_probe,
     continue_path,
     loop_monodromy,
 )
 from cliftonpohl.families import sample, solve
 from cliftonpohl.manifold import first_integrals, germ
-from cliftonpohl.taylor import taylor_step
+from cliftonpohl.taylor import nearest_singularity, taylor_step
 
 
 def taylor_reference(state, t_target, steps=200, order=12):
@@ -43,6 +45,12 @@ class TestPathValidation:
     def test_tol_range(self):
         with pytest.raises(ValueError):
             continue_path(germ(1, 0, 1, 0), PathPolyline((0, 1)), tol=1e-2)
+
+    def test_rejects_non_finite_waypoints(self):
+        # a NaN waypoint once came back as an obstruction at t* = 1
+        for bad in (complex(0, math.nan), complex(math.inf, 0)):
+            with pytest.raises(ValueError):
+                PathPolyline((0, bad))
 
 
 class TestRationalScenarios:
@@ -285,6 +293,29 @@ class TestProbe:
         with pytest.raises(ValueError):
             completeness_probe(germ(1, 0, 1, 0), 1.0, 3)
 
+    def test_rejects_non_finite_radius(self):
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                completeness_probe(germ(1, 0, 1, 0), radius, 16)
+
+    def test_walk_locates_wherever_scan_can_halt(self):
+        # the scan halts a ray only where nearest_singularity(y) is not
+        # None; the probe relies on _walk_localize then always returning
+        # a location, and has no path for a halt it cannot localize
+        seen = 0
+        for g in _DISCRETENESS_GERMS:
+            for k in range(4):
+                end = g.t0 + 5.0 * cmath.exp(2j * math.pi * (k + 0.5) / 4)
+                states = []
+                _integrate_segment(
+                    g.state(), g.t0, end, 1e-9, collect=lambda t, w: states.append((t, w))
+                )
+                for t, y in states[::4]:
+                    if nearest_singularity(y) is not None:
+                        seen += 1
+                        assert _walk_localize(t, y, 1e-9) is not None, (g, t)
+        assert seen >= 100
+
     def test_deterministic_report(self):
         a = completeness_probe(germ(0, 1, 1, 0), 2.0, 8, 1e-9)
         b = completeness_probe(germ(0, 1, 1, 0), 2.0, 8, 1e-9)
@@ -310,6 +341,13 @@ class TestLoopMonodromy:
         # basepoint straight ahead through the pole at t = 1
         res = loop_monodromy(germ(1, 0, 1, 0), 1.0, 0.5, 1, 1e-10)
         assert res.status == "Obstructed"
+
+    def test_rejects_bad_radius_and_center(self):
+        g = germ(1, 0, 1, 0)
+        for center, radius in ((2.0, math.nan), (2.0, math.inf), (2.0, 0.0),
+                               (complex(math.nan, 0), 0.5)):
+            with pytest.raises(ValueError):
+                loop_monodromy(g, center, radius)
 
     def test_generic_two_turns_consistency(self):
         # loop around the nearest obstruction of the generic exemplar;

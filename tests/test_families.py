@@ -179,22 +179,12 @@ class TestGenericChain:
             od, ed = s.log_rates(t)
             assert abs(1 / od + 1 / ed - fi.B) < 1e-10
 
-    def test_tanh_artanh_chain(self, seed):
-        from cliftonpohl.special import artanh_principal
-
-        r = random.Random(seed + 4)
-        for _ in range(40):
-            phi0 = complex(r.uniform(-2, 2), r.uniform(-3.1, 3.1))
-            if abs(phi0.imag) >= math.pi:
-                continue
-            assert abs(2 * artanh_principal(cmath.tanh(phi0 / 2)) - phi0) < 1e-12
-
     def test_log_branch_shift_is_invisible(self):
         g = germ(1, 2, 1, 1)
         s = solve_generic(g)
         shifted = GenericEllipticSampler(
             s.A, s.B, s.m, s.D, s.Y0, s.Yp0,
-            s.omega0 + 2j * math.pi, s.eta0 - 2j * math.pi, s.t0, s.phi0, s.psi0,
+            s.omega0 + 2j * math.pi, s.eta0 - 2j * math.pi, s.t0,
         )
         for t in (0.3, 0.5 - 0.4j):
             (u1, v1), _ = s.position_velocity(t)

@@ -11,23 +11,11 @@ from hypothesis import strategies as st
 from cliftonpohl.errors import PoleError, SingularPathError
 from cliftonpohl.special import (
     EllipticTriple,
-    artanh_principal,
     elliptic_F,
     jacobi_elliptic,
     _jacobi_raw,
     _landen_ladder,
 )
-
-
-def artanh_series(z: complex, terms: int = 60) -> complex:
-    """Independent oracle: sum z^(2k+1)/(2k+1), |z| < 1."""
-    acc = 0j
-    p = z
-    z2 = z * z
-    for k in range(terms):
-        acc += p / (2 * k + 1)
-        p *= z2
-    return acc
 
 
 def quad_F(z: complex, m: complex, n: int = 4000) -> complex:
@@ -40,44 +28,6 @@ def quad_F(z: complex, m: complex, n: int = 4000) -> complex:
     for i in range(1, n):
         acc += f(i * h) * (4 if i % 2 else 2)
     return acc * h / 3.0
-
-
-complexes = st.builds(
-    cmath.rect, st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi)
-)
-
-
-class TestArtanh:
-    def test_fixed_point_zero(self):
-        assert artanh_principal(0) == 0
-
-    def test_imaginary_unit(self):
-        assert abs(artanh_principal(1j) - 1j * math.pi / 4) < 1e-15
-
-    def test_half_against_series(self):
-        want = artanh_series(0.5)
-        got = artanh_principal(0.5)
-        assert abs(got - 0.5493061443340548) < 1e-15
-        assert abs(got - want) < 1e-15
-
-    def test_poles(self):
-        for z in (1.0, -1.0):
-            with pytest.raises(PoleError):
-                artanh_principal(z)
-
-    @given(complexes)
-    @settings(max_examples=80, deadline=None)
-    def test_roundtrip(self, z):
-        assert abs(cmath.tanh(artanh_principal(z)) - z) < 1e-12
-
-    @given(complexes)
-    @settings(max_examples=60, deadline=None)
-    def test_odd(self, z):
-        assert abs(artanh_principal(-z) + artanh_principal(z)) < 1e-15
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            artanh_principal(complex(float("nan"), 0.0))
 
 
 class TestJacobi:
