@@ -4,8 +4,8 @@ Outputs are deterministic: fixed field order and floats printed with 17
 significant digits, so identical inputs give byte-identical files.
 Complex numbers are always two-element arrays [re, im].
 
-Exit codes: 0 success/Completed, 2 malformed input, 3 Obstructed shoot,
-4 out-of-domain germ.
+Exit codes: 0 success/Completed, 2 malformed input or unwritable output,
+3 Obstructed shoot, 4 out-of-domain germ.
 """
 
 from __future__ import annotations
@@ -201,8 +201,11 @@ def _report_json(rep: ObstructionReport, manifest: dict) -> dict:
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         Path(out).write_text(text + "\n")
+    except OSError as e:
+        raise InputError(f"cannot write {out}: {e}") from None
 
 
 def _write_csv(trace: ContinuationTrace, out: str) -> None:
@@ -215,7 +218,7 @@ def _write_csv(trace: ContinuationTrace, out: str) -> None:
                 for c in (z.real, z.imag)
             )
         )
-    Path(out).write_text("\n".join(lines) + "\n")
+    _write_output("\n".join(lines), out)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        out = getattr(args, "out", None)  # refused before any work, not after
+        if out is not None and not Path(out).parent.is_dir():
+            raise InputError(f"output directory {Path(out).parent} does not exist")
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,6 +28,13 @@ localized by walking toward it (re-expanding as the radius of
 convergence shrinks), recorded, and -- when it blocks the ray --
 flanked by a small semicircular detour so the ray can report
 obstructions hiding behind the first one.
+
+A location is reported only when the walk settles: an estimate closer
+than 2e-3 with relative spread below 0.05, or a hop that collapses into
+the point.  If the estimates fade or 30 hops pass first, the ray
+suppresses the scan's candidate unreported and resumes straight.  Such
+halts come from regular points where the path touches the cone u^2 +
+v^2 = 0, where high-order coefficients are rounding noise.
 """
 
 from __future__ import annotations
@@ -229,6 +236,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
 
 
+def _check_count(n: int, least: int, what: str) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise ValueError(f"{what} must be an integer of at least {least}")
+
+
 def _check_radius(radius: float) -> None:
     if not (0.0 < radius < math.inf):  # also catches NaN
         raise ValueError("radius must be finite and positive")
@@ -261,22 +273,19 @@ def continue_path(
 # Completeness probe
 
 
-def _walk_localize(
-    t: complex, y: State, tol: float
-) -> tuple[complex, float] | None:
-    """Walk toward the nearest singularity, re-expanding as it gets close."""
+def _walk_localize(t: complex, y: State, tol: float) -> tuple[complex, float] | None:
+    """Walk toward the nearest singularity, re-expanding as it gets close.
+
+    Returns (location, radius) once the walk settles, else None.
+    """
     cur_t, cur_y = t, y
-    best: tuple[complex, float] | None = None
     for _ in range(30):
         est = nearest_singularity(cur_y)
         if est is None:
-            return best
+            return None
         off, spread = est
-        cand = (cur_t + off, abs(off) * max(spread, 5e-3) + 1e-9)
-        if best is None or cand[1] < best[1]:
-            best = cand
         if abs(off) < 2e-3 and spread < 0.05:
-            return cand
+            return _located(cur_t, est)
         hop = 0.6 if spread < 0.1 else 0.3
         target = cur_t + hop * off
         res = _integrate_segment(cur_y, cur_t, target, tol)
@@ -284,7 +293,13 @@ def _walk_localize(
             # ran into it: the collapse estimate is sharper than the walk
             return res.t_star, res.radius
         cur_t, cur_y = target, res.y
-    return best
+    return None
+
+
+def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
+    """(singular time, uncertainty radius) of an estimate made at t."""
+    off, spread = est
+    return t + off, abs(off) * max(spread, 5e-3) + 1e-9
 
 
 def _detour_waypoints(t_star: complex, rho: float, e: complex, sign: int) -> list[complex]:
@@ -306,6 +321,9 @@ def _probe_ray(
     y: State = g.state()
     t_cur = t0
     found: list[tuple[complex, float]] = []
+    # scan candidates whose walk did not settle: suppressed, never reported
+    unsettled: list[tuple[complex, float]] = []
+    candidate = (t0, 0.0)
     rho_detour = max(5e-3, min(0.03, 0.008 * radius))
     sin_gap = math.sin(math.pi / n_rays)
     detours = 0
@@ -315,17 +333,21 @@ def _probe_ray(
         return 1.6 * abs(t - t0) * sin_gap + 0.005 * radius
 
     def suppressed(cand: complex) -> bool:
-        return any(abs(cand - p) < max(5e-4, 3.0 * r) for p, r in found)
+        return any(
+            abs(cand - p) < max(5e-4, 3.0 * r) for pts in (found, unsettled) for p, r in pts
+        )
 
     def scan(t: complex, w: State, est) -> bool:
         # the step's own estimate first, full order only on a near hit
+        nonlocal candidate
         wd = width(t)
         if est is None or abs(est[0] - t) >= 1.8 * wd or suppressed(est[0]):
             return False
         est = nearest_singularity(w)
         if est is None or abs(est[0]) >= wd:
             return False
-        return not suppressed(t + est[0])
+        candidate = _located(t, est)
+        return not suppressed(candidate[0])
 
     def record(p: complex, r: float) -> None:
         for i, (q, rq) in enumerate(found):
@@ -335,18 +357,17 @@ def _probe_ray(
                 return
         found.append((p, r))
 
-    while True:
-        if abs(t_cur - ray_end) < 1e-12 * (1.0 + radius):
-            break
+    while abs(t_cur - ray_end) >= 1e-12 * (1.0 + radius):
         res = _integrate_segment(y, t_cur, ray_end, tol, on_step=scan)
         if res.status == "done":
             break
 
         t_cur, y = res.t, res.y
         halted = res.status == "halted"
-        # a halt comes from scan's nearest_singularity(y), the walk's first
-        # estimate, so after a halt the walk always returns a location
         loc = _walk_localize(t_cur, y, tol)
+        if halted and loc is None:  # not settled: no obstruction, no second halt here
+            unsettled.append(candidate)
+            continue
         if not halted and (loc is None or loc[1] >= max(res.radius, 1e-9)):
             loc = res.t_star, res.radius  # the collapse estimate is sharper
         t_star, rad = loc
@@ -359,29 +380,23 @@ def _probe_ray(
             status = "Blocked"
             break
         detours += 1
-        done = False
-        for sign in (1, -1):
-            for shrink in (1.0, 0.5):
-                rho = rho_detour * shrink
-                entry = t_star - rho * e
-                wps = [t_cur, entry] if abs(entry - t_cur) > 1e-12 else [t_cur]
-                wps += _detour_waypoints(t_star, rho, e, sign)[1:]
-                yy, tt, ok = y, t_cur, True
-                for a, b in zip(wps, wps[1:]):
-                    if abs(b - a) < 1e-15:
-                        continue
-                    seg = _integrate_segment(yy, a, b, tol)
-                    if seg.status != "done":
-                        ok = False
-                        break
-                    yy, tt = seg.y, b
-                if ok:
-                    t_cur, y = tt, yy
-                    done = True
+        for sign, shrink in ((1, 1.0), (1, 0.5), (-1, 1.0), (-1, 0.5)):
+            rho = rho_detour * shrink
+            entry = t_star - rho * e
+            wps = [t_cur, entry] if abs(entry - t_cur) > 1e-12 else [t_cur]
+            wps += _detour_waypoints(t_star, rho, e, sign)[1:]
+            yy, tt = y, t_cur
+            for a, b in zip(wps, wps[1:]):
+                if abs(b - a) < 1e-15:
+                    continue
+                seg = _integrate_segment(yy, a, b, tol)
+                if seg.status != "done":
                     break
-            if done:
+                yy, tt = seg.y, b
+            else:
+                t_cur, y = tt, yy
                 break
-        if not done:
+        else:
             status = "Blocked"
             break
         if abs(t_cur - t0) >= radius:
@@ -416,8 +431,7 @@ def completeness_probe(
     """
     _check_tol(tol)
     _check_radius(radius)
-    if n_rays < 4:
-        raise ValueError("n_rays must be at least 4")
+    _check_count(n_rays, 4, "n_rays")
     per_ray = []
     allpts: list[complex] = []
     for k in range(n_rays):
@@ -425,12 +439,9 @@ def completeness_probe(
         per_ray.append(r)
         allpts.extend(r.obstructions)
     centers = _cluster(allpts, CLUSTER_TOL)
-    if len(centers) >= 2:
-        min_sep = min(
-            abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]
-        )
-    else:
-        min_sep = 0.0
+    min_sep = min(
+        (abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]), default=0.0
+    )
     return ObstructionReport(
         g, radius, n_rays, tuple(centers), min_sep, tuple(per_ray)
     )
@@ -456,6 +467,7 @@ def loop_monodromy(
     """
     _check_tol(tol)
     _check_radius(loop_radius)
+    _check_count(turns, 1, "turns")
     require_finite(center)
     base = center + loop_radius
     leg = _integrate_segment(g.state(), g.t0, base, tol) if base != g.t0 else None
@@ -466,7 +478,6 @@ def loop_monodromy(
     prev_end: State | None = None
     for ngon in (32, 64, 128, 256):
         y = y0
-        ok = True
         pts = [
             center + loop_radius * cmath.exp(2j * math.pi * k / ngon)
             for k in range(ngon * turns + 1)
@@ -474,11 +485,8 @@ def loop_monodromy(
         for a, b in zip(pts, pts[1:]):
             seg = _integrate_segment(y, a, b, tol)
             if seg.status != "done":
-                ok = False
-                break
+                return LoopResult("Obstructed", y0, None, False, math.inf)
             y = seg.y
-        if not ok:
-            return LoopResult("Obstructed", y0, None, False, math.inf)
         if prev_end is not None:
             drift = max(
                 abs(y[q] - prev_end[q]) / (1.0 + abs(y[q])) for q in range(4)

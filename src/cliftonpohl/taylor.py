@@ -1,8 +1,13 @@
 """Local power-series expansion of geodesics.
 
-The geodesic right-hand side is rational in the state, so Taylor
-coefficients of a solution follow from Cauchy-product recurrences order
-by order.  Three consumers:
+The geodesic equation u'' = 2 u (u')^2 / F with F = u^2 + v^2 (and the
+same for v) is used as u'' = u' (u^2)' / F.  Each Taylor order then
+costs five Cauchy products: u^2 and v^2 as symmetric self-products
+(half the terms each), (u^2)'/F and (v^2)'/F by series division, and
+the two products with u' and v'; about 940 complex multiply-adds for an
+order-20 series, against nine products per order when F, 1/F, (u')^2
+and u (u')^2 are formed apiece.  It also loses fewer digits near the
+cone F = 0.  Three consumers:
 
 * the continuation stepper, which steps with these coefficients and
   reads its own nearest-singularity estimate off them;
@@ -27,62 +32,56 @@ def geodesic_series(state: State, order: int) -> tuple[list[complex], list[compl
     ``state`` is (u, v, u', v'); returns coefficient lists of length
     order+1.  Requires u^2 + v^2 != 0 at the base point.
     """
-    u0, v0, du0, dv0 = state
     n = order
-    U = [0j] * (n + 1)
-    V = [0j] * (n + 1)
-    U[0], V[0] = complex(u0), complex(v0)
-    if n >= 1:
-        U[1], V[1] = complex(du0), complex(dv0)
+    U = [complex(state[0]), complex(state[2])] + [0j] * (n - 1)
+    V = [complex(state[1]), complex(state[3])] + [0j] * (n - 1)
     if n < 2:
-        return U, V
+        return U[: n + 1], V[: n + 1]
 
     f0 = U[0] * U[0] + V[0] * V[0]
     if f0 == 0:
         raise ZeroDivisionError("series base point lies on u^2 + v^2 = 0")
+    g0 = 1.0 / f0
 
-    # running product coefficients, each extended by one order per pass:
-    # F = u^2+v^2, G = 1/F, dU/dV = derivative series,
-    # p = (u')^2, q = u p (and the v analogues)
-    F = [f0]
-    G = [1.0 / f0]
-    dU = [U[1]]
-    dV = [V[1]]
-    p_u = [U[1] * U[1]]
-    p_v = [V[1] * V[1]]
-    q_u = [U[0] * p_u[0]]
-    q_v = [V[0] * p_v[0]]
-
+    # F = u^2 + v^2, dU/dV = derivative series, cu = (u^2)'/F and
+    # cv = (v^2)'/F; pass k fills F[k + 1], cu[k], U[k + 2], dU[k + 1]
+    F = [f0] + [0j] * n
+    dU = [U[1]] + [0j] * (n - 1)
+    dV = [V[1]] + [0j] * (n - 1)
+    cu = [0j] * n
+    cv = [0j] * n
     for k in range(n - 1):
-        if k >= 1:
-            fk = 0j
-            for j in range(k + 1):
-                fk += U[j] * U[k - j] + V[j] * V[k - j]
-            F.append(fk)
-            gk = 0j
-            for j in range(1, k + 1):
-                gk += F[j] * G[k - j]
-            G.append(-G[0] * gk)
-            pu = pv = 0j
-            for j in range(k + 1):
-                pu += dU[j] * dU[k - j]
-                pv += dV[j] * dV[k - j]
-            p_u.append(pu)
-            p_v.append(pv)
-            qu = qv = 0j
-            for j in range(k + 1):
-                qu += U[j] * p_u[k - j]
-                qv += V[j] * p_v[k - j]
-            q_u.append(qu)
-            q_v.append(qv)
+        m = k + 1
+        # order m of u^2 and v^2, each a symmetric self-product
+        a = b = 0j
+        for j in range((m + 1) // 2):
+            a += U[j] * U[m - j]
+            b += V[j] * V[m - j]
+        a += a
+        b += b
+        if not m & 1:
+            a += U[m >> 1] * U[m >> 1]
+            b += V[m >> 1] * V[m >> 1]
+        F[m] = a + b
+        # order k of cu = (u^2)'/F by division, and of u'' = u' cu all
+        # but its cu[k] term, in one pass (and the same for v)
+        su = m * a
+        sv = m * b
         wu = wv = 0j
-        for j in range(k + 1):
-            wu += q_u[j] * G[k - j]
-            wv += q_v[j] * G[k - j]
-        U[k + 2] = 2.0 * wu / ((k + 2) * (k + 1))
-        V[k + 2] = 2.0 * wv / ((k + 2) * (k + 1))
-        dU.append((k + 2) * U[k + 2])
-        dV.append((k + 2) * V[k + 2])
+        for i in range(1, m):
+            x = cu[k - i]
+            y = cv[k - i]
+            su -= F[i] * x
+            sv -= F[i] * y
+            wu += dU[i] * x
+            wv += dV[i] * y
+        cu[k] = x = su * g0
+        cv[k] = y = sv * g0
+        d = 1.0 / ((k + 2) * m)
+        U[k + 2] = (wu + dU[0] * x) * d
+        V[k + 2] = (wv + dV[0] * y) * d
+        dU[m] = (k + 2) * U[k + 2]
+        dV[m] = (k + 2) * V[k + 2]
     return U, V
 
 

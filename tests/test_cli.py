@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cliftonpohl import cli
 from cliftonpohl.cli import main
 
 RATIONAL = '{"alpha":[1,0],"beta":[0,0],"x":[1,0],"y":[0,0]}'
@@ -73,6 +74,36 @@ class TestExitCodes:
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["probe", "--germ", GENERIC, "--radius", "2"], "completeness_probe"),
+            (["shoot", "--germ", GENERIC, "--path", "[[0,0],[1,0]]", "--csv"], "continue_path"),
+            (["classify", "--germ", GENERIC], "classify"),
+        ],
+        ids=["probe", "shoot", "classify"],
+    )
+    def test_missing_out_dir_is_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, work
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, work, no_work)
+        missing = tmp_path / "missing"
+        assert run(argv + ["--out", str(missing / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not missing.exists()
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        # the directory exists, but the output path names a directory
+        assert run(["classify", "--germ", GENERIC, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestClassifyCommand:

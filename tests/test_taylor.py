@@ -1,8 +1,75 @@
 """Series expansion of geodesics and the nearest-singularity estimator."""
 
 import math
+import random
+import statistics
 
-from cliftonpohl.taylor import geodesic_series, nearest_singularity, taylor_step
+import pytest
+
+from cliftonpohl.continuation import ORDER
+from cliftonpohl.taylor import (
+    ESTIMATE_ORDER,
+    geodesic_series,
+    nearest_singularity,
+    taylor_step,
+)
+
+
+def reference_series(state, order):
+    """The nine-product recurrence u'' = 2 u (u')^2 / F, kept as an oracle.
+
+    Each order extends F = u^2 + v^2, G = 1/F, p = (u')^2 and q = u p
+    (and the v analogues) by one Cauchy product apiece, then forms
+    u'' = 2 q G.  Runs on complex floats or on mpmath numbers.
+    """
+    U = [0 * state[0]] * (order + 1)
+    V = list(U)
+    U[0], V[0], U[1], V[1] = state
+    F = [U[0] * U[0] + V[0] * V[0]]
+    G = [1 / F[0]]
+    dU, dV = [U[1]], [V[1]]
+    p_u, p_v = [U[1] * U[1]], [V[1] * V[1]]
+    q_u, q_v = [U[0] * p_u[0]], [V[0] * p_v[0]]
+
+    def cauchy(a, b, k, start=0):
+        return sum((a[j] * b[k - j] for j in range(start, k + 1)), 0 * F[0])
+
+    for k in range(order - 1):
+        if k >= 1:
+            F.append(cauchy(U, U, k) + cauchy(V, V, k))
+            G.append(-G[0] * cauchy(F, G, k, 1))
+            p_u.append(cauchy(dU, dU, k))
+            p_v.append(cauchy(dV, dV, k))
+            q_u.append(cauchy(U, p_u, k))
+            q_v.append(cauchy(V, p_v, k))
+        U[k + 2] = 2 * cauchy(q_u, G, k) / ((k + 2) * (k + 1))
+        V[k + 2] = 2 * cauchy(q_v, G, k) / ((k + 2) * (k + 1))
+        dU.append((k + 2) * U[k + 2])
+        dV.append((k + 2) * V[k + 2])
+    return U, V
+
+
+def scaled_error(got, ref):
+    """Error of the series on the disk of half the reference's ratio-test
+    radius, relative to the series' size there.
+
+    Coefficient k is weighted by rho^k, so the error of a coefficient
+    counts by what it adds to a step of length rho.
+    """
+    n = len(ref[0]) - 1
+    mags = [max(abs(ref[0][k]), abs(ref[1][k])) for k in range(n + 1)]
+    rho = 0.5 * min((mags[k] ** (-1 / k) for k in range(1, n + 1) if mags[k] > 0), default=1.0)
+    size = max(m * rho**k for k, m in enumerate(mags))
+    err = max(
+        abs(complex(g) - complex(r)) * rho**k
+        for c in (0, 1)
+        for k, (g, r) in enumerate(zip(got[c], ref[c]))
+    )
+    return err / size
+
+
+def _gauss(r):
+    return complex(r.gauss(0, 1), r.gauss(0, 1))
 
 
 def test_rational_series():
@@ -49,3 +116,33 @@ def test_tan_from_far_needs_tolerance():
 def test_entire_solution_reports_nothing_close():
     est = nearest_singularity((1, 1, 1, 1))
     assert est is None or abs(est[0]) > 5
+
+
+class TestAgainstReference:
+    def test_agrees_away_from_the_cone(self):
+        r = random.Random(5)
+        states = 0
+        while states < 100:
+            s = tuple(_gauss(r) for _ in range(4))
+            if abs(s[0] ** 2 + s[1] ** 2) < 0.1 * (abs(s[0]) ** 2 + abs(s[1]) ** 2):
+                continue
+            states += 1
+            for order in (2, 3, 8, 20, 26):
+                got = geodesic_series(s, order)
+                assert len(got[0]) == len(got[1]) == order + 1
+                assert scaled_error(got, reference_series(s, order)) <= 1e-12, (s, order)
+
+    @pytest.mark.parametrize("order", [ORDER, ESTIMATE_ORDER])
+    def test_near_cone_no_less_accurate(self, order):
+        # v = i u (1 + eps): u^2 + v^2 cancels to about -2 eps u^2
+        mp = pytest.importorskip("mpmath")
+        r = random.Random(11)
+        new, old = [], []
+        for _ in range(30):
+            u, du, dv = _gauss(r), _gauss(r), _gauss(r)
+            s = (u, 1j * u * (1 + 10 ** r.uniform(-6, -1)), du, dv)
+            with mp.workdps(50):
+                exact = reference_series(tuple(mp.mpc(z) for z in s), order)
+            new.append(scaled_error(geodesic_series(s, order), exact))
+            old.append(scaled_error(reference_series(s, order), exact))
+        assert statistics.median(new) <= statistics.median(old)
