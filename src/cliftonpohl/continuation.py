@@ -21,13 +21,13 @@ below the floor or its state blows up, and the singular time is read
 off the last series.  An obstruction is reported as *data* (a trace
 status with an estimated singular time), never as an exception.
 
-The completeness probe shoots straight rays and, along each ray, keeps
-estimating the nearest solution singularity from local Taylor
-coefficients.  Whatever lands inside the ray's capture tube is
-localized by walking toward it (re-expanding as the radius of
-convergence shrinks), recorded, and -- when it blocks the ray --
-flanked by a small semicircular detour so the ray can report
-obstructions hiding behind the first one.
+The completeness probe shoots straight rays and reads every step's own
+nearest-singularity estimate; there is no second estimator on the ray.
+When a step's estimate lands inside the ray's capture tube, the ray
+halts and the obstruction is localized by walking toward it
+(re-expanding as the radius of convergence shrinks), recorded, and --
+when it blocks the ray -- flanked by a small semicircular detour so the
+ray can report obstructions hiding behind the first one.
 
 A location is reported only when the walk settles: an estimate closer
 than 2e-3 with relative spread below 0.05, or a hop that collapses into
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .manifold import GeodesicGerm
 from .special import dist_to_segment, require_finite
-from .taylor import _horner, geodesic_series, nearest_singularity, series_estimate
+from .taylor import ORDER, _horner, geodesic_series, nearest_singularity, series_estimate
 
 State = tuple[complex, complex, complex, complex]
 
@@ -54,10 +54,6 @@ BLOWUP = 1e12
 
 #: Step-size floor, relative to the segment length.
 STEP_FLOOR = 1e-12
-
-#: Taylor order of every integration step.  Probe time is flat from 20
-#: to 24 and grows at lower orders, whose steps are shorter.
-ORDER = 20
 
 #: Truncated tail allowed per step, as a fraction of tol * (1 + |y|).
 #: At 1e-3 or 1e-2 the endpoint error of paths grazing the cone
@@ -181,10 +177,10 @@ def _integrate_segment(
     """Order-``ORDER`` Taylor steps along the straight segment t_from -> t_to.
 
     Step rule and obstructions as in the module docstring.
-    ``collect(t, y)`` records accepted steps; ``on_step(t, y, est)`` may
+    ``collect(t, y)`` records accepted steps; ``on_step(t, est)`` may
     return True to halt cleanly at the current accepted state, where
-    ``est`` is (singular time, spread) read off the step's coefficients,
-    or None.
+    ``est`` is (offset from t, spread) of the nearest singularity read
+    off the step's coefficients, or None.
     """
     L = abs(t_to - t_from)
     e = (t_to - t_from) / L
@@ -207,7 +203,7 @@ def _integrate_segment(
         y_new = (_horner(U, x), _horner(V, x), _horner(dU, x), _horner(dV, x))
         if not max(abs(c) for c in y_new) <= BLOWUP:  # also catches NaN
             return _obstructed(t_cur, y, U, V)
-        t_prev, y = t_cur, y_new
+        y = y_new
         s = L if last else s + h
         t_cur = t_to if last else t_from + s * e
         if collect is not None:
@@ -215,10 +211,10 @@ def _integrate_segment(
         if last:
             return _Segment("done", t_to, y)
         if on_step is not None:
-            est = series_estimate(U, V, 0.6)
+            est = series_estimate(U, V)
             if est is not None:
-                est = (t_prev + est[0], est[1])
-            if on_step(t_cur, y, est):
+                est = (est[0] - x, est[1])
+            if on_step(t_cur, est):
                 return _Segment("halted", t_cur, y)
 
 
@@ -254,19 +250,23 @@ def continue_path(
     if abs(path.waypoints[0] - g.t0) > 1e-12 * (1.0 + abs(g.t0)):
         raise ValueError("path must start at the germ's base time")
     trace = ContinuationTrace(g, path.waypoints, tol)
-    y: State = g.state()
+    y = g.state()
     trace.samples.append(TraceSample(g.t0, *y))
-    for a, b in zip(path.waypoints, path.waypoints[1:]):
-        res = _integrate_segment(
-            y, a, b, tol, collect=lambda t, w: trace.samples.append(TraceSample(t, *w))
-        )
-        if res.status == "obstructed":
-            trace.status = "Obstructed"
-            trace.obstruction = Obstruction(res.t_star, res.radius)
-            return trace
-        y = res.y
-    trace.status = "Completed"
+    res = _follow(y, path.waypoints, tol, lambda t, w: trace.samples.append(TraceSample(t, *w)))
+    if res.status == "obstructed":
+        trace.status = "Obstructed"
+        trace.obstruction = Obstruction(res.t_star, res.radius)
     return trace
+
+
+def _follow(y: State, waypoints, tol: float, collect=None) -> _Segment:
+    """Integrate along a polyline: the first segment that does not finish, else the last."""
+    for a, b in zip(waypoints, waypoints[1:]):
+        seg = _integrate_segment(y, a, b, tol, collect=collect)
+        if seg.status != "done":
+            return seg
+        y = seg.y
+    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +337,9 @@ def _probe_ray(
             abs(cand - p) < max(5e-4, 3.0 * r) for pts in (found, unsettled) for p, r in pts
         )
 
-    def scan(t: complex, w: State, est) -> bool:
-        # the step's own estimate first, full order only on a near hit
+    def scan(t: complex, est) -> bool:
         nonlocal candidate
-        wd = width(t)
-        if est is None or abs(est[0] - t) >= 1.8 * wd or suppressed(est[0]):
-            return False
-        est = nearest_singularity(w)
-        if est is None or abs(est[0]) >= wd:
+        if est is None or abs(est[0]) >= width(t):
             return False
         candidate = _located(t, est)
         return not suppressed(candidate[0])
@@ -384,17 +379,9 @@ def _probe_ray(
             rho = rho_detour * shrink
             entry = t_star - rho * e
             wps = [t_cur, entry] if abs(entry - t_cur) > 1e-12 else [t_cur]
-            wps += _detour_waypoints(t_star, rho, e, sign)[1:]
-            yy, tt = y, t_cur
-            for a, b in zip(wps, wps[1:]):
-                if abs(b - a) < 1e-15:
-                    continue
-                seg = _integrate_segment(yy, a, b, tol)
-                if seg.status != "done":
-                    break
-                yy, tt = seg.y, b
-            else:
-                t_cur, y = tt, yy
+            seg = _follow(y, wps + _detour_waypoints(t_star, rho, e, sign)[1:], tol)
+            if seg.status == "done":
+                t_cur, y = seg.t, seg.y
                 break
         else:
             status = "Blocked"
@@ -477,16 +464,14 @@ def loop_monodromy(
 
     prev_end: State | None = None
     for ngon in (32, 64, 128, 256):
-        y = y0
         pts = [
             center + loop_radius * cmath.exp(2j * math.pi * k / ngon)
             for k in range(ngon * turns + 1)
         ]
-        for a, b in zip(pts, pts[1:]):
-            seg = _integrate_segment(y, a, b, tol)
-            if seg.status != "done":
-                return LoopResult("Obstructed", y0, None, False, math.inf)
-            y = seg.y
+        seg = _follow(y0, pts, tol)
+        if seg.status != "done":
+            return LoopResult("Obstructed", y0, None, False, math.inf)
+        y = seg.y
         if prev_end is not None:
             drift = max(
                 abs(y[q] - prev_end[q]) / (1.0 + abs(y[q])) for q in range(4)

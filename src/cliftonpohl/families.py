@@ -62,7 +62,7 @@ from .manifold import (
     first_integrals,
     germ as make_germ,
 )
-from .special import POLE_THRESHOLD, _jacobi_raw
+from .special import POLE_THRESHOLD, _jacobi_raw, require_finite
 
 QUAD_TOL = 1e-12
 
@@ -505,9 +505,11 @@ def solve(g: GeodesicGerm) -> GeodesicSampler:
 def sample(sampler: GeodesicSampler, t: complex) -> tuple[Point, tuple[complex, complex]]:
     """Evaluate a sampler: position as a domain-checked Point, velocity exact.
 
-    Closed-form families cost O(1).  The generic chain refuses a root of
-    1 + Y^2 at t with no quadrature, and otherwise spends at most
-    ``MAX_PANELS`` 16-point panels integrating from t0 to t.
+    A non-finite t raises ValueError before any work.  Closed-form
+    families cost O(1).  The generic chain refuses a root of 1 + Y^2 at
+    t with no quadrature, and otherwise spends at most ``MAX_PANELS``
+    16-point panels integrating from t0 to t.
     """
+    require_finite(t)
     (u, v), (du, dv) = sampler.position_velocity(complex(t))
     return Point(u, v), (du, dv)

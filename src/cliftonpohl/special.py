@@ -125,9 +125,11 @@ def carlson_rf(x: complex, y: complex, z: complex) -> complex:
     """Carlson symmetric integral R_F with principal square roots.
 
     Standard duplication iteration followed by the degree-7 series; valid
-    for complex arguments off the negative real axis.
+    for finite complex arguments off the negative real axis (NaN or
+    infinity raises ValueError).
     """
     x, y, z = complex(x), complex(y), complex(z)
+    require_finite(x, y, z)
     A = (x + y + z) / 3.0
     Q = max(abs(A - x), abs(A - y), abs(A - z)) / (3.0 * 1e-16) ** (1.0 / 8.0)
     n = 0

@@ -7,23 +7,26 @@ costs five Cauchy products: u^2 and v^2 as symmetric self-products
 the two products with u' and v'; about 940 complex multiply-adds for an
 order-20 series, against nine products per order when F, 1/F, (u')^2
 and u (u')^2 are formed apiece.  It also loses fewer digits near the
-cone F = 0.  Three consumers:
+cone F = 0.  The stepper and every singularity estimate share one
+order, ``ORDER``.  Two consumers:
 
 * the continuation stepper, which steps with these coefficients and
-  reads its own nearest-singularity estimate off them;
+  reads its nearest-singularity estimate off them (complex ratio test
+  with Richardson acceleration, ``series_estimate``); the completeness
+  probe's scan halts on that estimate, and its walk re-expands with
+  ``nearest_singularity`` to localize the obstruction;
 * an exact polynomial mini-step used to move an on-axis germ into
-  generic position before classification or solving;
-* a nearest-singularity estimator (complex ratio test with Richardson
-  acceleration) used by the completeness probe to localize obstructions
-  that sit near, but not on, an integration ray.
+  generic position before classification or solving.
 """
 
 from __future__ import annotations
 
 State = tuple[complex, complex, complex, complex]
 
-#: Series order of ``nearest_singularity``.
-ESTIMATE_ORDER = 26
+#: Taylor order of every integration step and singularity estimate.
+#: Probe time is flat from 20 to 24 and grows at lower orders, whose
+#: steps are shorter.
+ORDER = 20
 
 
 def geodesic_series(state: State, order: int) -> tuple[list[complex], list[complex]]:
@@ -133,40 +136,27 @@ def _ratio_estimate(coeffs: list[complex]) -> tuple[complex, float] | None:
     return best
 
 
-def series_estimate(
-    U: list[complex], V: list[complex], max_spread: float = 0.35
-) -> tuple[complex, float] | None:
+def series_estimate(U: list[complex], V: list[complex]) -> tuple[complex, float] | None:
     """Nearest-singularity offset read off the coefficients of (u, v).
 
-    ``max_spread`` rejects unstable ratio sequences (several comparable
-    singularities, or an entire solution).
+    A relative spread above 0.35 rejects an unstable ratio sequence
+    (several comparable singularities, or an entire solution).
     """
-    ests = []
-    for coeffs in (U, V):
-        est = _ratio_estimate(coeffs)
-        if est is not None and est[1] <= max_spread:
-            ests.append(est)
-    if not ests:
-        return None
+    ests = [e for e in map(_ratio_estimate, (U, V)) if e is not None and e[1] <= 0.35]
     # trust the steadier sequence; a component that is regular at the
     # other's singularity produces noisy ratios that must not win on a
     # spuriously small offset alone
-    ests.sort(key=lambda e: e[1])
-    best = ests[0]
-    for other in ests[1:]:
-        if abs(other[0]) < 0.6 * abs(best[0]):
-            best = other
-    return best
+    return min(ests, key=lambda e: e[1], default=None)
 
 
 def nearest_singularity(state: State) -> tuple[complex, float] | None:
     """Estimated offset of the closest solution singularity, or None.
 
     The offset is measured from the state's base time; the series goes
-    to ``ESTIMATE_ORDER``.
+    to ``ORDER``.
     """
     try:
-        U, V = geodesic_series(state, ESTIMATE_ORDER)
+        U, V = geodesic_series(state, ORDER)
     except (ZeroDivisionError, OverflowError):
         return None
     return series_estimate(U, V)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cliftonpohl import continuation
 from cliftonpohl.acceptance import _DISCRETENESS_GERMS
 from cliftonpohl.continuation import (
     PathPolyline,
@@ -300,9 +301,10 @@ class TestProbe:
                 completeness_probe(germ(1, 0, 1, 0), radius, 16)
 
     def test_walk_locates_wherever_scan_can_halt(self):
-        # the scan halts a ray only where nearest_singularity(y) is not
-        # None; from every such state on these rays the walk settles on a
-        # location, so halts that are suppressed unreported stay rare
+        # the scan halts a ray only on a step whose own estimate is not
+        # None, and a step from y reads nearest_singularity(y) off its
+        # series; from every such state on these rays the walk settles on
+        # a location, so halts that are suppressed unreported stay rare
         seen = 0
         for g in _DISCRETENESS_GERMS:
             for k in range(4):
@@ -316,6 +318,29 @@ class TestProbe:
                         seen += 1
                         assert _walk_localize(t, y, 1e-9) is not None, (g, t)
         assert seen >= 100
+
+    def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
+        # the scan halts on the estimate each step reads off its own
+        # series; nearest_singularity is re-expanded only by the walk
+        walking, calls = [False], {True: 0, False: 0}
+        real_estimate, real_walk = continuation.nearest_singularity, continuation._walk_localize
+
+        def estimate(y):
+            calls[walking[0]] += 1
+            return real_estimate(y)
+
+        def walk(*args):
+            walking[0] = True
+            try:
+                return real_walk(*args)
+            finally:
+                walking[0] = False
+
+        monkeypatch.setattr(continuation, "nearest_singularity", estimate)
+        monkeypatch.setattr(continuation, "_walk_localize", walk)
+        rep = completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 64, 1e-9)
+        assert len(rep.obstructions) == 10
+        assert calls[False] == 0 and calls[True] > 0
 
     def test_deterministic_report(self):
         a = completeness_probe(germ(0, 1, 1, 0), 2.0, 8, 1e-9)

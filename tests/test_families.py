@@ -399,6 +399,18 @@ class TestBoundedWork:
             e = continue_path(SPREAD_GERM, PathPolyline((SPREAD_GERM.t0, t))).endpoint
             assert max(abs(e.u - u), abs(e.v - v), abs(e.du - du), abs(e.dv - dv)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "state", [(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 1), (1, 2, 1, 1)],
+        ids=["rational", "tan", "exponential", "generic"],
+    )
+    @pytest.mark.parametrize("t", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_time_is_refused(self, state, t, panels):
+        # the generic chain used to bisect about 96 panels, then raise a
+        # PoleError located at NaN
+        with pytest.raises(ValueError):
+            sample(solve(germ(*state)), t)
+        assert panels == []
+
     def test_half_panel_reuse_changes_no_result(self, monkeypatch):
         s = solve(SPREAD_GERM)
         got = [s.position_velocity(t) for t in SPREAD_TARGETS]

@@ -139,6 +139,14 @@ class TestEllipticF:
             s, _, _ = _jacobi_raw(elliptic_F(z, m), m)
             assert abs(s - z) < 1e-9
 
+    def test_carlson_rf_rejects_non_finite(self):
+        from cliftonpohl.special import carlson_rf
+
+        for bad in (math.nan, math.inf, complex(1, -math.inf)):
+            for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+                with pytest.raises(ValueError):
+                    carlson_rf(*args)
+
     def test_singular_path(self):
         with pytest.raises(SingularPathError):
             elliptic_F(1.5, 0.25)  # branch point t = 1 on the segment

@@ -6,13 +6,7 @@ import statistics
 
 import pytest
 
-from cliftonpohl.continuation import ORDER
-from cliftonpohl.taylor import (
-    ESTIMATE_ORDER,
-    geodesic_series,
-    nearest_singularity,
-    taylor_step,
-)
+from cliftonpohl.taylor import geodesic_series, nearest_singularity, taylor_step
 
 
 def reference_series(state, order):
@@ -132,7 +126,7 @@ class TestAgainstReference:
                 assert len(got[0]) == len(got[1]) == order + 1
                 assert scaled_error(got, reference_series(s, order)) <= 1e-12, (s, order)
 
-    @pytest.mark.parametrize("order", [ORDER, ESTIMATE_ORDER])
+    @pytest.mark.parametrize("order", [20, 26])
     def test_near_cone_no_less_accurate(self, order):
         # v = i u (1 + eps): u^2 + v^2 cancels to about -2 eps u^2
         mp = pytest.importorskip("mpmath")
