@@ -23,11 +23,12 @@ status with an estimated singular time), never as an exception.
 
 The completeness probe shoots straight rays and reads every step's own
 nearest-singularity estimate; there is no second estimator on the ray.
-When a step's estimate lands inside the ray's capture tube, the ray
-halts and the obstruction is localized by walking toward it
-(re-expanding as the radius of convergence shrinks), recorded, and --
-when it blocks the ray -- flanked by a small semicircular detour so the
-ray can report obstructions hiding behind the first one.
+When a step's estimate lands inside the ray's capture tube, and not
+within its own uncertainty of a point the ray already has, the ray
+halts and the obstruction is localized by walking toward it from that
+estimate (re-expanding as the radius of convergence shrinks), recorded,
+and -- when it blocks the ray -- flanked by a small semicircular detour
+so the ray can report obstructions hiding behind the first one.
 
 A location is reported only when the walk settles: an estimate closer
 than 2e-3 with relative spread below 0.05, or a hop that collapses into
@@ -273,16 +274,21 @@ def _follow(y: State, waypoints, tol: float, collect=None) -> _Segment:
 # Completeness probe
 
 
-def _walk_localize(t: complex, y: State, tol: float) -> tuple[complex, float] | None:
+def _walk_localize(
+    t: complex, y: State, tol: float, est: tuple[complex, float] | None = None
+) -> tuple[complex, float] | None:
     """Walk toward the nearest singularity, re-expanding as it gets close.
 
-    Returns (location, radius) once the walk settles, else None.
+    ``est`` is a first estimate (offset from t, spread) already in hand,
+    such as the one a probe ray halted on.  Returns (location, radius)
+    once the walk settles, else None.
     """
     cur_t, cur_y = t, y
     for _ in range(30):
-        est = nearest_singularity(cur_y)
         if est is None:
-            return None
+            est = nearest_singularity(cur_y)
+            if est is None:
+                return None
         off, spread = est
         if abs(off) < 2e-3 and spread < 0.05:
             return _located(cur_t, est)
@@ -292,7 +298,7 @@ def _walk_localize(t: complex, y: State, tol: float) -> tuple[complex, float] | 
         if res.status != "done":
             # ran into it: the collapse estimate is sharper than the walk
             return res.t_star, res.radius
-        cur_t, cur_y = target, res.y
+        cur_t, cur_y, est = target, res.y, None
     return None
 
 
@@ -323,7 +329,7 @@ def _probe_ray(
     found: list[tuple[complex, float]] = []
     # scan candidates whose walk did not settle: suppressed, never reported
     unsettled: list[tuple[complex, float]] = []
-    candidate = (t0, 0.0)
+    hit: tuple[complex, float] | None = None  # the estimate the scan halted on
     rho_detour = max(5e-3, min(0.03, 0.008 * radius))
     sin_gap = math.sin(math.pi / n_rays)
     detours = 0
@@ -332,17 +338,17 @@ def _probe_ray(
     def width(t: complex) -> float:
         return 1.6 * abs(t - t0) * sin_gap + 0.005 * radius
 
-    def suppressed(cand: complex) -> bool:
+    def suppressed(cand: complex, rc: float) -> bool:
         return any(
-            abs(cand - p) < max(5e-4, 3.0 * r) for pts in (found, unsettled) for p, r in pts
+            abs(cand - p) < max(5e-4, 3.0 * r, rc) for pts in (found, unsettled) for p, r in pts
         )
 
     def scan(t: complex, est) -> bool:
-        nonlocal candidate
-        if est is None or abs(est[0]) >= width(t):
+        nonlocal hit
+        if est is None or abs(est[0]) >= width(t) or suppressed(*_located(t, est)):
             return False
-        candidate = _located(t, est)
-        return not suppressed(candidate[0])
+        hit = est
+        return True
 
     def record(p: complex, r: float) -> None:
         for i, (q, rq) in enumerate(found):
@@ -359,9 +365,9 @@ def _probe_ray(
 
         t_cur, y = res.t, res.y
         halted = res.status == "halted"
-        loc = _walk_localize(t_cur, y, tol)
+        loc = _walk_localize(t_cur, y, tol, hit if halted else None)
         if halted and loc is None:  # not settled: no obstruction, no second halt here
-            unsettled.append(candidate)
+            unsettled.append(_located(t_cur, hit))
             continue
         if not halted and (loc is None or loc[1] >= max(res.radius, 1e-9)):
             loc = res.t_star, res.radius  # the collapse estimate is sharper

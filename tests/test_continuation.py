@@ -9,7 +9,9 @@ import pytest
 from cliftonpohl import continuation
 from cliftonpohl.acceptance import _DISCRETENESS_GERMS
 from cliftonpohl.continuation import (
+    CLUSTER_TOL,
     PathPolyline,
+    _probe_ray,
     _integrate_segment,
     _walk_localize,
     completeness_probe,
@@ -18,7 +20,7 @@ from cliftonpohl.continuation import (
 )
 from cliftonpohl.families import sample, solve
 from cliftonpohl.manifold import first_integrals, germ
-from cliftonpohl.taylor import nearest_singularity, taylor_step
+from cliftonpohl.taylor import taylor_step
 
 
 def taylor_reference(state, t_target, steps=200, order=12):
@@ -301,23 +303,64 @@ class TestProbe:
                 completeness_probe(germ(1, 0, 1, 0), radius, 16)
 
     def test_walk_locates_wherever_scan_can_halt(self):
-        # the scan halts a ray only on a step whose own estimate is not
-        # None, and a step from y reads nearest_singularity(y) off its
-        # series; from every such state on these rays the walk settles on
-        # a location, so halts that are suppressed unreported stay rare
+        # the scan halts a ray at a step's end state only on the estimate
+        # read off that step's series, and the walk starts from that
+        # state with that estimate; from every such pair on these rays
+        # the walk settles on a location, so halts that are suppressed
+        # unreported stay rare
         seen = 0
         for g in _DISCRETENESS_GERMS:
             for k in range(4):
                 end = g.t0 + 5.0 * cmath.exp(2j * math.pi * (k + 0.5) / 4)
-                states = []
+                states, ests = [], []
                 _integrate_segment(
-                    g.state(), g.t0, end, 1e-9, collect=lambda t, w: states.append((t, w))
+                    g.state(),
+                    g.t0,
+                    end,
+                    1e-9,
+                    collect=lambda t, w: states.append((t, w)),
+                    on_step=lambda t, est: ests.append(est),
                 )
-                for t, y in states[::4]:
-                    if nearest_singularity(y) is not None:
+                for (t, y), est in zip(states, ests):
+                    if est is not None:
                         seen += 1
-                        assert _walk_localize(t, y, 1e-9) is not None, (g, t)
-        assert seen >= 100
+                        assert _walk_localize(t, y, 1e-9, est) is not None, (g, t)
+        assert seen >= 400
+
+    def test_dense_lattice_halts_settle_once(self):
+        # a generic germ with 334 obstructions within radius 5 (the 25th
+        # draw of random_generic_germ(Random(77))); on rays 30 and 31 the
+        # halt states see two comparable poles, so nearest_singularity of
+        # the halt state alone fades, and the walk settles only from the
+        # estimate the scan halted on
+        g = germ(
+            1.2984061974479288 + 0.31908008739427784j,
+            0.4734218027454179 - 1.2556348209772725j,
+            1.2732188825588533 - 0.5351614835126342j,
+            0.5264944699592413 - 1.0334189171705328j,
+        )
+        pole = -4.858544879751536 + 0.6741201380620324j  # 1 + Y^2 = 0, residue -1
+        settled = []
+        real_walk = continuation._walk_localize
+
+        def walk(*args):
+            loc = real_walk(*args)
+            if loc is not None:
+                settled.append(loc[0])
+            return loc
+
+        for k in (0, 30, 31):
+            settled.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(continuation, "_walk_localize", walk)
+                ray = _probe_ray(g, 2.0 * math.pi * k / 64, 5.0, 64, 1e-9)
+            if k:
+                assert min(abs(p - pole) for p in ray.obstructions) < 1e-6
+            # a candidate within its own uncertainty of a point the ray
+            # already found is suppressed, not walked to a second time
+            assert all(
+                abs(p - q) >= CLUSTER_TOL for i, p in enumerate(settled) for q in settled[:i]
+            ), k
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
         # the scan halts on the estimate each step reads off its own
