@@ -36,6 +36,13 @@ the point.  If the estimates fade or 30 hops pass first, the ray
 suppresses the scan's candidate unreported and resumes straight.  Such
 halts come from regular points where the path touches the cone u^2 +
 v^2 = 0, where high-order coefficients are rounding noise.
+
+The geodesic system is autonomous with real coefficients, so for a germ
+whose state (u, v, u', v') is real, Schwarz reflection gives
+y(t0 + conj(t - t0)) = conj(y(t)): its obstruction set, and the outcome
+of every probe ray, is mirror-symmetric about the line Im t = Im t0.
+The probe of a real germ therefore traces only the rays with angles in
+[0, pi] and mirrors them onto the rest of the fan.
 """
 
 from __future__ import annotations
@@ -419,16 +426,26 @@ def completeness_probe(
 ) -> ObstructionReport:
     """Empirical discreteness check: ray fan with obstruction localization.
 
-    Rays are independent; the report is a deterministic function of the
-    inputs regardless of evaluation order.
+    A real germ traces rays 0 .. n_rays // 2 only; ray k above that is
+    the Schwarz reflection of ray n_rays - k about Im t = Im t0 (same
+    status, every point mirrored).  A non-real germ traces every ray.
+    The report is a deterministic function of the inputs.
     """
     _check_tol(tol)
     _check_radius(radius)
     _check_count(n_rays, 4, "n_rays")
-    per_ray = []
+    real = all(z.imag == 0.0 for z in g.state())
+    axis = 2.0 * g.t0.imag
+    per_ray: list[RayResult] = []
     allpts: list[complex] = []
     for k in range(n_rays):
-        r = _probe_ray(g, 2.0 * math.pi * k / n_rays, radius, n_rays, tol)
+        angle = 2.0 * math.pi * k / n_rays
+        if real and 2 * k > n_rays:
+            src = per_ray[n_rays - k]
+            pts = tuple(complex(p.real, axis - p.imag) for p in src.obstructions)
+            r = RayResult(angle, src.status, pts)
+        else:
+            r = _probe_ray(g, angle, radius, n_rays, tol)
         per_ray.append(r)
         allpts.extend(r.obstructions)
     centers = _cluster(allpts, CLUSTER_TOL)

@@ -385,6 +385,63 @@ class TestProbe:
         assert len(rep.obstructions) == 10
         assert calls[False] == 0 and calls[True] > 0
 
+    def test_mirrored_rays_match_direct_rays(self):
+        # a real germ's rays above n/2 are mirrored, not traced; tracing
+        # them directly must give the same outcome.  Points agree within
+        # 1e-14 except on ray 9 of (1.3, -0.7, 0.9, 1.1): near |t| = 3.42
+        # it grazes the cone u^2 + v^2 = 0, where high-order coefficients
+        # are rounding noise, so the direct ray and its mirror step
+        # differently, halt 0.012 apart, and settle 1.4e-11 apart, each
+        # within 2e-11 of the pole (a root of 1 + Y^2)
+        n = 16
+        for g in _DISCRETENESS_GERMS:
+            rep = completeness_probe(g, 5.0, n, 1e-9)
+            for k in range(n // 2 + 1, n):
+                direct = _probe_ray(g, 2.0 * math.pi * k / n, 5.0, n, 1e-9)
+                mirrored = rep.per_ray[k]
+                assert mirrored.angle == direct.angle
+                assert mirrored.status == direct.status, (g, k)
+                assert len(mirrored.obstructions) == len(direct.obstructions), (g, k)
+                for p, q in zip(mirrored.obstructions, direct.obstructions):
+                    assert abs(p - q) < 1e-10, (g, k, p, q)
+
+    @pytest.mark.parametrize(
+        "state, n, calls",
+        [
+            ((1.3, -0.7, 0.9, 1.1), 16, 9),
+            ((1.3, -0.7, 0.9, 1.1), 15, 8),
+            ((1.3, -0.7, 0.9, 1.1 + 0.2j), 16, 16),
+        ],
+        ids=["real-even", "real-odd", "non-real"],
+    )
+    def test_real_germ_traces_half_the_fan(self, monkeypatch, state, n, calls):
+        angles = []
+        real_ray = continuation._probe_ray
+
+        def ray(g, angle, *args):
+            angles.append(angle)
+            return real_ray(g, angle, *args)
+
+        monkeypatch.setattr(continuation, "_probe_ray", ray)
+        rep = completeness_probe(germ(*state), 1.0, n, 1e-9)
+        assert len(angles) == calls
+        assert [r.angle for r in rep.per_ray] == [2.0 * math.pi * k / n for k in range(n)]
+
+    def test_mirror_axis_passes_through_t0(self):
+        # the reflection is about Im t = Im t0, not the real axis
+        n, shift = 16, 0.5j
+        a = completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, n, 1e-9)
+        b = completeness_probe(germ(1.3, -0.7, 0.9, 1.1, t0=shift), 5.0, n, 1e-9)
+        assert len(a.obstructions) == len(b.obstructions) > 0
+        assert any(abs(p.imag) > 1.0 for p in a.obstructions)
+        for p in a.obstructions:
+            assert min(abs(p + shift - q) for q in b.obstructions) < 1e-9
+        for ra, rb in zip(a.per_ray, b.per_ray):
+            assert ra.status == rb.status
+            assert len(ra.obstructions) == len(rb.obstructions)
+            for p, q in zip(ra.obstructions, rb.obstructions):
+                assert abs(p + shift - q) < 1e-9
+
     def test_deterministic_report(self):
         a = completeness_probe(germ(0, 1, 1, 0), 2.0, 8, 1e-9)
         b = completeness_probe(germ(0, 1, 1, 0), 2.0, 8, 1e-9)
