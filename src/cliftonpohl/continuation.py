@@ -30,12 +30,16 @@ estimate (re-expanding as the radius of convergence shrinks), recorded,
 and -- when it blocks the ray -- flanked by a small semicircular detour
 so the ray can report obstructions hiding behind the first one.
 
-A location is reported only when the walk settles: an estimate closer
-than 2e-3 with relative spread below 0.05, or a hop that collapses into
-the point.  If the estimates fade or 30 hops pass first, the ray
-suppresses the scan's candidate unreported and resumes straight.  Such
-halts come from regular points where the path touches the cone u^2 +
-v^2 = 0, where high-order coefficients are rounding noise.
+A location is reported only when the walk settles.  An estimate whose
+relative spread is at most ``SETTLED_SPREAD`` has converged to rounding
+and settles where it is; the scan's own estimate usually has, so such a
+halt costs no integration and no re-expansion.  Any other estimate is
+walked toward until one converges, one lies closer than 2e-3 with
+spread below 0.05, or a hop collapses into the point.  If the estimates
+fade or 30 hops pass first, the ray suppresses the scan's candidate
+unreported and resumes straight.  Such halts come from regular points
+where the path touches the cone u^2 + v^2 = 0, where high-order
+coefficients are rounding noise.
 
 The geodesic system is autonomous with real coefficients, so for a germ
 whose state (u, v, u', v') is real, Schwarz reflection gives
@@ -70,6 +74,12 @@ TAIL_FACTOR = 1e-4
 
 #: Cluster width for probe obstruction estimates.
 CLUSTER_TOL = 1e-4
+
+#: A probe walk settles at once on an estimate whose relative spread is
+#: at most this: its ratios have converged to rounding, so walking closer
+#: cannot sharpen the location.  Settling below a spread of 0.05 instead
+#: misplaces tan-family and dense-lattice poles by up to 2e-3.
+SETTLED_SPREAD = 1e-12
 
 _TOL_RANGE = (1e-14, 1e-3)
 
@@ -287,8 +297,10 @@ def _walk_localize(
     """Walk toward the nearest singularity, re-expanding as it gets close.
 
     ``est`` is a first estimate (offset from t, spread) already in hand,
-    such as the one a probe ray halted on.  Returns (location, radius)
-    once the walk settles, else None.
+    such as the one a probe ray halted on; if its spread is at most
+    ``SETTLED_SPREAD`` the walk settles on it without integrating.  The
+    hop constants apply only to estimates that have not converged.
+    Returns (location, radius) once the walk settles, else None.
     """
     cur_t, cur_y = t, y
     for _ in range(30):
@@ -297,7 +309,7 @@ def _walk_localize(
             if est is None:
                 return None
         off, spread = est
-        if abs(off) < 2e-3 and spread < 0.05:
+        if spread <= SETTLED_SPREAD or (abs(off) < 2e-3 and spread < 0.05):
             return _located(cur_t, est)
         hop = 0.6 if spread < 0.1 else 0.3
         target = cur_t + hop * off

@@ -343,8 +343,8 @@ class GenericEllipticSampler:
         Y, Yp = self.curve_point(t)
         return 1j * Y, 1j * self.D * Yp
 
-    def _chain(self, t: complex) -> tuple[complex, complex, complex, complex]:
-        """cosh(phi), phi', omega', eta' at t.
+    def _chain(self, t: complex) -> tuple[complex, complex, complex, complex, complex, complex]:
+        """Y, dY/dTheta, cosh(phi), phi', omega', eta' at t.
 
         A root of 1 + Y^2 (psi = +/-1) is refused by what it is.  There
         omega' and eta' have residues AB/(Y D Y') + i/(2Y) and
@@ -365,36 +365,42 @@ class GenericEllipticSampler:
         ch = (1.0 - Y * Y) / one
         phid = 2j * self.D * Yp / one
         ab = self.A * self.B * ch
-        return ch, phid, ab + 0.5 * phid, ab - 0.5 * phid
+        return Y, Yp, ch, phid, ab + 0.5 * phid, ab - 0.5 * phid
 
     def log_rates(self, t: complex) -> tuple[complex, complex]:
         """(omega', eta') = (u'/u, v'/v)."""
-        _, _, od, ed = self._chain(t)
+        _, _, _, _, od, ed = self._chain(t)
         return od, ed
 
     def _omega_eta(self, t: complex) -> tuple[complex, complex]:
         def f(s: complex) -> tuple[complex, complex]:
-            ch, phid, _, _ = self._chain(s)
+            _, _, ch, phid, _, _ = self._chain(s)
             return ch, phid
 
         ic, iphi = adaptive_segment_integral(f, self.t0, t)
         ab = self.A * self.B * ic
         return self.omega0 + ab + 0.5 * iphi, self.eta0 + ab - 0.5 * iphi
 
-    def position_velocity(self, t: complex):
-        """(u, v), (u', v') at t, integrated from t0 along the segment.
+    def _motion(self, t: complex):
+        """The chain at t, then (u, v) and (u', v') integrated from t0.
 
         The chain is evaluated at t first, so a chain root is refused
         before any quadrature (0 panels); any other call spends at most
         ``MAX_PANELS`` panels.
         """
-        od, ed = self.log_rates(t)
+        chain = self._chain(t)
         om, et = self._omega_eta(t)
         u, v = cmath.exp(om), cmath.exp(et)
+        return chain, u, v
+
+    def position_velocity(self, t: complex):
+        """(u, v), (u', v') at t, integrated from t0 along the segment."""
+        (_, _, _, _, od, ed), u, v = self._motion(t)
         return (u, v), (od * u, ed * v)
 
     def acceleration(self, t: complex):
-        Y, Yp = self.curve_point(t)
+        """(u'', v'') at t from one chain evaluation and one quadrature."""
+        (Y, Yp, _, _, od, ed), u, v = self._motion(t)
         m, D = self.m, self.D
         one = 1.0 + Y * Y
         Ydot = D * Yp
@@ -404,8 +410,6 @@ class GenericEllipticSampler:
         ab_dot = self.A * self.B * ch_dot
         om_dd = ab_dot + 0.5 * phid_dot
         et_dd = ab_dot - 0.5 * phid_dot
-        (u, v), (du, dv) = self.position_velocity(t)
-        od, ed = self.log_rates(t)
         return (u * (om_dd + od * od), v * (et_dd + ed * ed))
 
     def poles_within(self, center: complex, radius: float) -> list[complex]:

@@ -14,7 +14,7 @@ order, ``ORDER``.  Two consumers:
   reads its nearest-singularity estimate off them (complex ratio test
   with Richardson acceleration, ``series_estimate``); the completeness
   probe's scan halts on that estimate, and its walk re-expands with
-  ``nearest_singularity`` to localize the obstruction;
+  ``nearest_singularity`` only where that estimate has not converged;
 * an exact polynomial mini-step used to move an on-axis germ into
   generic position before classification or solving.
 """
@@ -113,7 +113,8 @@ def _ratio_estimate(coeffs: list[complex]) -> tuple[complex, float] | None:
     """
     n = len(coeffs) - 1
     ratios: list[tuple[int, complex]] = []
-    for k in range(max(2, n - 10), n):
+    # both tails below read only the last five ratios
+    for k in range(max(2, n - 5), n):
         a, b = coeffs[k], coeffs[k + 1]
         if abs(a) < 1e-280 or abs(b) < 1e-280:
             return None

@@ -10,6 +10,7 @@ from cliftonpohl import continuation
 from cliftonpohl.acceptance import _DISCRETENESS_GERMS
 from cliftonpohl.continuation import (
     CLUSTER_TOL,
+    SETTLED_SPREAD,
     PathPolyline,
     _probe_ray,
     _integrate_segment,
@@ -268,6 +269,42 @@ class TestObstructionLocalization:
         assert abs(tr.obstruction.t_star - math.pi / 2) < 1e-3
 
 
+@pytest.fixture(scope="module")
+def scan_halt_walks():
+    """Every walk of a 64-ray probe of the criterion-8 germs that starts
+    from a scan halt: ((t, y, est) per walk, series built inside it)."""
+    halts, builds, walking = [], [], [False]
+    real_walk, real_series = continuation._walk_localize, continuation.geodesic_series
+    real_estimate = continuation.nearest_singularity
+
+    def walk(t, y, tol, est=None):
+        if est is None:  # a collapse, not a scan halt
+            return real_walk(t, y, tol, est)
+        halts.append((t, y, est))
+        builds.append(0)
+        walking[0] = True
+        try:
+            return real_walk(t, y, tol, est)
+        finally:
+            walking[0] = False
+
+    def counted(f):
+        def g(*args):
+            if walking[0]:
+                builds[-1] += 1
+            return f(*args)
+
+        return g
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "_walk_localize", walk)
+        mp.setattr(continuation, "geodesic_series", counted(real_series))
+        mp.setattr(continuation, "nearest_singularity", counted(real_estimate))
+        for g in _DISCRETENESS_GERMS:
+            completeness_probe(g, 5.0, 64, 1e-9)
+    return halts, builds
+
+
 class TestProbe:
     def test_rational_single_pole(self):
         rep = completeness_probe(germ(1, 0, 1, 0), 3.0, 16, 1e-9)
@@ -385,6 +422,26 @@ class TestProbe:
         assert len(rep.obstructions) == 10
         assert calls[False] == 0 and calls[True] > 0
 
+    def test_converged_halt_settles_without_series(self, scan_halt_walks):
+        # a halt on an estimate whose ratios have converged to rounding
+        # settles on that estimate: no integration, no re-estimate
+        halts, builds = scan_halt_walks
+        settled = [b for (_, _, est), b in zip(halts, builds) if est[1] <= SETTLED_SPREAD]
+        assert len(settled) >= 30
+        assert settled == [0] * len(settled)
+
+    def test_converged_settle_agrees_with_walk(self, scan_halt_walks, monkeypatch):
+        # walking to within 2e-3 of a converged estimate and re-estimating
+        # there, as the walk does for every other estimate, finds the same
+        # location
+        halts, _ = scan_halt_walks
+        converged = [h for h in halts if h[2][1] <= SETTLED_SPREAD]
+        settled = [_walk_localize(t, y, 1e-9, est) for t, y, est in converged]
+        monkeypatch.setattr(continuation, "SETTLED_SPREAD", -math.inf)
+        for (t, y, est), (p, _) in zip(converged, settled):
+            walked = _walk_localize(t, y, 1e-9, est)
+            assert abs(walked[0] - p) < 1e-12, (t, est, walked[0], p)
+
     def test_mirrored_rays_match_direct_rays(self):
         # a real germ's rays above n/2 are mirrored, not traced; tracing
         # them directly must give the same outcome.  Points agree within
@@ -468,10 +525,12 @@ class TestConeTouch:
         at = next(s for s in tr.samples if s.t == touch)
         assert abs(at.u**2 + at.v**2) < 1e-4 * (abs(at.u) ** 2 + abs(at.v) ** 2)
         # near the touch the scan can halt, but the walk must not settle
-        # there, so the probe reports nothing close to it
-        rep = completeness_probe(g, 5.0, 64, 1e-9)
-        assert all(abs(p - touch) >= 0.5 for p in rep.obstructions)
-        assert all(r.status != "Blocked" for r in rep.per_ray)
+        # there, so the probe reports nothing close to it; wide fans halt
+        # farther out, where walks still hop
+        for n_rays in (8, 16, 64):
+            rep = completeness_probe(g, 5.0, n_rays, 1e-9)
+            assert all(abs(p - touch) >= 0.5 for p in rep.obstructions), n_rays
+            assert all(r.status != "Blocked" for r in rep.per_ray), n_rays
 
 
 class TestLoopMonodromy:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from cliftonpohl import families
+from cliftonpohl.acceptance import rand_complex
 from cliftonpohl.continuation import PathPolyline, continue_path
 from cliftonpohl.errors import (
     BothComponentsZeroError,
@@ -296,6 +297,22 @@ POOL_GERM = (
 )
 
 
+def three_chain_acceleration(s, t):
+    """(u'', v'') from curve_point, position_velocity and log_rates apiece,
+    the chain at t evaluated three times; kept as an oracle."""
+    Y, Yp = s.curve_point(t)
+    m, D = s.m, s.D
+    one = 1.0 + Y * Y
+    Ydot = D * Yp
+    Ypdot = D * (-Y * (1.0 + m - 2.0 * m * Y * Y))
+    ch_dot = -4.0 * Y * Ydot / (one * one)
+    phid_dot = 2j * D * (Ypdot * one - 2.0 * Y * Ydot * Yp) / (one * one)
+    ab_dot = s.A * s.B * ch_dot
+    (u, v), _ = s.position_velocity(t)
+    od, ed = s.log_rates(t)
+    return (u * (ab_dot + 0.5 * phid_dot + od * od), v * (ab_dot - 0.5 * phid_dot + ed * ed))
+
+
 def chain_root(s, t):
     """Newton on 1 + Y^2 = 0 from t."""
     for _ in range(8):
@@ -367,12 +384,48 @@ class TestBoundedWork:
         # residue -1 of omega' or eta' is a pole of u or v, +1 a zero
         s = solve_generic(germ(*state))
         p = chain_root(s, start)
-        with pytest.raises(error) as err:
-            s.position_velocity(p)
-        assert err.value.location == p
-        assert panels == []  # refused before any quadrature
+        for evaluate in (s.position_velocity, s.acceleration):
+            with pytest.raises(error) as err:
+                evaluate(p)
+            assert err.value.location == p
+            assert panels == []  # refused before any quadrature
         ru, rv = contour_residues(s, p)
         assert abs(ru - residues[0]) < 1e-6 and abs(rv - residues[1]) < 1e-6
+
+    @pytest.mark.parametrize("state", [(1, 2, 1, 1), POOL_GERM], ids=["criterion-2", "pool"])
+    def test_acceleration_evaluates_the_chain_once(self, state, monkeypatch):
+        # one chain evaluation at t and one quadrature give, bit for bit,
+        # what curve_point, position_velocity and log_rates gave apiece;
+        # targets drawn as criterion 2 draws them
+        s = solve_generic(germ(*state))
+        r = random.Random(2)
+        targets = [s.t0 + rand_complex(r, 0.05, 1.0) for _ in range(100)]
+        expected = {}
+        for t in targets:
+            try:
+                expected[t] = three_chain_acceleration(s, t)
+            except CliftonPohlError:
+                pass
+        assert len(expected) >= 90
+        at_t, quads = [], []
+        real_chain = GenericEllipticSampler._chain
+        real_quad = families.adaptive_segment_integral
+
+        def chain(self, t):
+            at_t.append(t)
+            return real_chain(self, t)
+
+        def quad(f, a, b):
+            quads.append(b)
+            return real_quad(f, a, b)
+
+        monkeypatch.setattr(GenericEllipticSampler, "_chain", chain)
+        monkeypatch.setattr(families, "adaptive_segment_integral", quad)
+        for t, value in expected.items():
+            at_t.clear()
+            quads.clear()
+            assert s.acceleration(t) == value
+            assert at_t.count(t) == 1 and quads == [t]
 
     @pytest.mark.parametrize("start", [3.25162, -1.21315], ids=["pole", "zero"])
     def test_near_root_targets_spend_bounded_work(self, start, panels):

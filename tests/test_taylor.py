@@ -6,7 +6,9 @@ import statistics
 
 import pytest
 
-from cliftonpohl.taylor import geodesic_series, nearest_singularity, taylor_step
+from cliftonpohl import continuation
+from cliftonpohl.manifold import germ
+from cliftonpohl.taylor import _ratio_estimate, geodesic_series, nearest_singularity, taylor_step
 
 
 def reference_series(state, order):
@@ -110,6 +112,50 @@ def test_tan_from_far_needs_tolerance():
 def test_entire_solution_reports_nothing_close():
     est = nearest_singularity((1, 1, 1, 1))
     assert est is None or abs(est[0]) > 5
+
+
+def ten_ratio_estimate(coeffs):
+    """``_ratio_estimate`` as it was with ten ratios, kept as an oracle."""
+    n = len(coeffs) - 1
+    ratios = []
+    for k in range(max(2, n - 10), n):
+        a, b = coeffs[k], coeffs[k + 1]
+        if abs(a) < 1e-280 or abs(b) < 1e-280:
+            return None
+        ratios.append((k, b / a))
+    if len(ratios) < 5:
+        return None
+    accel = [r1 + k1 * (r1 - r0) for (_, r0), (k1, r1) in zip(ratios, ratios[1:])]
+    raw = [r for _, r in ratios]
+    best = None
+    for seq in (accel, raw):
+        tail = seq[-4:]
+        mean = sum(tail, 0j) / len(tail)
+        if abs(mean) < 1e-12:
+            continue
+        spread = max(abs(a - mean) for a in tail) / abs(mean)
+        if best is None or spread < best[1]:
+            best = (1.0 / mean, spread)
+    return best
+
+
+def test_ratio_estimate_reads_the_last_five_ratios(monkeypatch):
+    # both tails read only the last five ratios; on every coefficient
+    # list the steps of three probes read, the estimate is bit-identical
+    # to the one over ten ratios
+    lists = []
+    real = continuation.series_estimate
+
+    def collect(U, V):
+        lists.extend((U, V))
+        return real(U, V)
+
+    monkeypatch.setattr(continuation, "series_estimate", collect)
+    for state in ((1.3, -0.7, 0.9, 1.1), (1.5, 0.6, -0.8, 1.3), (0, 1, 1, 0)):
+        continuation.completeness_probe(germ(*state), 5.0, 16, 1e-9)
+    got = [_ratio_estimate(c) for c in lists]
+    assert len(lists) > 1000 and sum(e is not None for e in got) > len(lists) // 2
+    assert got == [ten_ratio_estimate(c) for c in lists]
 
 
 class TestAgainstReference:

@@ -27,7 +27,7 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
             vars(obj)[k] is not v for obj, d in zip(PATCHED, before) for k, v in d.items()
         )
         token = tracer.begin_op("probe and loop")
-        rep = continuation.completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 2.0, 8, 1e-9)
+        rep = continuation.completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 8, 1e-9)
         loop = continuation.loop_monodromy(germ(1, 0, 1, 0), 1 + 0.3j, 0.5)
         tracer.end_op(token, keep=True)
     finally:
