@@ -7,8 +7,9 @@ branch point of the solution, or the geodesic running into the excluded
 cone u^2 + v^2 = 0.
 
 The integrator takes fixed-order Taylor steps along the real arclength
-of each polyline segment.  Each step builds the series of (u, v) once
-with ``taylor.geodesic_series`` and takes the longest step whose
+of each polyline segment.  Each step builds the series of (u, v) and
+of (u', v') once, with the order-``ORDER`` kernel that
+``taylor.geodesic_series`` runs, and takes the longest step whose
 truncated tail, judged by the last two terms of u, v, u' and v' (Jorba &
 Zou 2005, Exp. Math. 14:99), stays below ``TAIL_FACTOR * tol`` relative
 to 1 + |component|.  ``tol`` thus bounds the local error of every step
@@ -23,12 +24,14 @@ status with an estimated singular time), never as an exception.
 
 The completeness probe shoots straight rays and reads every step's own
 nearest-singularity estimate; there is no second estimator on the ray.
-When a step's estimate lands inside the ray's capture tube, and not
-within its own uncertainty of a point the ray already has, the ray
-halts and the obstruction is localized by walking toward it from that
-estimate (re-expanding as the radius of convergence shrinks), recorded,
-and -- when it blocks the ray -- flanked by a small semicircular detour
-so the ray can report obstructions hiding behind the first one.
+A step skips the estimate where ``taylor.estimate_floor`` already keeps
+it out of the ray's capture tube.  When a step's estimate lands inside
+the tube, and not within its own uncertainty of a point the ray already
+has, the ray halts and the obstruction is localized by walking toward
+it from that estimate (re-expanding as the radius of convergence
+shrinks), recorded, and -- when it blocks the ray -- flanked by a small
+semicircular detour so the ray can report obstructions hiding behind
+the first one.
 
 A location is reported only when the walk settles.  An estimate whose
 relative spread is at most ``SETTLED_SPREAD`` has converged to rounding
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 
 from .manifold import GeodesicGerm
 from .special import dist_to_segment, require_finite
-from .taylor import ORDER, _horner, geodesic_series, nearest_singularity, series_estimate
+from .taylor import ORDER, _kernel, estimate_floor, nearest_singularity, series_estimate
 
 State = tuple[complex, complex, complex, complex]
 
@@ -195,20 +198,18 @@ def _integrate_segment(
     """Order-``ORDER`` Taylor steps along the straight segment t_from -> t_to.
 
     Step rule and obstructions as in the module docstring.
-    ``collect(t, y)`` records accepted steps; ``on_step(t, est)`` may
-    return True to halt cleanly at the current accepted state, where
-    ``est`` is (offset from t, spread) of the nearest singularity read
-    off the step's coefficients, or None.
+    ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)`` may
+    return True to halt cleanly at the current accepted state, where U
+    and V are the step's series about t - x.
     """
+    series = _kernel(ORDER)
     L = abs(t_to - t_from)
     e = (t_to - t_from) / L
     s = 0.0
     t_cur = t_from
     while True:
         try:
-            U, V = geodesic_series(y, ORDER)
-            dU = [k * U[k] for k in range(1, ORDER + 1)]
-            dV = [k * V[k] for k in range(1, ORDER + 1)]
+            U, V, dU, dV = series(y)
             h = min(_tail_step(c, tol) for c in (U, V, dU, dV))
         except (ZeroDivisionError, OverflowError):  # on the cone; |coefficient| > 1e308
             return _Segment("obstructed", t_cur, y, t_cur, 1e-12)
@@ -218,7 +219,14 @@ def _integrate_segment(
         if last:
             h = L - s
         x = h * e
-        y_new = (_horner(U, x), _horner(V, x), _horner(dU, x), _horner(dV, x))
+        # Horner sums of u, v, u', v' at x
+        pu, pv, pdu, pdv = U[-1], V[-1], dU[-1], dV[-1]
+        for a, b, c, d in zip(U[-2:0:-1], V[-2:0:-1], dU[-2::-1], dV[-2::-1]):
+            pu = pu * x + a
+            pv = pv * x + b
+            pdu = pdu * x + c
+            pdv = pdv * x + d
+        y_new = (pu * x + U[0], pv * x + V[0], pdu, pdv)
         if not max(abs(c) for c in y_new) <= BLOWUP:  # also catches NaN
             return _obstructed(t_cur, y, U, V)
         y = y_new
@@ -228,12 +236,8 @@ def _integrate_segment(
             collect(t_cur, y)
         if last:
             return _Segment("done", t_to, y)
-        if on_step is not None:
-            est = series_estimate(U, V)
-            if est is not None:
-                est = (est[0] - x, est[1])
-            if on_step(t_cur, est):
-                return _Segment("halted", t_cur, y)
+        if on_step is not None and on_step(t_cur, U, V, x):
+            return _Segment("halted", t_cur, y)
 
 
 def _obstructed(t: complex, y: State, U: list[complex], V: list[complex]) -> _Segment:
@@ -362,9 +366,18 @@ def _probe_ray(
             abs(cand - p) < max(5e-4, 3.0 * r, rc) for pts in (found, unsettled) for p, r in pts
         )
 
-    def scan(t: complex, est) -> bool:
+    def scan(t: complex, U, V, x: complex) -> bool:
         nonlocal hit
-        if est is None or abs(est[0]) >= width(t) or suppressed(*_located(t, est)):
+        w = width(t)
+        # the estimate's offset from t is at least its offset from the
+        # series' base t - x, which is at least the floor, less |x|
+        if estimate_floor(U, V) - abs(x) >= w:
+            return False
+        est = series_estimate(U, V)
+        if est is None:
+            return False
+        est = (est[0] - x, est[1])
+        if abs(est[0]) >= w or suppressed(*_located(t, est)):
             return False
         hit = est
         return True

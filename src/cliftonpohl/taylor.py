@@ -4,11 +4,24 @@ The geodesic equation u'' = 2 u (u')^2 / F with F = u^2 + v^2 (and the
 same for v) is used as u'' = u' (u^2)' / F.  Each Taylor order then
 costs five Cauchy products: u^2 and v^2 as symmetric self-products
 (half the terms each), (u^2)'/F and (v^2)'/F by series division, and
-the two products with u' and v'; about 940 complex multiply-adds for an
-order-20 series, against nine products per order when F, 1/F, (u')^2
-and u (u')^2 are formed apiece.  It also loses fewer digits near the
-cone F = 0.  The stepper and every singularity estimate share one
-order, ``ORDER``.  Two consumers:
+the two products with u' and v', against nine products per order when
+F, 1/F, (u')^2 and u (u')^2 are formed apiece.  It also loses fewer
+digits near the cone F = 0.
+
+The recurrence runs as straight-line code generated once per order
+(``_kernel``), as Jorba & Zou (2005, Exp. Math. 14:99) generate jet code
+for a Taylor integrator: every coefficient is a local variable, every
+index and constant (the order m, 1/((k + 2) m)) is fixed when the code
+is generated, and no list is indexed until the coefficient lists are
+returned.  Each sum is written out in the order the loop form of the
+recurrence accumulates it, starting from 0j, with the same int and float
+constants, so every coefficient is bit-identical to the loop's (inf,
+nan and signed zeros included); the tests keep the loop as a reference.
+The kernel also returns the derivative series, which the stepper
+evaluates as u' and v'.
+
+The stepper and every singularity estimate share one order, ``ORDER``.
+Two consumers:
 
 * the continuation stepper, which steps with these coefficients and
   reads its nearest-singularity estimate off them (complex ratio test
@@ -21,12 +34,21 @@ order, ``ORDER``.  Two consumers:
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 State = tuple[complex, complex, complex, complex]
 
 #: Taylor order of every integration step and singularity estimate.
-#: Probe time is flat from 20 to 24 and grows at lower orders, whose
-#: steps are shorter.
+#: Probing the benchmark's six probe germs at 64 rays with the generated
+#: kernel takes 1.00-1.15 s at order 16, 0.82-0.87 s at 20, 0.77-0.82 s
+#: at 24, 0.83-0.86 s at 26 and 0.87-0.89 s at 28 (medians of five, two
+#: rounds, 2-vCPU VM), and finds the same obstructions at each order:
+#: lower orders take shorter steps, higher ones cost more per step.
 ORDER = 20
+
+#: Relative spread above which a ratio sequence gives no estimate.
+MAX_SPREAD = 0.35
 
 
 def geodesic_series(state: State, order: int) -> tuple[list[complex], list[complex]]:
@@ -35,57 +57,72 @@ def geodesic_series(state: State, order: int) -> tuple[list[complex], list[compl
     ``state`` is (u, v, u', v'); returns coefficient lists of length
     order+1.  Requires u^2 + v^2 != 0 at the base point.
     """
+    U, V, _, _ = _kernel(order)(state)
+    return U, V
+
+
+@lru_cache(maxsize=None)
+def _kernel(order: int):
+    """The series recurrence for one order as compiled straight-line code.
+
+    The function returned maps a state (u, v, u', v') to the coefficient
+    lists U and V of length order+1 and their derivative series dU and
+    dV of length order, dU[k - 1] = k U[k].  Pass k of the recurrence
+    fills F[k + 1] = (u^2 + v^2)[k + 1], cu[k] = ((u^2)'/F)[k] by series
+    division, U[k + 2] from u'' = u' cu, and dU[k + 1] (the same for v).
+    """
     n = order
-    U = [complex(state[0]), complex(state[2])] + [0j] * (n - 1)
-    V = [complex(state[1]), complex(state[3])] + [0j] * (n - 1)
-    if n < 2:
-        return U[: n + 1], V[: n + 1]
-
-    f0 = U[0] * U[0] + V[0] * V[0]
-    if f0 == 0:
-        raise ZeroDivisionError("series base point lies on u^2 + v^2 = 0")
-    g0 = 1.0 / f0
-
-    # F = u^2 + v^2, dU/dV = derivative series, cu = (u^2)'/F and
-    # cv = (v^2)'/F; pass k fills F[k + 1], cu[k], U[k + 2], dU[k + 1]
-    F = [f0] + [0j] * n
-    dU = [U[1]] + [0j] * (n - 1)
-    dV = [V[1]] + [0j] * (n - 1)
-    cu = [0j] * n
-    cv = [0j] * n
+    body = [
+        "u0 = complex(state[0])",
+        "v0 = complex(state[1])",
+        "u1 = complex(state[2])",
+        "v1 = complex(state[3])",
+    ]
+    if n >= 2:
+        body += [
+            "f0 = u0 * u0 + v0 * v0",
+            "if f0 == 0:",
+            "    raise ZeroDivisionError('series base point lies on u^2 + v^2 = 0')",
+            "g0 = 1.0 / f0",
+        ]
+    # the self-products and the u'' sums start from 0j, as the loop's
+    # accumulators do: 0j + z differs from z where z has a -0.0 part
     for k in range(n - 1):
         m = k + 1
-        # order m of u^2 and v^2, each a symmetric self-product
-        a = b = 0j
-        for j in range((m + 1) // 2):
-            a += U[j] * U[m - j]
-            b += V[j] * V[m - j]
-        a += a
-        b += b
-        if not m & 1:
-            a += U[m >> 1] * U[m >> 1]
-            b += V[m >> 1] * V[m >> 1]
-        F[m] = a + b
-        # order k of cu = (u^2)'/F by division, and of u'' = u' cu all
-        # but its cu[k] term, in one pass (and the same for v)
-        su = m * a
-        sv = m * b
-        wu = wv = 0j
-        for i in range(1, m):
-            x = cu[k - i]
-            y = cv[k - i]
-            su -= F[i] * x
-            sv -= F[i] * y
-            wu += dU[i] * x
-            wv += dV[i] * y
-        cu[k] = x = su * g0
-        cv[k] = y = sv * g0
-        d = 1.0 / ((k + 2) * m)
-        U[k + 2] = (wu + dU[0] * x) * d
-        V[k + 2] = (wv + dV[0] * y) * d
-        dU[m] = (k + 2) * U[k + 2]
-        dV[m] = (k + 2) * V[k + 2]
-    return U, V
+        for c, s in (("u", "a"), ("v", "b")):
+            # order m of u^2, a symmetric self-product
+            body.append(
+                f"{s} = 0j" + "".join(f" + {c}{j} * {c}{m - j}" for j in range((m + 1) // 2))
+            )
+            body.append(f"{s} += {s}")
+            if not m & 1:
+                body.append(f"{s} += {c}{m >> 1} * {c}{m >> 1}")
+        body.append(f"F{m} = a + b")
+        for c, s, cc in (("u", "a", "cu"), ("v", "b", "cv")):
+            # cu[k] = (m a - sum F[i] cu[k - i]) / F[0], then
+            # U[k + 2] = (sum dU[i] cu[k - i] + u' cu[k]) / ((k + 2) m)
+            body.append(
+                f"{cc}{k} = ({m} * {s}"
+                + "".join(f" - F{i} * {cc}{k - i}" for i in range(1, m))
+                + ") * g0"
+            )
+            body.append(
+                f"{c}{k + 2} = (0j"
+                + "".join(f" + d{c}{i} * {cc}{k - i}" for i in range(1, m))
+                + f" + {c}1 * {cc}{k}) * {1.0 / ((k + 2) * m)!r}"
+            )
+            body.append(f"d{c}{m} = {k + 2} * {c}{k + 2}")
+    lists = [f"[{', '.join(f'{c}{k}' for k in range(n + 1))}]" for c in "uv"]
+    for c in "uv":
+        # dU[0] is returned as 1 * u', like every k U[k]; the product
+        # differs from u' in the sign of a zero part
+        derivs = ([f"1 * {c}1"] if n else []) + [f"d{c}{m}" for m in range(1, n)]
+        lists.append(f"[{', '.join(derivs)}]")
+    body.append("return " + ", ".join(lists))
+    src = "def kernel(state):\n" + "".join(f"    {line}\n" for line in body)
+    scope: dict = {}
+    exec(compile(src, f"<taylor kernel order {n}>", "exec"), scope)
+    return scope["kernel"]
 
 
 def _horner(coeffs: list[complex], x: complex) -> complex:
@@ -97,9 +134,7 @@ def _horner(coeffs: list[complex], x: complex) -> complex:
 
 def taylor_step(state: State, h: complex, order: int) -> State:
     """Advance a geodesic state by h with a single series evaluation."""
-    U, V = geodesic_series(state, order)
-    dU = [k * U[k] for k in range(1, order + 1)]
-    dV = [k * V[k] for k in range(1, order + 1)]
+    U, V, dU, dV = _kernel(order)(state)
     return _horner(U, h), _horner(V, h), _horner(dU, h), _horner(dV, h)
 
 
@@ -140,14 +175,36 @@ def _ratio_estimate(coeffs: list[complex]) -> tuple[complex, float] | None:
 def series_estimate(U: list[complex], V: list[complex]) -> tuple[complex, float] | None:
     """Nearest-singularity offset read off the coefficients of (u, v).
 
-    A relative spread above 0.35 rejects an unstable ratio sequence
-    (several comparable singularities, or an entire solution).
+    A relative spread above ``MAX_SPREAD`` rejects an unstable ratio
+    sequence (several comparable singularities, or an entire solution).
     """
-    ests = [e for e in map(_ratio_estimate, (U, V)) if e is not None and e[1] <= 0.35]
+    ests = [e for e in map(_ratio_estimate, (U, V)) if e is not None and e[1] <= MAX_SPREAD]
     # trust the steadier sequence; a component that is regular at the
     # other's singularity produces noisy ratios that must not win on a
     # spuriously small offset alone
     return min(ests, key=lambda e: e[1], default=None)
+
+
+def estimate_floor(U: list[complex], V: list[complex]) -> float:
+    """A lower bound on |offset| of any estimate ``series_estimate(U, V)`` returns.
+
+    Every ratio a in the tail of an accepted sequence lies within
+    ``MAX_SPREAD`` |mean| of its mean, so the offset 1/mean is at least
+    (1 - MAX_SPREAD) / |a|.  This takes a as the last ratio of each
+    sequence the estimate may come from (raw and accelerated, of U and
+    of V), with a margin for rounding.  Costs three coefficients and two
+    divisions per component.
+    """
+    n = len(U) - 1
+    top = 0.0
+    for c in (U, V):
+        c0, c1, c2 = c[n - 2], c[n - 1], c[n]
+        if abs(c0) < 1e-280 or abs(c1) < 1e-280 or abs(c2) < 1e-280:
+            continue  # _ratio_estimate gives this component no estimate
+        r0, r1 = c1 / c0, c2 / c1
+        # a NaN ratio is dropped by max; its sequence's spread is NaN too
+        top = max(top, abs(r1), abs(r1 + (n - 1) * (r1 - r0)))
+    return (1.0 - MAX_SPREAD) * (1.0 - 1e-9) / top if top else math.inf
 
 
 def nearest_singularity(state: State) -> tuple[complex, float] | None:

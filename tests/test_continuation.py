@@ -21,7 +21,7 @@ from cliftonpohl.continuation import (
 )
 from cliftonpohl.families import sample, solve
 from cliftonpohl.manifold import first_integrals, germ
-from cliftonpohl.taylor import taylor_step
+from cliftonpohl.taylor import series_estimate, taylor_step
 
 
 def taylor_reference(state, t_target, steps=200, order=12):
@@ -269,12 +269,19 @@ class TestObstructionLocalization:
         assert abs(tr.obstruction.t_star - math.pi / 2) < 1e-3
 
 
+def shifted_estimate(U, V, x):
+    """The estimate the scan reads off a step's series, as an offset from
+    the step's end x."""
+    est = series_estimate(U, V)
+    return None if est is None else (est[0] - x, est[1])
+
+
 @pytest.fixture(scope="module")
 def scan_halt_walks():
     """Every walk of a 64-ray probe of the criterion-8 germs that starts
     from a scan halt: ((t, y, est) per walk, series built inside it)."""
     halts, builds, walking = [], [], [False]
-    real_walk, real_series = continuation._walk_localize, continuation.geodesic_series
+    real_walk, real_kernel = continuation._walk_localize, continuation._kernel
     real_estimate = continuation.nearest_singularity
 
     def walk(t, y, tol, est=None):
@@ -298,7 +305,8 @@ def scan_halt_walks():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "_walk_localize", walk)
-        mp.setattr(continuation, "geodesic_series", counted(real_series))
+        # the stepper builds every series with the kernel it looks up per segment
+        mp.setattr(continuation, "_kernel", lambda order: counted(real_kernel(order)))
         mp.setattr(continuation, "nearest_singularity", counted(real_estimate))
         for g in _DISCRETENESS_GERMS:
             completeness_probe(g, 5.0, 64, 1e-9)
@@ -356,13 +364,35 @@ class TestProbe:
                     end,
                     1e-9,
                     collect=lambda t, w: states.append((t, w)),
-                    on_step=lambda t, est: ests.append(est),
+                    on_step=lambda t, U, V, x: ests.append(shifted_estimate(U, V, x)),
                 )
                 for (t, y), est in zip(states, ests):
                     if est is not None:
                         seen += 1
                         assert _walk_localize(t, y, 1e-9, est) is not None, (g, t)
         assert seen >= 400
+
+    def test_estimate_floor_changes_no_report(self, monkeypatch):
+        # the scan skips a step's estimate when its floor keeps it out of
+        # the capture tube; reading every estimate gives the same reports
+        germs = [*_DISCRETENESS_GERMS, germ(0, 1, 1, 0)]
+        calls = {"floor": 0, "estimate": 0}
+        real_floor, real_estimate = continuation.estimate_floor, continuation.series_estimate
+
+        def floor(U, V):
+            calls["floor"] += 1
+            return real_floor(U, V)
+
+        def estimate(U, V):
+            calls["estimate"] += 1
+            return real_estimate(U, V)
+
+        monkeypatch.setattr(continuation, "estimate_floor", floor)
+        monkeypatch.setattr(continuation, "series_estimate", estimate)
+        skipping = [completeness_probe(g, 5.0, 64, 1e-9) for g in germs]
+        assert calls["estimate"] < 0.6 * calls["floor"]
+        monkeypatch.setattr(continuation, "estimate_floor", lambda U, V: -math.inf)
+        assert [completeness_probe(g, 5.0, 64, 1e-9) for g in germs] == skipping
 
     def test_dense_lattice_halts_settle_once(self):
         # a generic germ with 334 obstructions within radius 5 (the 25th

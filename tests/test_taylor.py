@@ -1,5 +1,6 @@
 """Series expansion of geodesics and the nearest-singularity estimator."""
 
+import cmath
 import math
 import random
 import statistics
@@ -8,7 +9,15 @@ import pytest
 
 from cliftonpohl import continuation
 from cliftonpohl.manifold import germ
-from cliftonpohl.taylor import _ratio_estimate, geodesic_series, nearest_singularity, taylor_step
+from cliftonpohl.taylor import (
+    _kernel,
+    _ratio_estimate,
+    estimate_floor,
+    geodesic_series,
+    nearest_singularity,
+    series_estimate,
+    taylor_step,
+)
 
 
 def reference_series(state, order):
@@ -42,6 +51,62 @@ def reference_series(state, order):
         V[k + 2] = 2 * cauchy(q_v, G, k) / ((k + 2) * (k + 1))
         dU.append((k + 2) * U[k + 2])
         dV.append((k + 2) * V[k + 2])
+    return U, V
+
+
+def loop_series(state, order):
+    """The five-product recurrence as a loop over orders, kept as the
+    reference the generated kernel must match bit for bit."""
+    n = order
+    U = [complex(state[0]), complex(state[2])] + [0j] * (n - 1)
+    V = [complex(state[1]), complex(state[3])] + [0j] * (n - 1)
+    if n < 2:
+        return U[: n + 1], V[: n + 1]
+
+    f0 = U[0] * U[0] + V[0] * V[0]
+    if f0 == 0:
+        raise ZeroDivisionError("series base point lies on u^2 + v^2 = 0")
+    g0 = 1.0 / f0
+
+    # F = u^2 + v^2, dU/dV = derivative series, cu = (u^2)'/F and
+    # cv = (v^2)'/F; pass k fills F[k + 1], cu[k], U[k + 2], dU[k + 1]
+    F = [f0] + [0j] * n
+    dU = [U[1]] + [0j] * (n - 1)
+    dV = [V[1]] + [0j] * (n - 1)
+    cu = [0j] * n
+    cv = [0j] * n
+    for k in range(n - 1):
+        m = k + 1
+        # order m of u^2 and v^2, each a symmetric self-product
+        a = b = 0j
+        for j in range((m + 1) // 2):
+            a += U[j] * U[m - j]
+            b += V[j] * V[m - j]
+        a += a
+        b += b
+        if not m & 1:
+            a += U[m >> 1] * U[m >> 1]
+            b += V[m >> 1] * V[m >> 1]
+        F[m] = a + b
+        # order k of cu = (u^2)'/F by division, and of u'' = u' cu all
+        # but its cu[k] term, in one pass (and the same for v)
+        su = m * a
+        sv = m * b
+        wu = wv = 0j
+        for i in range(1, m):
+            x = cu[k - i]
+            y = cv[k - i]
+            su -= F[i] * x
+            sv -= F[i] * y
+            wu += dU[i] * x
+            wv += dV[i] * y
+        cu[k] = x = su * g0
+        cv[k] = y = sv * g0
+        d = 1.0 / ((k + 2) * m)
+        U[k + 2] = (wu + dU[0] * x) * d
+        V[k + 2] = (wv + dV[0] * y) * d
+        dU[m] = (k + 2) * U[k + 2]
+        dV[m] = (k + 2) * V[k + 2]
     return U, V
 
 
@@ -186,3 +251,82 @@ class TestAgainstReference:
             new.append(scaled_error(geodesic_series(s, order), exact))
             old.append(scaled_error(reference_series(s, order), exact))
         assert statistics.median(new) <= statistics.median(old)
+
+
+def _identity_states():
+    """Seeded states: generic ones with |u| from 1e-3 to 1e12, near-cone
+    ones with |u^2 + v^2| down to 1e-6 (|u|^2 + |v|^2), real ones (whose
+    products carry signed zeros), states built of signed zeros and a few
+    exact values, and a few that overflow."""
+    r = random.Random(23)
+    states = []
+    for i in range(300):
+        scale = 10 ** r.uniform(-3, 12)
+        u, v = scale * _gauss(r), scale * _gauss(r)
+        if i % 3 == 1:
+            v = 1j * u * (1 + 10 ** r.uniform(-6, -1))
+            states.append((u, v, _gauss(r), _gauss(r)))
+        elif i % 3 == 2:
+            states.append(tuple(r.gauss(0, 1) * w for w in (scale, scale, 1.0, 1.0)))
+        else:
+            states.append((u, v, _gauss(r), _gauss(r)))
+    # parts drawn from a few exact values, signed zeros among them
+    parts = (0.0, -0.0, 0.5, -1.0, -2.0)
+    for _ in range(100):
+        states.append(tuple(complex(r.choice(parts), r.choice(parts)) for _ in range(4)))
+    # velocities whose coefficients overflow to inf and nan
+    for e in (100, 150, 200, 250, 300):
+        states.append((_gauss(r), _gauss(r), 10.0**e * _gauss(r), 10.0**e * _gauss(r)))
+    return states
+
+
+@pytest.mark.parametrize("order", [2, 3, 8, 20, 26])
+def test_kernel_matches_loop_bit_for_bit(order):
+    # repr equality counts signed zeros, inf and nan, which == would not
+    states = _identity_states()
+    cone = [s for s in states[1::3] if abs(s[0] ** 2 + s[1] ** 2) < 1e-5 * abs(s[0]) ** 2]
+    assert cone and max(abs(s[0]) for s in states) > 1e11
+    overflowed = 0
+    for s in states:
+        if s[0] ** 2 + s[1] ** 2 == 0:
+            continue
+        U, V, dU, dV = _kernel(order)(s)
+        assert repr((U, V)) == repr(loop_series(s, order)), (s, order)
+        assert repr((U, V)) == repr(geodesic_series(s, order))
+        assert repr(dU) == repr([k * U[k] for k in range(1, order + 1)])
+        assert repr(dV) == repr([k * V[k] for k in range(1, order + 1)])
+        overflowed += not all(cmath.isfinite(c) for c in U + V)
+    assert overflowed >= 3
+
+
+def test_kernel_refuses_the_cone():
+    for order in (2, 20):
+        with pytest.raises(ZeroDivisionError):
+            _kernel(order)((1.0, 1j, 0.5, 0.3))
+        with pytest.raises(ZeroDivisionError):
+            loop_series((1.0, 1j, 0.5, 0.3), order)
+
+
+def test_estimate_floor_bounds_every_estimate(monkeypatch):
+    # on every series the steps of three probes build, the offset of the
+    # estimate, if any, is at least the floor the scan skips it by
+    lists = []
+    real = continuation._kernel
+
+    def kernel(order):
+        f = real(order)
+
+        def collect(y):
+            out = f(y)
+            lists.append(out[:2])
+            return out
+
+        return collect
+
+    monkeypatch.setattr(continuation, "_kernel", kernel)
+    for state in ((1.3, -0.7, 0.9, 1.1), (1.5, 0.6, -0.8, 1.3), (0, 1, 1, 0)):
+        continuation.completeness_probe(germ(*state), 5.0, 16, 1e-9)
+    ests = [(series_estimate(U, V), estimate_floor(U, V)) for U, V in lists]
+    ests = [(e, f) for e, f in ests if e is not None]
+    assert len(ests) > 1000
+    assert all(abs(e[0]) >= f for e, f in ests)
