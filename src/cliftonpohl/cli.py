@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -228,6 +229,8 @@ def _write_csv(trace: ContinuationTrace, out: str) -> None:
 def _cmd_shoot(args) -> int:
     if args.csv and args.out is None:
         raise InputError("--csv requires --out")
+    if args.csv and Path(args.out).suffix == ".csv":  # the CSV would overwrite the trace
+        raise InputError("--csv writes the CSV next to --out, so --out must not end in .csv")
     g = parse_germ(args.germ)
     path = parse_path(args.path)
     trace = continue_path(g, path, args.tol)
@@ -284,7 +287,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The ``cph`` argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="cph",
         description="Clifton-Pohl geodesics over complex time: "
@@ -316,9 +321,12 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,5")
     p.set_defaults(func=_cmd_verify)
+    return ap
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -15,7 +15,11 @@ Zou 2005, Exp. Math. 14:99), stays below ``TAIL_FACTOR * tol`` relative
 to 1 + |component|.  ``tol`` thus bounds the local error of every step
 at 1e-4 tol; on the paths of length up to 5 that the tests and
 perfbench check against a 30-digit reference, the endpoint error stays
-below ``tol`` itself.
+below ``tol`` itself.  The step length, the Horner update of the state
+and the estimate below are straight-line code that ``taylor`` generates
+(``_stepper``, ``_estimator``), so a step runs no loop outside the
+series build, and a null state (u' or v' zero) builds only half the
+series.
 The same coefficients give the nearest singularity by the ratio test
 (Chang & Corliss 1980): a path is obstructed where its step collapses
 below the floor or its state blows up, and the singular time is read
@@ -24,14 +28,12 @@ status with an estimated singular time), never as an exception.
 
 The completeness probe shoots straight rays and reads every step's own
 nearest-singularity estimate; there is no second estimator on the ray.
-A step skips the estimate where ``taylor.estimate_floor`` already keeps
-it out of the ray's capture tube.  When a step's estimate lands inside
-the tube, and not within its own uncertainty of a point the ray already
-has, the ray halts and the obstruction is localized by walking toward
-it from that estimate (re-expanding as the radius of convergence
-shrinks), recorded, and -- when it blocks the ray -- flanked by a small
-semicircular detour so the ray can report obstructions hiding behind
-the first one.
+When a step's estimate lands inside the ray's capture tube, and not
+within its own uncertainty of a point the ray already has, the ray
+halts and the obstruction is localized by walking toward it from that
+estimate (re-expanding as the radius of convergence shrinks), recorded,
+and -- when it blocks the ray -- flanked by a small semicircular detour
+so the ray can report obstructions hiding behind the first one.
 
 A location is reported only when the walk settles.  An estimate whose
 relative spread is at most ``SETTLED_SPREAD`` has converged to rounding
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 
 from .manifold import GeodesicGerm
 from .special import dist_to_segment, require_finite
-from .taylor import ORDER, _kernel, estimate_floor, nearest_singularity, series_estimate
+from .taylor import ORDER, _estimator, _kernel, _stepper, nearest_singularity, series_estimate
 
 State = tuple[complex, complex, complex, complex]
 
@@ -176,17 +178,6 @@ class _Segment:
         self.radius = radius
 
 
-def _tail_step(coeffs: list[complex], tol: float) -> float:
-    """Largest h whose last two series terms stay below the tail target."""
-    eps = TAIL_FACTOR * tol * (1.0 + abs(coeffs[0]))
-    h = math.inf
-    for k in (len(coeffs) - 2, len(coeffs) - 1):
-        a = abs(coeffs[k])
-        if a > 0.0:
-            h = min(h, (eps / a) ** (1.0 / k))
-    return h
-
-
 def _integrate_segment(
     y: State,
     t_from: complex,
@@ -203,6 +194,8 @@ def _integrate_segment(
     and V are the step's series about t - x.
     """
     series = _kernel(ORDER)
+    length, advance = _stepper(ORDER)
+    tail = TAIL_FACTOR * tol
     L = abs(t_to - t_from)
     e = (t_to - t_from) / L
     s = 0.0
@@ -210,7 +203,7 @@ def _integrate_segment(
     while True:
         try:
             U, V, dU, dV = series(y)
-            h = min(_tail_step(c, tol) for c in (U, V, dU, dV))
+            h = length(U, V, dU, dV, tail)
         except (ZeroDivisionError, OverflowError):  # on the cone; |coefficient| > 1e308
             return _Segment("obstructed", t_cur, y, t_cur, 1e-12)
         last = h >= L - s
@@ -219,15 +212,9 @@ def _integrate_segment(
         if last:
             h = L - s
         x = h * e
-        # Horner sums of u, v, u', v' at x
-        pu, pv, pdu, pdv = U[-1], V[-1], dU[-1], dV[-1]
-        for a, b, c, d in zip(U[-2:0:-1], V[-2:0:-1], dU[-2::-1], dV[-2::-1]):
-            pu = pu * x + a
-            pv = pv * x + b
-            pdu = pdu * x + c
-            pdv = pdv * x + d
-        y_new = (pu * x + U[0], pv * x + V[0], pdu, pdv)
-        if not max(abs(c) for c in y_new) <= BLOWUP:  # also catches NaN
+        u, v, du, dv = y_new = advance(U, V, dU, dV, x)
+        # a NaN component fails its comparison, wherever it sits
+        if not (abs(u) <= BLOWUP and abs(v) <= BLOWUP and abs(du) <= BLOWUP and abs(dv) <= BLOWUP):
             return _obstructed(t_cur, y, U, V)
         y = y_new
         s = L if last else s + h
@@ -366,18 +353,15 @@ def _probe_ray(
             abs(cand - p) < max(5e-4, 3.0 * r, rc) for pts in (found, unsettled) for p, r in pts
         )
 
+    estimate = _estimator(ORDER)
+
     def scan(t: complex, U, V, x: complex) -> bool:
         nonlocal hit
-        w = width(t)
-        # the estimate's offset from t is at least its offset from the
-        # series' base t - x, which is at least the floor, less |x|
-        if estimate_floor(U, V) - abs(x) >= w:
-            return False
-        est = series_estimate(U, V)
+        est = estimate(U, V)
         if est is None:
             return False
         est = (est[0] - x, est[1])
-        if abs(est[0]) >= w or suppressed(*_located(t, est)):
+        if abs(est[0]) >= width(t) or suppressed(*_located(t, est)):
             return False
         hit = est
         return True

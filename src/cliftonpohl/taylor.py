@@ -8,24 +8,33 @@ the two products with u' and v', against nine products per order when
 F, 1/F, (u')^2 and u (u')^2 are formed apiece.  It also loses fewer
 digits near the cone F = 0.
 
-The recurrence runs as straight-line code generated once per order
-(``_kernel``), as Jorba & Zou (2005, Exp. Math. 14:99) generate jet code
-for a Taylor integrator: every coefficient is a local variable, every
-index and constant (the order m, 1/((k + 2) m)) is fixed when the code
-is generated, and no list is indexed until the coefficient lists are
-returned.  Each sum is written out in the order the loop form of the
-recurrence accumulates it, starting from 0j, with the same int and float
-constants, so every coefficient is bit-identical to the loop's (inf,
-nan and signed zeros included); the tests keep the loop as a reference.
+Everything a Taylor step computes runs as straight-line code generated
+once per order, as Jorba & Zou (2005, Exp. Math. 14:99) generate jet
+code for a Taylor integrator: the recurrence (``_kernel``), and the step
+length and Horner update (``_stepper``) and the ratio-test estimate
+(``_estimator``) that read its coefficients.  Every coefficient is a
+local variable, every index and constant (the order m, 1/((k + 2) m),
+1/k) is fixed when the code is generated, and no loop or generator
+runs.  Each sum, min and max is written out in the order the loop form
+of the same calculation evaluates it, with the same int and float
+constants, so every result is bit-identical to the loop's (inf, nan and
+signed zeros included); the tests keep the loop forms as references.
 The kernel also returns the derivative series, which the stepper
 evaluates as u' and v'.
+
+A geodesic is null exactly when one velocity component vanishes, and
+then stays null: for v' = 0 every coefficient of v past the first two is
+zero.  The kernel runs a variant without the v recurrence on such a
+state (and on u' = 0 by swapping u and v, under which the recurrence is
+symmetric bit for bit), at half the cost of a build.  Each variant is
+compiled on first use.
 
 The stepper and every singularity estimate share one order, ``ORDER``.
 Two consumers:
 
 * the continuation stepper, which steps with these coefficients and
   reads its nearest-singularity estimate off them (complex ratio test
-  with Richardson acceleration, ``series_estimate``); the completeness
+  with Richardson acceleration, Chang & Corliss 1980); the completeness
   probe's scan halts on that estimate, and its walk re-expands with
   ``nearest_singularity`` only where that estimate has not converged;
 * an exact polynomial mini-step used to move an on-axis germ into
@@ -36,15 +45,17 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 State = tuple[complex, complex, complex, complex]
 
 #: Taylor order of every integration step and singularity estimate.
 #: Probing the benchmark's six probe germs at 64 rays with the generated
-#: kernel takes 1.00-1.15 s at order 16, 0.82-0.87 s at 20, 0.77-0.82 s
-#: at 24, 0.83-0.86 s at 26 and 0.87-0.89 s at 28 (medians of five, two
+#: step takes 0.78-0.86 s at order 16, 0.70-0.76 s at 20, 0.70-0.76 s at
+#: 24, 0.65-0.74 s at 26 and 0.73-0.76 s at 28 (medians of five, five
 #: rounds, 2-vCPU VM), and finds the same obstructions at each order:
-#: lower orders take shorter steps, higher ones cost more per step.
+#: lower orders take shorter steps, higher ones cost more per step, and
+#: orders 20 to 26 lie within the noise of each other.
 ORDER = 20
 
 #: Relative spread above which a ratio sequence gives no estimate.
@@ -61,17 +72,58 @@ def geodesic_series(state: State, order: int) -> tuple[list[complex], list[compl
     return U, V
 
 
+def _def(signature: str, body: list[str]) -> str:
+    """Source of a function from its signature and body lines."""
+    return f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
+
+
+def _compile(src: str, label: str) -> dict:
+    """The names the generated source ``src`` defines."""
+    scope: dict = {"inf": math.inf}
+    exec(compile(src, f"<taylor {label}>", "exec"), scope)
+    return scope
+
+
 @lru_cache(maxsize=None)
 def _kernel(order: int):
     """The series recurrence for one order as compiled straight-line code.
 
     The function returned maps a state (u, v, u', v') to the coefficient
     lists U and V of length order+1 and their derivative series dU and
-    dV of length order, dU[k - 1] = k U[k].  Pass k of the recurrence
-    fills F[k + 1] = (u^2 + v^2)[k + 1], cu[k] = ((u^2)'/F)[k] by series
-    division, U[k + 2] from u'' = u' cu, and dU[k + 1] (the same for v).
+    dV of length order, dU[k - 1] = k U[k].  A state with v' == 0 runs
+    the null variant, and one with u' == 0 runs it with u and v swapped;
+    either gives the generic lists wherever those are finite.
     """
-    n = order
+
+    def series(state):
+        if state[3] == 0:
+            return _variant(order, True)(state)
+        if state[2] == 0:
+            V, U, dV, dU = _variant(order, True)((state[1], state[0], state[3], state[2]))
+            return U, V, dU, dV
+        return _variant(order, False)(state)
+
+    return series
+
+
+@lru_cache(maxsize=None)
+def _variant(order: int, null: bool):
+    """The generic or the null recurrence of one order, compiled on first use."""
+    label = f"{'null kernel' if null else 'kernel'} order {order}"
+    return _compile(_series_source(order, null), label)["kernel"]
+
+
+def _series_source(n: int, null: bool) -> str:
+    """Source of the order-n recurrence.
+
+    Pass k fills F[k + 1] = (u^2 + v^2)[k + 1], cu[k] = ((u^2)'/F)[k] by
+    series division, U[k + 2] from u'' = u' cu, and dU[k + 1] (the same
+    for v).  The null variant drops the v recurrence: with v' == 0 the
+    v self-product is +0+0j at every order, so F[m] = a + 0j, and V and
+    dV are returned as [v, v', 0j, ...] and [1 * v', 0j, ...], which is
+    what the v recurrence gives wherever its output is finite.
+    """
+    coords = (("u", "a", "cu"),) if null else (("u", "a", "cu"), ("v", "b", "cv"))
     body = [
         "u0 = complex(state[0])",
         "v0 = complex(state[1])",
@@ -89,7 +141,7 @@ def _kernel(order: int):
     # accumulators do: 0j + z differs from z where z has a -0.0 part
     for k in range(n - 1):
         m = k + 1
-        for c, s in (("u", "a"), ("v", "b")):
+        for c, s, _ in coords:
             # order m of u^2, a symmetric self-product
             body.append(
                 f"{s} = 0j" + "".join(f" + {c}{j} * {c}{m - j}" for j in range((m + 1) // 2))
@@ -97,8 +149,8 @@ def _kernel(order: int):
             body.append(f"{s} += {s}")
             if not m & 1:
                 body.append(f"{s} += {c}{m >> 1} * {c}{m >> 1}")
-        body.append(f"F{m} = a + b")
-        for c, s, cc in (("u", "a", "cu"), ("v", "b", "cv")):
+        body.append(f"F{m} = a + {'0j' if null else 'b'}")
+        for c, s, cc in coords:
             # cu[k] = (m a - sum F[i] cu[k - i]) / F[0], then
             # U[k + 2] = (sum dU[i] cu[k - i] + u' cu[k]) / ((k + 2) m)
             body.append(
@@ -112,99 +164,140 @@ def _kernel(order: int):
                 + f" + {c}1 * {cc}{k}) * {1.0 / ((k + 2) * m)!r}"
             )
             body.append(f"d{c}{m} = {k + 2} * {c}{k + 2}")
-    lists = [f"[{', '.join(f'{c}{k}' for k in range(n + 1))}]" for c in "uv"]
-    for c in "uv":
-        # dU[0] is returned as 1 * u', like every k U[k]; the product
-        # differs from u' in the sign of a zero part
-        derivs = ([f"1 * {c}1"] if n else []) + [f"d{c}{m}" for m in range(1, n)]
-        lists.append(f"[{', '.join(derivs)}]")
-    body.append("return " + ", ".join(lists))
-    src = "def kernel(state):\n" + "".join(f"    {line}\n" for line in body)
-    scope: dict = {}
-    exec(compile(src, f"<taylor kernel order {n}>", "exec"), scope)
-    return scope["kernel"]
+    series = {c: [f"{c}{k}" for k in range(n + 1)] for c in "uv"}
+    # dU[0] is returned as 1 * u', like every k U[k]; the product
+    # differs from u' in the sign of a zero part
+    derivs = {c: ([f"1 * {c}1"] if n else []) + [f"d{c}{m}" for m in range(1, n)] for c in "uv"}
+    if null:
+        series["v"] = (["v0", "v1"] + ["0j"] * (n - 1))[: n + 1]
+        derivs["v"] = derivs["v"][:1] + ["0j"] * (n - 1)
+    lists = [series["u"], series["v"], derivs["u"], derivs["v"]]
+    body.append("return " + ", ".join(f"[{', '.join(x)}]" for x in lists))
+    return _def("kernel(state)", body)
 
 
-def _horner(coeffs: list[complex], x: complex) -> complex:
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * x + coeffs[k]
-    return acc
+class _Step(NamedTuple):
+    """The generated calculations of one step that read a built series.
+
+    ``length(U, V, dU, dV, tail)`` is the longest step whose last two
+    terms of each list stay below tail (1 + |its constant term|) each;
+    ``advance(U, V, dU, dV, x)`` sums the four series at x by Horner's
+    rule, giving (u, v, u', v').
+    """
+
+    length: Callable
+    advance: Callable
+
+
+@lru_cache(maxsize=None)
+def _stepper(order: int) -> _Step:
+    """The step length and update for one order, compiled together."""
+    scope = _compile(_length_source(order) + _advance_source(order), f"step order {order}")
+    return _Step(scope["length"], scope["advance"])
+
+
+@lru_cache(maxsize=None)
+def _estimator(order: int):
+    """``series_estimate`` for coefficient lists of one order, compiled."""
+    return _compile(_estimate_source(order), f"estimate order {order}")["estimate"]
+
+
+def _length_source(n: int) -> str:
+    """Largest h with |c[k]| h^k <= tail (1 + |c[0]|) for the last two k of each list.
+
+    A zero or NaN coefficient bounds nothing; h is replaced only by a
+    strictly smaller bound, as ``min`` does.
+    """
+    body = ["h = inf"]
+    for c, size in (("U", n + 1), ("V", n + 1), ("dU", n), ("dV", n)):
+        body.append(f"e = tail * (1.0 + abs({c}[0]))")
+        for k in (size - 2, size - 1):
+            body += [
+                f"a = abs({c}[{k}])",
+                "if a > 0.0:",
+                f"    x = (e / a) ** (1.0 / {k})",
+                "    if x < h:",
+                "        h = x",
+            ]
+    body.append("return h")
+    return _def("length(U, V, dU, dV, tail)", body)
+
+
+def _advance_source(n: int) -> str:
+    """Horner sums of U, V, dU and dV at x, each from its last coefficient down."""
+    body, sums = [], []
+    for c, size in (("U", n + 1), ("V", n + 1), ("dU", n), ("dV", n)):
+        names = [f"{c.lower()}{k}" for k in range(size)]
+        body.append(f"{', '.join(names)}, = {c}")
+        expr = names[-1]
+        for name in reversed(names[:-1]):
+            expr = f"({expr}) * x + {name}" if " " in expr else f"{expr} * x + {name}"
+        sums.append(expr)
+    body.append(f"return {', '.join(sums)}")
+    return _def("advance(U, V, dU, dV, x)", body)
+
+
+def _estimate_source(n: int) -> str:
+    """Ratio-test estimate from the last six coefficients of U and of V.
+
+    Consecutive-coefficient ratios converge to 1/(t* - t0) with an O(1/n)
+    bias from the local exponent; Richardson extrapolation removes it.
+    Each list gives its five last ratios r0..r4 and their accelerated
+    values r[j] + k (r[j] - r[j - 1]).  A comparably-distant second
+    singularity makes the accelerated sequence oscillate, so of the last
+    four of each sequence, the one whose relative spread about its mean
+    is smaller gives 1/mean.  A list with a coefficient below 1e-280
+    (entire solution, constant coordinate, underflow), a mean below
+    1e-12 or a spread above ``MAX_SPREAD`` gives nothing; of U and V the
+    steadier estimate wins, since a component that is regular at the
+    other's singularity produces noisy ratios that must not win on a
+    spuriously small offset alone.
+    """
+    if n < 7:  # fewer than five ratios
+        return _def("estimate(U, V)", ["return None"])
+    body = []
+    for c, out in (("U", "eu"), ("V", "ev")):
+        body += [f"{out} = None", f"c0, c1, c2, c3, c4, c5 = {c}[{n - 5}:]"]
+        body.append(f"if not ({' or '.join(f'abs(c{j}) < 1e-280' for j in range(6))}):")
+        block = [f"r{j} = c{j + 1} / c{j}" for j in range(5)]
+        block += [f"a{j} = r{j + 1} + {n - 4 + j} * (r{j + 1} - r{j})" for j in range(4)]
+        for seq, first in (("a", 0), ("r", 1)):
+            tail = [f"{seq}{j}" for j in range(first, first + 4)]
+            block += [f"m = (0j + {' + '.join(tail)}) / 4", "am = abs(m)", "if not am < 1e-12:"]
+            spread = [f"s = abs({tail[0]} - m)"]
+            for t in tail[1:]:
+                spread += [f"d = abs({t} - m)", "if d > s:", "    s = d"]
+            spread.append("s = s / am")
+            if seq == "a":
+                spread.append(f"{out} = (1.0 / m, s)")
+            else:
+                spread += [f"if {out} is None or s < {out}[1]:", f"    {out} = (1.0 / m, s)"]
+            block += [f"    {line}" for line in spread]
+        body += [f"    {line}" for line in block]
+    body += [
+        f"if eu is not None and not eu[1] <= {MAX_SPREAD!r}:",
+        "    eu = None",
+        f"if ev is None or not ev[1] <= {MAX_SPREAD!r}:",
+        "    return eu",
+        "if eu is None or ev[1] < eu[1]:",
+        "    return ev",
+        "return eu",
+    ]
+    return _def("estimate(U, V)", body)
 
 
 def taylor_step(state: State, h: complex, order: int) -> State:
     """Advance a geodesic state by h with a single series evaluation."""
-    U, V, dU, dV = _kernel(order)(state)
-    return _horner(U, h), _horner(V, h), _horner(dU, h), _horner(dV, h)
-
-
-def _ratio_estimate(coeffs: list[complex]) -> tuple[complex, float] | None:
-    """Nearest-singularity offset from one coefficient sequence.
-
-    Consecutive-coefficient ratios converge to 1/(t* - t0) with an O(1/n)
-    bias from the local exponent; Richardson extrapolation removes it.
-    Returns (offset, relative spread) or None when there is no usable
-    signal (entire solution, constant coordinate, underflow).
-    """
-    n = len(coeffs) - 1
-    ratios: list[tuple[int, complex]] = []
-    # both tails below read only the last five ratios
-    for k in range(max(2, n - 5), n):
-        a, b = coeffs[k], coeffs[k + 1]
-        if abs(a) < 1e-280 or abs(b) < 1e-280:
-            return None
-        ratios.append((k, b / a))
-    if len(ratios) < 5:
-        return None
-    accel = [r1 + k1 * (r1 - r0) for (_, r0), (k1, r1) in zip(ratios, ratios[1:])]
-    raw = [r for _, r in ratios]
-    # a comparably-distant second singularity makes the accelerated
-    # sequence oscillate; keep whichever tail is steadier
-    best: tuple[complex, float] | None = None
-    for seq in (accel, raw):
-        tail = seq[-4:]
-        mean = sum(tail, 0j) / len(tail)
-        if abs(mean) < 1e-12:
-            continue
-        spread = max(abs(a - mean) for a in tail) / abs(mean)
-        if best is None or spread < best[1]:
-            best = (1.0 / mean, spread)
-    return best
+    return _stepper(order).advance(*_kernel(order)(state), h)
 
 
 def series_estimate(U: list[complex], V: list[complex]) -> tuple[complex, float] | None:
-    """Nearest-singularity offset read off the coefficients of (u, v).
+    """Nearest-singularity (offset, relative spread) read off the coefficients of (u, v).
 
-    A relative spread above ``MAX_SPREAD`` rejects an unstable ratio
-    sequence (several comparable singularities, or an entire solution).
+    The offset is measured from the series' base time; None where no
+    ratio sequence is steady (see ``_estimate_source``).
     """
-    ests = [e for e in map(_ratio_estimate, (U, V)) if e is not None and e[1] <= MAX_SPREAD]
-    # trust the steadier sequence; a component that is regular at the
-    # other's singularity produces noisy ratios that must not win on a
-    # spuriously small offset alone
-    return min(ests, key=lambda e: e[1], default=None)
-
-
-def estimate_floor(U: list[complex], V: list[complex]) -> float:
-    """A lower bound on |offset| of any estimate ``series_estimate(U, V)`` returns.
-
-    Every ratio a in the tail of an accepted sequence lies within
-    ``MAX_SPREAD`` |mean| of its mean, so the offset 1/mean is at least
-    (1 - MAX_SPREAD) / |a|.  This takes a as the last ratio of each
-    sequence the estimate may come from (raw and accelerated, of U and
-    of V), with a margin for rounding.  Costs three coefficients and two
-    divisions per component.
-    """
-    n = len(U) - 1
-    top = 0.0
-    for c in (U, V):
-        c0, c1, c2 = c[n - 2], c[n - 1], c[n]
-        if abs(c0) < 1e-280 or abs(c1) < 1e-280 or abs(c2) < 1e-280:
-            continue  # _ratio_estimate gives this component no estimate
-        r0, r1 = c1 / c0, c2 / c1
-        # a NaN ratio is dropped by max; its sequence's spread is NaN too
-        top = max(top, abs(r1), abs(r1 + (n - 1) * (r1 - r0)))
-    return (1.0 - MAX_SPREAD) * (1.0 - 1e-9) / top if top else math.inf
+    return _estimator(len(U) - 1)(U, V)
 
 
 def nearest_singularity(state: State) -> tuple[complex, float] | None:

@@ -106,6 +106,20 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+class TestParser:
+    def test_built_once(self, tmp_path, capsys):
+        # the parser is built once per process; a call that fails to
+        # parse leaves it as it was for the next call
+        ap = cli._parser()
+        assert cli._parser() is ap
+        assert run(["shoot", "--germ", RATIONAL]) == 2
+        assert run(["probe", "--germ", RATIONAL, "--radius", "3", "--rays", "x"]) == 2
+        out = tmp_path / "c.json"
+        assert run(["classify", "--germ", GENERIC, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tag"] == "Generic"
+        assert cli._parser() is ap
+
+
 class TestClassifyCommand:
     def test_null(self, tmp_path):
         out = tmp_path / "c.json"
@@ -217,6 +231,20 @@ class TestCsv:
             == 2
         )
         assert capsys.readouterr().out == ""
+
+    def test_csv_out_must_not_end_in_csv(self, tmp_path, capsys, monkeypatch):
+        # the CSV goes to --out with its suffix replaced by .csv, which
+        # would overwrite the trace; refused before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "continue_path", no_work)
+        out = tmp_path / "t.csv"
+        argv = ["shoot", "--germ", RATIONAL, "--path", "[[0,0],[0.5,0]]", "--out", str(out)]
+        assert run(argv + ["--csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not out.exists()
 
 
 class TestGermFiles:

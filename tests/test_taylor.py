@@ -7,12 +7,14 @@ import statistics
 
 import pytest
 
-from cliftonpohl import continuation
+from cliftonpohl import continuation, taylor
+from cliftonpohl.continuation import BLOWUP, TAIL_FACTOR
 from cliftonpohl.manifold import germ
 from cliftonpohl.taylor import (
+    MAX_SPREAD,
     _kernel,
-    _ratio_estimate,
-    estimate_floor,
+    _Step,
+    _stepper,
     geodesic_series,
     nearest_singularity,
     series_estimate,
@@ -108,6 +110,69 @@ def loop_series(state, order):
         dU[m] = (k + 2) * U[k + 2]
         dV[m] = (k + 2) * V[k + 2]
     return U, V
+
+
+def loop_tail_step(coeffs, tol):
+    """Largest h whose last two series terms stay below the tail target:
+    the stepper's step rule as a loop, kept as the reference the
+    generated step length must match bit for bit."""
+    eps = TAIL_FACTOR * tol * (1.0 + abs(coeffs[0]))
+    h = math.inf
+    for k in (len(coeffs) - 2, len(coeffs) - 1):
+        a = abs(coeffs[k])
+        if a > 0.0:
+            h = min(h, (eps / a) ** (1.0 / k))
+    return h
+
+
+def loop_horner(coeffs, x):
+    """The series summed at x as a loop, the reference of the generated update."""
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * x + coeffs[k]
+    return acc
+
+
+def _ratio_estimate(coeffs):
+    """Nearest-singularity offset from one coefficient sequence, as a
+    loop: the reference of the generated estimate.
+
+    Consecutive-coefficient ratios converge to 1/(t* - t0) with an O(1/n)
+    bias from the local exponent; Richardson extrapolation removes it.
+    Returns (offset, relative spread) or None when there is no usable
+    signal (entire solution, constant coordinate, underflow).
+    """
+    n = len(coeffs) - 1
+    ratios = []
+    # both tails below read only the last five ratios
+    for k in range(max(2, n - 5), n):
+        a, b = coeffs[k], coeffs[k + 1]
+        if abs(a) < 1e-280 or abs(b) < 1e-280:
+            return None
+        ratios.append((k, b / a))
+    if len(ratios) < 5:
+        return None
+    accel = [r1 + k1 * (r1 - r0) for (_, r0), (k1, r1) in zip(ratios, ratios[1:])]
+    raw = [r for _, r in ratios]
+    # a comparably-distant second singularity makes the accelerated
+    # sequence oscillate; keep whichever tail is steadier
+    best = None
+    for seq in (accel, raw):
+        tail = seq[-4:]
+        mean = sum(tail, 0j) / len(tail)
+        if abs(mean) < 1e-12:
+            continue
+        spread = max(abs(a - mean) for a in tail) / abs(mean)
+        if best is None or spread < best[1]:
+            best = (1.0 / mean, spread)
+    return best
+
+
+def loop_estimate(U, V):
+    """``series_estimate`` as a loop: the steadier of the two sequences'
+    estimates with spread at most ``MAX_SPREAD``."""
+    ests = [e for e in map(_ratio_estimate, (U, V)) if e is not None and e[1] <= MAX_SPREAD]
+    return min(ests, key=lambda e: e[1], default=None)
 
 
 def scaled_error(got, ref):
@@ -206,16 +271,22 @@ def ten_ratio_estimate(coeffs):
 
 def test_ratio_estimate_reads_the_last_five_ratios(monkeypatch):
     # both tails read only the last five ratios; on every coefficient
-    # list the steps of three probes read, the estimate is bit-identical
+    # list the steps of three probes build, the estimate is bit-identical
     # to the one over ten ratios
     lists = []
-    real = continuation.series_estimate
+    real = continuation._kernel
 
-    def collect(U, V):
-        lists.extend((U, V))
-        return real(U, V)
+    def kernel(order):
+        f = real(order)
 
-    monkeypatch.setattr(continuation, "series_estimate", collect)
+        def collect(y):
+            out = f(y)
+            lists.extend(out[:2])
+            return out
+
+        return collect
+
+    monkeypatch.setattr(continuation, "_kernel", kernel)
     for state in ((1.3, -0.7, 0.9, 1.1), (1.5, 0.6, -0.8, 1.3), (0, 1, 1, 0)):
         continuation.completeness_probe(germ(*state), 5.0, 16, 1e-9)
     got = [_ratio_estimate(c) for c in lists]
@@ -280,23 +351,86 @@ def _identity_states():
     return states
 
 
+def _null_states():
+    """States with v' = 0 or u' = 0, each zero part +0.0 or -0.0: from
+    every fourth identity state (generic, near-cone, real, signed-zero
+    and overflowing ones) and from velocities that overflow."""
+    r = random.Random(29)
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    states = []
+    for i, s in enumerate(_identity_states()[::4]):
+        z = zeros[i % 4]
+        states.append((s[0], s[1], s[2], z) if i % 2 else (s[0], s[1], z, s[3]))
+    for e in (100, 150, 200, 250, 300):
+        big = 10.0**e * _gauss(r)
+        states.append((_gauss(r), _gauss(r), big, r.choice(zeros)))
+        states.append((_gauss(r), _gauss(r), r.choice(zeros), big))
+    return states
+
+
+def _step_outcome(step, estimate, U, V, dU, dV, tol, x):
+    """What the stepper makes of a series: the step length, whether the
+    state at x leaves the blow-up bound (and the state if not), and the
+    estimate; an exception counts by its type."""
+    try:
+        h = step.length(U, V, dU, dV, tol=tol)
+    except ArithmeticError as e:
+        h = type(e).__name__
+    y = step.advance(U, V, dU, dV, x)
+    blew = not all(abs(c) <= BLOWUP for c in y)
+    return repr(h), blew, None if blew else repr(y), repr(estimate(U, V))
+
+
+#: The loop forms of the step length and update.
+LOOP_STEP = _Step(
+    length=lambda U, V, dU, dV, tol: min(loop_tail_step(c, tol) for c in (U, V, dU, dV)),
+    advance=lambda U, V, dU, dV, x: tuple(loop_horner(c, x) for c in (U, V, dU, dV)),
+)
+
+
 @pytest.mark.parametrize("order", [2, 3, 8, 20, 26])
-def test_kernel_matches_loop_bit_for_bit(order):
-    # repr equality counts signed zeros, inf and nan, which == would not
+def test_kernel_matches_loop_bit_for_bit(order, monkeypatch):
+    # repr equality counts signed zeros, inf and nan, which == would not.
+    # The generated step length, update and estimate must match their
+    # loop forms on every series, and a null state's series must match
+    # the generic recurrence wherever that is finite; where it is not,
+    # the generic V (or U) can be NaN where the null one is 0, and the
+    # step outcome must still be the same
     states = _identity_states()
     cone = [s for s in states[1::3] if abs(s[0] ** 2 + s[1] ** 2) < 1e-5 * abs(s[0]) ** 2]
     assert cone and max(abs(s[0]) for s in states) > 1e11
-    overflowed = 0
-    for s in states:
+    nulls = _null_states()
+    assert all(s[2] == 0 or s[3] == 0 for s in nulls)
+    runs, real = [], taylor._variant
+    monkeypatch.setattr(taylor, "_variant", lambda n, null: runs.append(null) or real(n, null))
+    gen, tol = _stepper(order), 1e-9
+    # the stepper passes the tail target TAIL_FACTOR * tol
+    step = gen._replace(length=lambda *lists, tol: gen.length(*lists, TAIL_FACTOR * tol))
+    r = random.Random(order)
+    overflowed = estimates = null_finite = null_overflowed = 0
+    for s in states + nulls:
         if s[0] ** 2 + s[1] ** 2 == 0:
             continue
         U, V, dU, dV = _kernel(order)(s)
-        assert repr((U, V)) == repr(loop_series(s, order)), (s, order)
-        assert repr((U, V)) == repr(geodesic_series(s, order))
-        assert repr(dU) == repr([k * U[k] for k in range(1, order + 1)])
-        assert repr(dV) == repr([k * V[k] for k in range(1, order + 1)])
-        overflowed += not all(cmath.isfinite(c) for c in U + V)
-    assert overflowed >= 3
+        rU, rV = loop_series(s, order)
+        ref = (rU, rV, *([k * c[k] for k in range(1, order + 1)] for c in (rU, rV)))
+        x = cmath.rect(10 ** r.uniform(-4, 0), r.uniform(0, 2 * math.pi))
+        finite = all(cmath.isfinite(c) for c in rU + rV)
+        null = s[2] == 0 or s[3] == 0
+        null_finite += null and finite
+        null_overflowed += null and not finite
+        if finite or not null:
+            assert repr((U, V)) == repr((rU, rV)), (s, order)
+            assert repr((U, V)) == repr(geodesic_series(s, order))
+            assert repr((dU, dV)) == repr(ref[2:])
+            assert repr(step.advance(U, V, dU, dV, x)) == repr(LOOP_STEP.advance(*ref, x))
+        outcome = _step_outcome(step, series_estimate, U, V, dU, dV, tol, x)
+        assert outcome == _step_outcome(LOOP_STEP, loop_estimate, *ref, tol, x)
+        overflowed += not finite
+        estimates += series_estimate(U, V) is not None
+    assert overflowed >= 3 and null_finite >= 50 and null_overflowed >= 3
+    assert sum(runs) >= null_finite + null_overflowed
+    assert estimates >= (100 if order >= 8 else 0)
 
 
 def test_kernel_refuses_the_cone():
@@ -305,28 +439,3 @@ def test_kernel_refuses_the_cone():
             _kernel(order)((1.0, 1j, 0.5, 0.3))
         with pytest.raises(ZeroDivisionError):
             loop_series((1.0, 1j, 0.5, 0.3), order)
-
-
-def test_estimate_floor_bounds_every_estimate(monkeypatch):
-    # on every series the steps of three probes build, the offset of the
-    # estimate, if any, is at least the floor the scan skips it by
-    lists = []
-    real = continuation._kernel
-
-    def kernel(order):
-        f = real(order)
-
-        def collect(y):
-            out = f(y)
-            lists.append(out[:2])
-            return out
-
-        return collect
-
-    monkeypatch.setattr(continuation, "_kernel", kernel)
-    for state in ((1.3, -0.7, 0.9, 1.1), (1.5, 0.6, -0.8, 1.3), (0, 1, 1, 0)):
-        continuation.completeness_probe(germ(*state), 5.0, 16, 1e-9)
-    ests = [(series_estimate(U, V), estimate_floor(U, V)) for U, V in lists]
-    ests = [(e, f) for e, f in ests if e is not None]
-    assert len(ests) > 1000
-    assert all(abs(e[0]) >= f for e, f in ests)
