@@ -242,7 +242,11 @@ def _cmd_shoot(args) -> int:
     )
     _write_output(dumps(_trace_json(trace, manifest)), args.out)
     if args.csv:
-        _write_csv(trace, str(Path(args.out).with_suffix(".csv")))
+        try:
+            _write_csv(trace, str(Path(args.out).with_suffix(".csv")))
+        except InputError:
+            Path(args.out).unlink()  # exit code 2 leaves no output behind
+            raise
     return 0 if trace.completed else 3
 
 

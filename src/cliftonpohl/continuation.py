@@ -1,10 +1,10 @@
 """Analytic continuation of geodesic germs along paths in complex time.
 
-Continuation always integrates the second-order system in the original
-(u, v) coordinates, so the log-chart degeneracies at u = 0 or v = 0 are
-invisible here; what stops a path is a genuine blow-up of the state, a
-branch point of the solution, or the geodesic running into the excluded
-cone u^2 + v^2 = 0.
+Continuation integrates the second-order system in (u, v), or in the
+probe also in (1/u, 1/v), never in the log chart, so its degeneracies at
+u = 0 or v = 0 are invisible here; what stops a path is a genuine
+blow-up of the state, a branch point of the solution, or the geodesic
+running into the excluded cone u^2 + v^2 = 0.
 
 The integrator takes fixed-order Taylor steps along the real arclength
 of each polyline segment.  Each step builds the series of (u, v) and
@@ -30,21 +30,16 @@ The completeness probe shoots straight rays and reads every step's own
 nearest-singularity estimate; there is no second estimator on the ray.
 When a step's estimate lands inside the ray's capture tube, and not
 within its own uncertainty of a point the ray already has, the ray
-halts and the obstruction is localized by walking toward it from that
-estimate (re-expanding as the radius of convergence shrinks), recorded,
-and -- when it blocks the ray -- flanked by a small semicircular detour
-so the ray can report obstructions hiding behind the first one.
-
-A location is reported only when the walk settles.  An estimate whose
-relative spread is at most ``SETTLED_SPREAD`` has converged to rounding
-and settles where it is; the scan's own estimate usually has, so such a
-halt costs no integration and no re-expansion.  Any other estimate is
-walked toward until one converges, one lies closer than 2e-3 with
-spread below 0.05, or a hop collapses into the point.  If the estimates
-fade or 30 hops pass first, the ray suppresses the scan's candidate
-unreported and resumes straight.  Such halts come from regular points
-where the path touches the cone u^2 + v^2 = 0, where high-order
-coefficients are rounding noise.
+halts.  An estimate whose relative spread is at most ``SETTLED_SPREAD``
+has converged to rounding and settles where it is; any other is
+polished by Newton in the chart (1/u, 1/v), an isometry of
+2 du dv / (u^2 + v^2) in which the same integrator runs and a simple
+pole of u or v is a regular zero.  A pole that blocks the ray is crossed
+by one straight segment in that chart; a state with u or v exactly 0
+(v = 0 on a null geodesic whose u has one pole) has no image there, and
+its ray ends at the pole.  A candidate that does not settle is
+suppressed unreported: cone touches u^2 + v^2 = 0, where high-order
+coefficients are rounding noise, and estimates that average two poles.
 
 The geodesic system is autonomous with real coefficients, so for a germ
 whose state (u, v, u', v') is real, Schwarz reflection gives
@@ -282,33 +277,45 @@ def _follow(y: State, waypoints, tol: float, collect=None) -> _Segment:
 # Completeness probe
 
 
+def _invert(y: State) -> State:
+    """The state in the chart (1/u, 1/v); the map is its own inverse."""
+    u, v, du, dv = y
+    return 1 / u, 1 / v, -du / (u * u), -dv / (v * v)
+
+
 def _walk_localize(
     t: complex, y: State, tol: float, est: tuple[complex, float] | None = None
 ) -> tuple[complex, float] | None:
-    """Walk toward the nearest singularity, re-expanding as it gets close.
+    """(location, radius) of the singularity an estimate points at, else None.
 
-    ``est`` is a first estimate (offset from t, spread) already in hand,
-    such as the one a probe ray halted on; if its spread is at most
-    ``SETTLED_SPREAD`` the walk settles on it without integrating.  The
-    hop constants apply only to estimates that have not converged.
-    Returns (location, radius) once the walk settles, else None.
+    ``est`` (offset from t, spread) defaults to the state's own series.
+    Newton on the inverted state integrates to t + off, steps by the
+    smaller of -w/w' and -z/z', and stops below 1e-13 (1 + |t|) within 8
+    steps; a step longer than the first offset finds no pole of u or v.
     """
-    cur_t, cur_y = t, y
-    for _ in range(30):
+    if est is None:
+        est = nearest_singularity(y)
         if est is None:
-            est = nearest_singularity(cur_y)
-            if est is None:
-                return None
-        off, spread = est
-        if spread <= SETTLED_SPREAD or (abs(off) < 2e-3 and spread < 0.05):
-            return _located(cur_t, est)
-        hop = 0.6 if spread < 0.1 else 0.3
-        target = cur_t + hop * off
-        res = _integrate_segment(cur_y, cur_t, target, tol)
+            return None
+    off, spread = est
+    if spread <= SETTLED_SPREAD:
+        return _located(t, est)
+    if y[0] == 0 or y[1] == 0:  # v == 0 maps to z = infinity
+        return None
+    reach = abs(off)
+    inv = _invert(y)
+    for _ in range(8):
+        res = _integrate_segment(inv, t, t + off, tol)
         if res.status != "done":
-            # ran into it: the collapse estimate is sharper than the walk
-            return res.t_star, res.radius
-        cur_t, cur_y, est = target, res.y, None
+            return None
+        t, inv = res.t, res.y
+        w, z, dw, dz = inv
+        # a null coordinate (dw or dz == 0) has no root to step to
+        off = min((-w / dw if dw else math.inf, -z / dz if dz else math.inf), key=abs)
+        if not abs(off) <= reach:
+            return None
+        if abs(off) < 1e-13 * (1.0 + abs(t)):
+            return _located(t, (off, 0.0))
     return None
 
 
@@ -316,12 +323,6 @@ def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
     """(singular time, uncertainty radius) of an estimate made at t."""
     off, spread = est
     return t + off, abs(off) * max(spread, 5e-3) + 1e-9
-
-
-def _detour_waypoints(t_star: complex, rho: float, e: complex, sign: int) -> list[complex]:
-    """Semicircle of radius rho around t_star, entering and leaving on the ray."""
-    thetas = (math.pi, 3 * math.pi / 4, math.pi / 2, math.pi / 4, 0.0)
-    return [t_star + rho * e * cmath.exp(sign * 1j * th) for th in thetas]
 
 
 def _probe_ray(
@@ -337,12 +338,12 @@ def _probe_ray(
     y: State = g.state()
     t_cur = t0
     found: list[tuple[complex, float]] = []
-    # scan candidates whose walk did not settle: suppressed, never reported
+    # scan candidates that did not settle: suppressed, never reported
     unsettled: list[tuple[complex, float]] = []
     hit: tuple[complex, float] | None = None  # the estimate the scan halted on
-    rho_detour = max(5e-3, min(0.03, 0.008 * radius))
+    rho_cross = max(5e-3, min(0.03, 0.008 * radius))
     sin_gap = math.sin(math.pi / n_rays)
-    detours = 0
+    crossings = 0
     status = "Completed"
 
     def width(t: complex) -> float:
@@ -385,35 +386,27 @@ def _probe_ray(
         if halted and loc is None:  # not settled: no obstruction, no second halt here
             unsettled.append(_located(t_cur, hit))
             continue
-        if not halted and (loc is None or loc[1] >= max(res.radius, 1e-9)):
-            loc = res.t_star, res.radius  # the collapse estimate is sharper
-        t_star, rad = loc
+        t_star, rad = loc or (res.t_star, res.radius)  # a collapse the walk cannot locate
         record(t_star, rad)
-        if halted and dist_to_segment(t_star, t_cur, ray_end) >= rho_detour:
+        if halted and dist_to_segment(t_star, t_cur, ray_end) >= rho_cross:
             continue  # off-path: resume straight, suppression skips it
 
-        # flank the blocking singularity and resume behind it
-        if detours >= 24:
+        # cross the blocking pole in the chart (1/u, 1/v) and resume behind it
+        if y[0] == 0 or y[1] == 0:  # u or v vanishes identically: a single pole
+            break
+        if crossings >= 24:
             status = "Blocked"
             break
-        detours += 1
-        for sign, shrink in ((1, 1.0), (1, 0.5), (-1, 1.0), (-1, 0.5)):
-            rho = rho_detour * shrink
-            entry = t_star - rho * e
-            wps = [t_cur, entry] if abs(entry - t_cur) > 1e-12 else [t_cur]
-            seg = _follow(y, wps + _detour_waypoints(t_star, rho, e, sign)[1:], tol)
-            if seg.status == "done":
-                t_cur, y = seg.t, seg.y
-                break
-        else:
+        crossings += 1
+        seg = _integrate_segment(_invert(y), t_cur, t_star + rho_cross * e, tol)
+        if seg.status != "done":
             status = "Blocked"
             break
+        t_cur, y = seg.t, _invert(seg.y)
         if abs(t_cur - t0) >= radius:
             break
 
-    kept = tuple(
-        p for p, _ in found if abs(p - t0) <= radius + 10.0 * CLUSTER_TOL
-    )
+    kept = tuple(p for p, _ in found if abs(p - t0) <= radius + 10.0 * CLUSTER_TOL)
     ray_status = status if status == "Blocked" else ("Obstructed" if kept else "Completed")
     return RayResult(angle, ray_status, kept)
 

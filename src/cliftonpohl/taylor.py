@@ -35,8 +35,9 @@ Two consumers:
 * the continuation stepper, which steps with these coefficients and
   reads its nearest-singularity estimate off them (complex ratio test
   with Richardson acceleration, Chang & Corliss 1980); the completeness
-  probe's scan halts on that estimate, and its walk re-expands with
-  ``nearest_singularity`` only where that estimate has not converged;
+  probe's scan halts on that estimate, Newton in the chart (1/u, 1/v)
+  polishes it where it has not converged, and ``nearest_singularity``
+  re-expands only where a step collapses with no halt;
 * an exact polynomial mini-step used to move an on-axis germ into
   generic position before classification or solving.
 """

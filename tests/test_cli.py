@@ -247,6 +247,16 @@ class TestCsv:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("blocked", ["t.json", "t.csv"])
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, blocked):
+        # a directory in the way of either file: exit code 2, and
+        # neither the trace nor the CSV is left behind
+        (tmp_path / blocked).mkdir()
+        argv = ["shoot", "--germ", RATIONAL, "--path", "[[0,0],[0.5,0]]"]
+        assert run(argv + ["--out", str(tmp_path / "t.json"), "--csv"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == []
+
 class TestGermFiles:
     def test_germ_from_file(self, tmp_path):
         f = tmp_path / "g.json"

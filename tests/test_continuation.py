@@ -12,14 +12,15 @@ from cliftonpohl.continuation import (
     CLUSTER_TOL,
     SETTLED_SPREAD,
     PathPolyline,
-    _probe_ray,
     _integrate_segment,
+    _invert,
+    _probe_ray,
     _walk_localize,
     completeness_probe,
     continue_path,
     loop_monodromy,
 )
-from cliftonpohl.families import sample, solve
+from cliftonpohl.families import NullTanSampler, sample, solve
 from cliftonpohl.manifold import first_integrals, germ
 from cliftonpohl.taylor import series_estimate, taylor_step
 
@@ -425,26 +426,19 @@ class TestProbe:
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
         # the scan halts on the estimate each step reads off its own
-        # series; nearest_singularity is re-expanded only by the walk
-        walking, calls = [False], {True: 0, False: 0}
-        real_estimate, real_walk = continuation.nearest_singularity, continuation._walk_localize
+        # series, and Newton polishes it on the inverted state; only a
+        # collapse with no estimate would re-expand, and this probe has none
+        calls = []
+        real_estimate = continuation.nearest_singularity
 
         def estimate(y):
-            calls[walking[0]] += 1
+            calls.append(y)
             return real_estimate(y)
 
-        def walk(*args):
-            walking[0] = True
-            try:
-                return real_walk(*args)
-            finally:
-                walking[0] = False
-
         monkeypatch.setattr(continuation, "nearest_singularity", estimate)
-        monkeypatch.setattr(continuation, "_walk_localize", walk)
         rep = completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 64, 1e-9)
         assert len(rep.obstructions) == 10
-        assert calls[False] == 0 and calls[True] > 0
+        assert calls == []
 
     def test_converged_halt_settles_without_series(self, scan_halt_walks):
         # a halt on an estimate whose ratios have converged to rounding
@@ -455,8 +449,8 @@ class TestProbe:
         assert settled == [0] * len(settled)
 
     def test_converged_settle_agrees_with_walk(self, scan_halt_walks, monkeypatch):
-        # walking to within 2e-3 of a converged estimate and re-estimating
-        # there, as the walk does for every other estimate, finds the same
+        # polishing a converged estimate by Newton on the inverted state,
+        # as the walk does for every other estimate, finds the same
         # location
         halts, _ = scan_halt_walks
         converged = [h for h in halts if h[2][1] <= SETTLED_SPREAD]
@@ -531,6 +525,112 @@ class TestProbe:
         assert a.per_ray == b.per_ray
 
 
+class TestInvertedChart:
+    def test_invert_is_an_involution(self):
+        r = random.Random(5)
+        for _ in range(100):
+            y = tuple(complex(r.uniform(-3, 3), r.uniform(-3, 3)) for _ in range(4))
+            for got, want in zip(_invert(_invert(y)), y):
+                assert abs(got - want) <= 4e-15 * abs(want)
+
+    def test_segment_through_a_pole(self):
+        # u = tan t has a pole at pi/2; w = 1/u = cot t is regular there,
+        # so one straight segment in the chart (1/u, 1/v) steps through it
+        g = germ(0, 1, 1, 0)
+        start = _integrate_segment(g.state(), 0j, 1.0, 1e-10)
+        res = _integrate_segment(_invert(start.y), 1.0, 2.0, 1e-10)
+        assert res.status == "done"
+        s = solve(g)
+        assert isinstance(s, NullTanSampler)
+        pt, vel = sample(s, 2.0)
+        for got, want in zip(_invert(res.y), (pt.u, pt.v, *vel)):
+            assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_single_pole_ends_the_ray(self, n):
+        # u = 1/(1 - t) with v = 0 has its one pole at t = 1, but z = 1/v
+        # is infinite: the ray along the real axis ends there as
+        # Obstructed instead of failing to cross
+        rep = completeness_probe(germ(1, 0, 1, 0), 3.0, n, 1e-9)
+        assert all(r.status != "Blocked" for r in rep.per_ray)
+        assert rep.per_ray[0].status == "Obstructed"
+        assert len(rep.obstructions) == 1 and abs(rep.obstructions[0] - 1) < 1e-12
+
+    @pytest.mark.parametrize("t, off", [(1.0, 0.7), (1.0, 0.45), (1.0, 0.6 + 0.2j), (1 + 2.5j, 0.6 - 2.4j)])
+    def test_newton_lands_on_the_pole(self, t, off):
+        # from a rough estimate Newton converges on the pole pi/2 of
+        # u = tan t, and stops before its step drops below the resolution
+        # of t (a zero-length segment)
+        y = _integrate_segment(germ(0, 1, 1, 0).state(), 0j, t, 1e-10).y
+        p, _ = _walk_localize(t, y, 1e-10, (off, 0.1))
+        assert abs(p - math.pi / 2) < 1e-13
+
+    def test_collapse_is_located_and_crossed(self, monkeypatch):
+        # with the scan blind, the ray runs into each pole; the walk
+        # locates it from a fresh series and the ray crosses it
+        monkeypatch.setattr(continuation, "_estimator", lambda order: lambda U, V: None)
+        ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 16, 1e-9)
+        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
+        for p, pole in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2)):
+            assert abs(p - pole) < 1e-12
+
+    def test_newton_refuses_a_step_beyond_its_estimate(self, monkeypatch):
+        # on ray 20 of this germ (draw 6, counting from 0, of
+        # random_generic_germ(Random(77))) the scan halts at
+        # -1.58 + 3.82i on an estimate of spread 0.31 that is no pole;
+        # Newton's first step from it is far longer than the estimate's
+        # offset, and followed, it integrates 317 steps to a point 60 away
+        g = germ(
+            1.3929589336183097 - 0.2294291459868425j,
+            1.226722478422997 - 0.4341141782921781j,
+            0.19972425279927994 + 1.0177502033778525j,
+            -0.07191650597731106 - 0.9640680020236458j,
+        )
+        walking, steps = [False], [0]
+        real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
+
+        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
+            def counted(t, w):
+                steps[0] += walking[0]
+                if collect is not None:
+                    collect(t, w)
+
+            return real_segment(y, t_from, t_to, tol, collect=counted, on_step=on_step)
+
+        def walk(*args):
+            walking[0] = True
+            try:
+                return real_walk(*args)
+            finally:
+                walking[0] = False
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        monkeypatch.setattr(continuation, "_walk_localize", walk)
+        ray = _probe_ray(g, 2.0 * math.pi * 20 / 64, 5.0, 64, 1e-9)
+        assert ray.status == "Completed" and ray.obstructions == ()
+        assert 0 < steps[0] <= 10
+
+    def test_newton_stops_after_eight_iterations(self, monkeypatch):
+        # a Newton step that never shrinks is given up after 8 segments
+        calls = []
+
+        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
+            calls.append(t_to)
+            assert len(calls) < 50
+            return continuation._Segment("done", t_to, (1e-3, 1.0, -1.0, 1.0))
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        assert _walk_localize(0j, (1.0, 1.0, 1.0, 1.0), 1e-9, (0.1, 0.2)) is None
+        assert len(calls) == 8
+
+    def test_newton_needs_both_coordinates_nonzero(self):
+        # v = 0 has no image in the chart (1/u, 1/v): an estimate that
+        # has not settled stays unlocated instead of dividing by zero
+        y = _integrate_segment(germ(1, 0, 1, 0).state(), 0j, 0.9, 1e-10).y
+        assert y[1] == 0
+        assert _walk_localize(0.9, y, 1e-9, (0.1, 0.2)) is None
+
+
 # points where a geodesic touches the cone u^2 + v^2 = 0: F has a double
 # zero and u', v' vanish there, so the solution is regular, but its
 # high-order series coefficients near them are rounding noise
@@ -550,7 +650,7 @@ class TestConeTouch:
         assert abs(at.u**2 + at.v**2) < 1e-4 * (abs(at.u) ** 2 + abs(at.v) ** 2)
         # near the touch the scan can halt, but the walk must not settle
         # there, so the probe reports nothing close to it; wide fans halt
-        # farther out, where walks still hop
+        # farther out, where Newton refuses the estimate
         for n_rays in (8, 16, 64):
             rep = completeness_probe(g, 5.0, n_rays, 1e-9)
             assert all(abs(p - touch) >= 0.5 for p in rep.obstructions), n_rays
