@@ -34,11 +34,13 @@ halts.  An estimate whose relative spread is at most ``SETTLED_SPREAD``
 has converged to rounding and settles where it is; any other is
 polished by Newton in the chart (1/u, 1/v), an isometry of
 2 du dv / (u^2 + v^2) in which the same integrator runs and a simple
-pole of u or v is a regular zero.  A pole that blocks the ray is crossed
-by one straight segment in that chart; a state with u or v exactly 0
-(v = 0 on a null geodesic whose u has one pole) has no image there, and
-its ray ends at the pole.  A candidate that does not settle is
-suppressed unreported: cone touches u^2 + v^2 = 0, where high-order
+pole of u or v is a regular zero.  A pole ahead of the halt is crossed
+by one segment in that chart along the ray, to the halt's mirror point
+past the pole's projection; a collapse, by one tube width.  A ray thus
+crosses each pole it records at most once.  A state with u or v
+exactly 0 (v = 0 on a null geodesic whose u has one pole) has no image
+there, and its ray ends at the pole.  A candidate that does not settle
+is suppressed unreported: cone touches u^2 + v^2 = 0, where high-order
 coefficients are rounding noise, and estimates that average two poles.
 
 The geodesic system is autonomous with real coefficients, so for a germ
@@ -56,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 
 from .manifold import GeodesicGerm
-from .special import dist_to_segment, require_finite
+from .special import require_finite
 from .taylor import ORDER, _estimator, _kernel, _stepper, nearest_singularity, series_estimate
 
 State = tuple[complex, complex, complex, complex]
@@ -80,6 +82,18 @@ CLUSTER_TOL = 1e-4
 #: cannot sharpen the location.  Settling below a spread of 0.05 instead
 #: misplaces tan-family and dense-lattice poles by up to 2e-3.
 SETTLED_SPREAD = 1e-12
+
+#: A probe ray halts on estimates within its capture tube, of width
+#: TUBE_WIDTH * |t - t0| * sin(pi/n) + TUBE_FLOOR * radius about t, and
+#: crosses a collapse by that width.  The first term is 0.8 of the gap to
+#: the neighbouring rays, so neighbouring tubes overlap; the floor lets a
+#: ray that collapses at t0, next to a pole, cross forward.
+TUBE_WIDTH = 1.6
+TUBE_FLOOR = 5e-3
+
+#: An estimate at offset off is uncertain by |off| * max(spread, SPREAD_FLOOR):
+#: a candidate that close to a point the ray has is not walked to again.
+SPREAD_FLOOR = 5e-3
 
 _TOL_RANGE = (1e-14, 1e-3)
 
@@ -322,7 +336,7 @@ def _walk_localize(
 def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
     """(singular time, uncertainty radius) of an estimate made at t."""
     off, spread = est
-    return t + off, abs(off) * max(spread, 5e-3) + 1e-9
+    return t + off, abs(off) * max(spread, SPREAD_FLOOR)
 
 
 def _probe_ray(
@@ -341,18 +355,14 @@ def _probe_ray(
     # scan candidates that did not settle: suppressed, never reported
     unsettled: list[tuple[complex, float]] = []
     hit: tuple[complex, float] | None = None  # the estimate the scan halted on
-    rho_cross = max(5e-3, min(0.03, 0.008 * radius))
     sin_gap = math.sin(math.pi / n_rays)
-    crossings = 0
     status = "Completed"
 
     def width(t: complex) -> float:
-        return 1.6 * abs(t - t0) * sin_gap + 0.005 * radius
+        return TUBE_WIDTH * abs(t - t0) * sin_gap + TUBE_FLOOR * radius
 
     def suppressed(cand: complex, rc: float) -> bool:
-        return any(
-            abs(cand - p) < max(5e-4, 3.0 * r, rc) for pts in (found, unsettled) for p, r in pts
-        )
+        return any(abs(cand - p) < max(r, rc) for pts in (found, unsettled) for p, r in pts)
 
     estimate = _estimator(ORDER)
 
@@ -367,15 +377,7 @@ def _probe_ray(
         hit = est
         return True
 
-    def record(p: complex, r: float) -> None:
-        for i, (q, rq) in enumerate(found):
-            if abs(p - q) < max(CLUSTER_TOL, 2.0 * max(r, rq)):
-                if r < rq:
-                    found[i] = (p, r)
-                return
-        found.append((p, r))
-
-    while abs(t_cur - ray_end) >= 1e-12 * (1.0 + radius):
+    while t_cur != ray_end:
         res = _integrate_segment(y, t_cur, ray_end, tol, on_step=scan)
         if res.status == "done":
             break
@@ -387,26 +389,23 @@ def _probe_ray(
             unsettled.append(_located(t_cur, hit))
             continue
         t_star, rad = loc or (res.t_star, res.radius)  # a collapse the walk cannot locate
-        record(t_star, rad)
-        if halted and dist_to_segment(t_star, t_cur, ray_end) >= rho_cross:
-            continue  # off-path: resume straight, suppression skips it
+        found.append((t_star, rad))
 
-        # cross the blocking pole in the chart (1/u, 1/v) and resume behind it
+        # along the ray in the chart (1/u, 1/v): past a halt's pole to the
+        # halt's mirror point, past a collapse by one tube width
+        reach = 2.0 * ((t_star - t_cur) / e).real if halted else width(t_cur)
+        t_to = t_cur + reach * e if reach < abs(ray_end - t_cur) else ray_end
+        if reach <= 0 or t_to == t_cur:
+            continue  # the pole is not ahead: resume straight
         if y[0] == 0 or y[1] == 0:  # u or v vanishes identically: a single pole
             break
-        if crossings >= 24:
-            status = "Blocked"
-            break
-        crossings += 1
-        seg = _integrate_segment(_invert(y), t_cur, t_star + rho_cross * e, tol)
+        seg = _integrate_segment(_invert(y), t_cur, t_to, tol)
         if seg.status != "done":
             status = "Blocked"
             break
-        t_cur, y = seg.t, _invert(seg.y)
-        if abs(t_cur - t0) >= radius:
-            break
+        t_cur, y = t_to, _invert(seg.y)
 
-    kept = tuple(p for p, _ in found if abs(p - t0) <= radius + 10.0 * CLUSTER_TOL)
+    kept = tuple(p for p, _ in found if abs(p - t0) <= radius)
     ray_status = status if status == "Blocked" else ("Obstructed" if kept else "Completed")
     return RayResult(angle, ray_status, kept)
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from cliftonpohl.continuation import (
     CLUSTER_TOL,
     SETTLED_SPREAD,
     PathPolyline,
+    _cluster,
     _integrate_segment,
     _invert,
     _probe_ray,
@@ -330,6 +332,45 @@ def scan_halt_walks():
     return halts, builds
 
 
+# the 25th draw of random_generic_germ(Random(77)), with 334 obstructions
+# within radius 5
+DENSE = germ(
+    1.2984061974479288 + 0.31908008739427784j,
+    0.4734218027454179 - 1.2556348209772725j,
+    1.2732188825588533 - 0.5351614835126342j,
+    0.5264944699592413 - 1.0334189171705328j,
+)
+
+
+@pytest.fixture
+def ray_log(monkeypatch):
+    """What probe rays do: the locations their walks settle on, and
+    (start, end) of each segment in the chart (1/u, 1/v), the segments
+    that run without a scan outside the walk."""
+    log = SimpleNamespace(settled=[], crossings=[])
+    walking = [False]
+    real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
+
+    def segment(y, t_from, t_to, tol, collect=None, on_step=None):
+        if on_step is None and not walking[0]:
+            log.crossings.append((t_from, t_to))
+        return real_segment(y, t_from, t_to, tol, collect=collect, on_step=on_step)
+
+    def walk(*args):
+        walking[0] = True
+        try:
+            loc = real_walk(*args)
+        finally:
+            walking[0] = False
+        if loc is not None:
+            log.settled.append(loc[0])
+        return loc
+
+    monkeypatch.setattr(continuation, "_integrate_segment", segment)
+    monkeypatch.setattr(continuation, "_walk_localize", walk)
+    return log
+
+
 class TestProbe:
     def test_rational_single_pole(self):
         rep = completeness_probe(germ(1, 0, 1, 0), 3.0, 16, 1e-9)
@@ -389,40 +430,25 @@ class TestProbe:
                         assert _walk_localize(t, y, 1e-9, est) is not None, (g, t)
         assert seen >= 400
 
-    def test_dense_lattice_halts_settle_once(self):
-        # a generic germ with 334 obstructions within radius 5 (the 25th
-        # draw of random_generic_germ(Random(77))); on rays 30 and 31 the
-        # halt states see two comparable poles, so nearest_singularity of
-        # the halt state alone fades, and the walk settles only from the
-        # estimate the scan halted on
-        g = germ(
-            1.2984061974479288 + 0.31908008739427784j,
-            0.4734218027454179 - 1.2556348209772725j,
-            1.2732188825588533 - 0.5351614835126342j,
-            0.5264944699592413 - 1.0334189171705328j,
-        )
+    def test_dense_lattice_halts_settle_once(self, ray_log):
+        # on rays 30 and 31 of the dense germ the halt states see two
+        # comparable poles, so nearest_singularity of the halt state alone
+        # fades, and the walk settles only from the estimate the scan
+        # halted on
         pole = -4.858544879751536 + 0.6741201380620324j  # 1 + Y^2 = 0, residue -1
-        settled = []
-        real_walk = continuation._walk_localize
-
-        def walk(*args):
-            loc = real_walk(*args)
-            if loc is not None:
-                settled.append(loc[0])
-            return loc
-
-        for k in (0, 30, 31):
-            settled.clear()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(continuation, "_walk_localize", walk)
-                ray = _probe_ray(g, 2.0 * math.pi * k / 64, 5.0, 64, 1e-9)
-            if k:
+        rays = [(DENSE, k) for k in (0, 30, 31)]
+        rays += [(g, k) for g in _DISCRETENESS_GERMS for k in range(33)]
+        for g, k in rays:
+            ray_log.settled.clear()
+            ray = _probe_ray(g, 2.0 * math.pi * k / 64, 5.0, 64, 1e-9)
+            settled = ray_log.settled
+            if g is DENSE and k:
                 assert min(abs(p - pole) for p in ray.obstructions) < 1e-6
             # a candidate within its own uncertainty of a point the ray
             # already found is suppressed, not walked to a second time
             assert all(
                 abs(p - q) >= CLUSTER_TOL for i, p in enumerate(settled) for q in settled[:i]
-            ), k
+            ), (g, k)
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
         # the scan halts on the estimate each step reads off its own
@@ -573,6 +599,73 @@ class TestInvertedChart:
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2)):
             assert abs(p - pole) < 1e-12
+
+    def test_crossing_runs_along_the_ray_to_the_mirror_point(self, ray_log):
+        # a halt crosses its pole in the chart (1/u, 1/v) by one segment
+        # along the ray's own line, to the mirror point of the halt past
+        # the pole's projection, or to the ray's end
+        ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 64, 1e-9)
+        poles = (math.pi / 2, 3 * math.pi / 2)
+        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
+        for p, pole in zip(ray.obstructions, poles):
+            assert abs(p - pole) < 1e-12
+        assert len(ray_log.crossings) == 2
+        for (start, end), pole in zip(ray_log.crossings, poles):
+            assert start.imag == end.imag == 0.0
+            assert start.real < pole < end.real
+            assert end == 5.0 or abs(end - (2.0 * pole - start)) < 1e-12
+
+    def test_a_ray_crosses_at_most_once_per_point(self, ray_log, monkeypatch):
+        # the work bound of a ray: each crossing passes the pole it has
+        # just located, so no ray crosses more often than it locates
+        # points (some beyond its radius, so not reported)
+        counts, forward = [], []
+        real_ray = continuation._probe_ray
+
+        def ray(g, *args):
+            ray_log.settled.clear()
+            ray_log.crossings.clear()
+            r = real_ray(g, *args)
+            points = _cluster(ray_log.settled, CLUSTER_TOL)
+            counts.append((len(ray_log.crossings), len(points)))
+            forward.extend(abs(b - g.t0) > abs(a - g.t0) for a, b in ray_log.crossings)
+            return r
+
+        monkeypatch.setattr(continuation, "_probe_ray", ray)
+        for g in (*_DISCRETENESS_GERMS, DENSE):
+            completeness_probe(g, 5.0, 64, 1e-9)
+        assert all(c <= n for c, n in counts)
+        assert all(forward)  # a pole behind the halt is not crossed
+        assert max(c for c, _ in counts) <= 11  # the measured maximum
+
+    def test_a_pole_abeam_of_the_halt_is_not_crossed(self, monkeypatch):
+        # a pole whose projection onto the ray rounds to the halt point is
+        # not ahead: the ray resumes straight instead of integrating a
+        # segment of zero length.  u = tan(t / e) has its poles on the ray
+        # along e, where the scan halts
+        angle = 2.0 * math.pi / 64
+        e = cmath.exp(1j * angle)
+        abeam = lambda t, y, tol, est=None: (t + 0.1j * e, 0.0)
+        monkeypatch.setattr(continuation, "_walk_localize", abeam)
+        ray = _probe_ray(germ(0, 1, e.conjugate(), 0), angle, 5.0, 64, 1e-9)
+        assert ray.status == "Obstructed"
+
+    def test_a_collapse_at_the_start_crosses_forward(self, monkeypatch):
+        # u is about 1/(1e-6 - t) near t0 = 0, so the first step blows up
+        # and the ray collapses at t0, where only the tube's floor gives
+        # the crossing a length; with none the ray collapses there forever
+        calls = []
+        real_segment = continuation._integrate_segment
+
+        def segment(*args, **kwargs):
+            calls.append(args[1])
+            assert len(calls) < 50
+            return real_segment(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        ray = _probe_ray(germ(1e6, 1, 1e12, 0.5), 0.0, 5.0, 64, 1e-9)
+        assert ray.status == "Obstructed"
+        assert abs(ray.obstructions[0] - 1e-6) < 1e-12
 
     def test_newton_refuses_a_step_beyond_its_estimate(self, monkeypatch):
         # on ray 20 of this germ (draw 6, counting from 0, of
