@@ -26,7 +26,7 @@ from .continuation import (
     completeness_probe,
     continue_path,
 )
-from .errors import OutOfDomainError
+from .errors import CliftonPohlError, OutOfDomainError
 from .manifold import GeodesicGerm, classify, germ as make_germ
 
 DEFAULT_TOL = 1e-10
@@ -338,13 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None and not Path(out).parent.is_dir():
             raise InputError(f"output directory {Path(out).parent} does not exist")
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except OutOfDomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
+    except (InputError, ValueError, CliftonPohlError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

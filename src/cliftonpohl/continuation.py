@@ -22,9 +22,14 @@ series build, and a null state (u' or v' zero) builds only half the
 series.
 The same coefficients give the nearest singularity by the ratio test
 (Chang & Corliss 1980): a path is obstructed where its step collapses
-below the floor or its state blows up, and the singular time is read
-off the last series.  An obstruction is reported as *data* (a trace
-status with an estimated singular time), never as an exception.
+below the floor or its state blows up.  Every stop of a segment carries
+one estimate, (offset, spread), and nothing re-expands its state: a
+collapse reads it off the series it could not step with, and a scan
+halt carries the estimate it halted on.  ``continue_path`` reports the
+singular time t + offset with radius max(|offset| spread, 1e-12); on
+the halts of the tests and perfbench, |offset| spread stays below 1e-21
+and the floor sets the radius.  An obstruction is reported as *data* (a
+trace status with an estimated singular time), never as an exception.
 
 The completeness probe shoots straight rays and reads every step's own
 nearest-singularity estimate; there is no second estimator on the ray.
@@ -34,14 +39,18 @@ halts.  An estimate whose relative spread is at most ``SETTLED_SPREAD``
 has converged to rounding and settles where it is; any other is
 polished by Newton in the chart (1/u, 1/v), an isometry of
 2 du dv / (u^2 + v^2) in which the same integrator runs and a simple
-pole of u or v is a regular zero.  A pole ahead of the halt is crossed
-by one segment in that chart along the ray, to the halt's mirror point
-past the pole's projection; a collapse, by one tube width.  A ray thus
-crosses each pole it records at most once.  A state with u or v
-exactly 0 (v = 0 on a null geodesic whose u has one pole) has no image
-there, and its ray ends at the pole.  A candidate that does not settle
-is suppressed unreported: cone touches u^2 + v^2 = 0, where high-order
-coefficients are rounding noise, and estimates that average two poles.
+pole of u or v is a regular zero.  A collapse is located from its own
+estimate the same way.  A pole ahead of the halt is crossed by one
+segment in that chart along the ray, to the halt's mirror point past
+the pole's projection; a collapse, by one tube width.  A crossing that
+stops past the pole has met a zero of u or v, regular in (u, v), and
+the ray resumes there; one that stops short of the pole leaves the ray
+Blocked.  A ray thus crosses each pole it records at most once.  A
+state with u or v exactly 0 (v = 0 on a null geodesic whose u has one
+pole) has no image there, and its ray ends at the pole.  A candidate
+that does not settle is suppressed unreported: cone touches
+u^2 + v^2 = 0, where high-order coefficients are rounding noise, and
+estimates that average two poles.
 
 The geodesic system is autonomous with real coefficients, so for a germ
 whose state (u, v, u', v') is real, Schwarz reflection gives
@@ -59,7 +68,10 @@ from dataclasses import dataclass, field
 
 from .manifold import GeodesicGerm
 from .special import require_finite
-from .taylor import ORDER, _estimator, _kernel, _stepper, nearest_singularity, series_estimate
+from .taylor import ORDER, _estimator, _kernel, _stepper
+# not called here: perfbench's tracer wraps continuation.nearest_singularity
+# by name; ROADMAP item 6 retires the import with that wrapper
+from .taylor import nearest_singularity  # noqa: F401
 
 State = tuple[complex, complex, complex, complex]
 
@@ -177,14 +189,14 @@ class LoopResult:
 class _Segment:
     """Outcome of integrating one straight segment."""
 
-    __slots__ = ("status", "t", "y", "t_star", "radius")
+    __slots__ = ("status", "t", "y", "est")
 
-    def __init__(self, status, t, y, t_star=None, radius=0.0):
+    def __init__(self, status, t, y, est=None):
         self.status = status  # "done" | "halted" | "obstructed"
         self.t = t
         self.y = y
-        self.t_star = t_star
-        self.radius = radius
+        # (offset from t, spread) of the singularity a stop stopped on
+        self.est = est
 
 
 def _integrate_segment(
@@ -198,9 +210,12 @@ def _integrate_segment(
     """Order-``ORDER`` Taylor steps along the straight segment t_from -> t_to.
 
     Step rule and obstructions as in the module docstring.
-    ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)`` may
-    return True to halt cleanly at the current accepted state, where U
-    and V are the step's series about t - x.
+    ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)``
+    may return an estimate (offset from t, spread) to halt on cleanly at
+    the current accepted state, where U and V are the step's series about
+    t - x, or None to go on.  A collapse carries the estimate read off
+    the series it could not step with; one that has none, or stops on
+    the cone before a series is built, carries (0, 0): it stopped on t.
     """
     series = _kernel(ORDER)
     length, advance = _stepper(ORDER)
@@ -214,17 +229,17 @@ def _integrate_segment(
             U, V, dU, dV = series(y)
             h = length(U, V, dU, dV, tail)
         except (ZeroDivisionError, OverflowError):  # on the cone; |coefficient| > 1e308
-            return _Segment("obstructed", t_cur, y, t_cur, 1e-12)
+            return _Segment("obstructed", t_cur, y, (0j, 0.0))
         last = h >= L - s
         if not (last or h >= STEP_FLOOR * L):  # also catches NaN
-            return _obstructed(t_cur, y, U, V)
+            return _Segment("obstructed", t_cur, y, _estimator(ORDER)(U, V) or (0j, 0.0))
         if last:
             h = L - s
         x = h * e
         u, v, du, dv = y_new = advance(U, V, dU, dV, x)
         # a NaN component fails its comparison, wherever it sits
         if not (abs(u) <= BLOWUP and abs(v) <= BLOWUP and abs(du) <= BLOWUP and abs(dv) <= BLOWUP):
-            return _obstructed(t_cur, y, U, V)
+            return _Segment("obstructed", t_cur, y, _estimator(ORDER)(U, V) or (0j, 0.0))
         y = y_new
         s = L if last else s + h
         t_cur = t_to if last else t_from + s * e
@@ -232,17 +247,8 @@ def _integrate_segment(
             collect(t_cur, y)
         if last:
             return _Segment("done", t_to, y)
-        if on_step is not None and on_step(t_cur, U, V, x):
-            return _Segment("halted", t_cur, y)
-
-
-def _obstructed(t: complex, y: State, U: list[complex], V: list[complex]) -> _Segment:
-    """Obstruction seen from (t, y), located by the ratio test on its series."""
-    est = series_estimate(U, V)
-    if est is None:
-        return _Segment("obstructed", t, y, t, 1e-12)
-    off, spread = est
-    return _Segment("obstructed", t, y, t + off, max(3.0 * abs(off) * spread, 1e-12))
+        if on_step is not None and (est := on_step(t_cur, U, V, x)) is not None:
+            return _Segment("halted", t_cur, y, est)
 
 
 def _check_tol(tol: float) -> None:
@@ -272,8 +278,9 @@ def continue_path(
     trace.samples.append(TraceSample(g.t0, *y))
     res = _follow(y, path.waypoints, tol, lambda t, w: trace.samples.append(TraceSample(t, *w)))
     if res.status == "obstructed":
+        off, spread = res.est
         trace.status = "Obstructed"
-        trace.obstruction = Obstruction(res.t_star, res.radius)
+        trace.obstruction = Obstruction(res.t + off, max(abs(off) * spread, 1e-12))
     return trace
 
 
@@ -298,19 +305,16 @@ def _invert(y: State) -> State:
 
 
 def _walk_localize(
-    t: complex, y: State, tol: float, est: tuple[complex, float] | None = None
+    t: complex, y: State, tol: float, est: tuple[complex, float]
 ) -> tuple[complex, float] | None:
-    """(location, radius) of the singularity an estimate points at, else None.
+    """(location, radius) of the singularity an estimate made at t points at, else None.
 
-    ``est`` (offset from t, spread) defaults to the state's own series.
-    Newton on the inverted state integrates to t + off, steps by the
-    smaller of -w/w' and -z/z', and stops below 1e-13 (1 + |t|) within 8
-    steps; a step longer than the first offset finds no pole of u or v.
+    ``est`` is (offset from t, spread), read off the series of the step
+    that stopped at t.  Newton on the inverted state integrates to
+    t + off, steps by the smaller of -w/w' and -z/z', and stops below
+    1e-13 (1 + |t|) within 8 steps; a step longer than the first offset
+    finds no pole of u or v.
     """
-    if est is None:
-        est = nearest_singularity(y)
-        if est is None:
-            return None
     off, spread = est
     if spread <= SETTLED_SPREAD:
         return _located(t, est)
@@ -354,7 +358,6 @@ def _probe_ray(
     found: list[tuple[complex, float]] = []
     # scan candidates that did not settle: suppressed, never reported
     unsettled: list[tuple[complex, float]] = []
-    hit: tuple[complex, float] | None = None  # the estimate the scan halted on
     sin_gap = math.sin(math.pi / n_rays)
     status = "Completed"
 
@@ -366,16 +369,14 @@ def _probe_ray(
 
     estimate = _estimator(ORDER)
 
-    def scan(t: complex, U, V, x: complex) -> bool:
-        nonlocal hit
+    def scan(t: complex, U, V, x: complex) -> tuple[complex, float] | None:
         est = estimate(U, V)
         if est is None:
-            return False
+            return None
         est = (est[0] - x, est[1])
         if abs(est[0]) >= width(t) or suppressed(*_located(t, est)):
-            return False
-        hit = est
-        return True
+            return None
+        return est
 
     while t_cur != ray_end:
         res = _integrate_segment(y, t_cur, ray_end, tol, on_step=scan)
@@ -384,11 +385,11 @@ def _probe_ray(
 
         t_cur, y = res.t, res.y
         halted = res.status == "halted"
-        loc = _walk_localize(t_cur, y, tol, hit if halted else None)
+        loc = _walk_localize(t_cur, y, tol, res.est)
         if halted and loc is None:  # not settled: no obstruction, no second halt here
-            unsettled.append(_located(t_cur, hit))
+            unsettled.append(_located(t_cur, res.est))
             continue
-        t_star, rad = loc or (res.t_star, res.radius)  # a collapse the walk cannot locate
+        t_star, rad = loc or _located(t_cur, res.est)  # a collapse the walk cannot locate
         found.append((t_star, rad))
 
         # along the ray in the chart (1/u, 1/v): past a halt's pole to the
@@ -400,10 +401,12 @@ def _probe_ray(
         if y[0] == 0 or y[1] == 0:  # u or v vanishes identically: a single pole
             break
         seg = _integrate_segment(_invert(y), t_cur, t_to, tol)
-        if seg.status != "done":
+        # a crossing that stops past its start and its pole has met a zero
+        # of u or v, regular in (u, v): the ray resumes there
+        if seg.status != "done" and (seg.t == t_cur or ((seg.t - t_star) / e).real <= 0):
             status = "Blocked"
             break
-        t_cur, y = t_to, _invert(seg.y)
+        t_cur, y = seg.t, _invert(seg.y)
 
     kept = tuple(p for p, _ in found if abs(p - t0) <= radius)
     ray_status = status if status == "Blocked" else ("Obstructed" if kept else "Completed")

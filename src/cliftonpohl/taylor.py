@@ -34,10 +34,12 @@ Two consumers:
 
 * the continuation stepper, which steps with these coefficients and
   reads its nearest-singularity estimate off them (complex ratio test
-  with Richardson acceleration, Chang & Corliss 1980); the completeness
-  probe's scan halts on that estimate, Newton in the chart (1/u, 1/v)
-  polishes it where it has not converged, and ``nearest_singularity``
-  re-expands only where a step collapses with no halt;
+  with Richardson acceleration, Chang & Corliss 1980): the completeness
+  probe's scan halts on that estimate, a collapse carries the estimate
+  of the series it could not step with, and Newton in the chart
+  (1/u, 1/v) polishes either where it has not converged; no stop
+  re-expands its state, and ``nearest_singularity`` serves callers that
+  hold a state but no series;
 * an exact polynomial mini-step used to move an on-axis germ into
   generic position before classification or solving.
 """
@@ -199,7 +201,12 @@ def _stepper(order: int) -> _Step:
 
 @lru_cache(maxsize=None)
 def _estimator(order: int):
-    """``series_estimate`` for coefficient lists of one order, compiled."""
+    """Nearest-singularity (offset, relative spread) read off the coefficients of (u, v).
+
+    The function returned maps the lists U and V of one order to the
+    offset from their base time, or None where no ratio sequence is
+    steady (see ``_estimate_source``).
+    """
     return _compile(_estimate_source(order), f"estimate order {order}")["estimate"]
 
 
@@ -292,15 +299,6 @@ def taylor_step(state: State, h: complex, order: int) -> State:
     return _stepper(order).advance(*_kernel(order)(state), h)
 
 
-def series_estimate(U: list[complex], V: list[complex]) -> tuple[complex, float] | None:
-    """Nearest-singularity (offset, relative spread) read off the coefficients of (u, v).
-
-    The offset is measured from the series' base time; None where no
-    ratio sequence is steady (see ``_estimate_source``).
-    """
-    return _estimator(len(U) - 1)(U, V)
-
-
 def nearest_singularity(state: State) -> tuple[complex, float] | None:
     """Estimated offset of the closest solution singularity, or None.
 
@@ -311,4 +309,4 @@ def nearest_singularity(state: State) -> tuple[complex, float] | None:
         U, V = geodesic_series(state, ORDER)
     except (ZeroDivisionError, OverflowError):
         return None
-    return series_estimate(U, V)
+    return _estimator(ORDER)(U, V)

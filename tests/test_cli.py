@@ -51,6 +51,13 @@ class TestExitCodes:
         bad = '{"alpha":[1,0],"beta":[0,1],"x":[1,0],"y":[0,0]}'
         assert run(["shoot", "--germ", bad, "--path", "[[0,0],[1,0]]"]) == 4
 
+    def test_library_refusal_is_2_without_traceback(self, capsys):
+        # the germ sits on the axis u = 0 with u' = 1e-40, too slow for the
+        # mini-step to move it off, so classify raises DegenerateGermError
+        germ = '{"alpha":[0,0],"beta":[1,0],"x":[1e-40,0],"y":[1,0]}'
+        assert run(["classify", "--germ", germ]) == 2
+        assert capsys.readouterr().err == "error: germ could not be moved off the axis\n"
+
     def test_path_must_match_t0(self):
         assert run(["shoot", "--germ", RATIONAL, "--path", "[[0.5,0],[1,0]]"]) == 2
 

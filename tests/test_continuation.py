@@ -22,9 +22,9 @@ from cliftonpohl.continuation import (
     continue_path,
     loop_monodromy,
 )
-from cliftonpohl.families import NullTanSampler, sample, solve
+from cliftonpohl.families import NullRationalSampler, NullTanSampler, sample, solve
 from cliftonpohl.manifold import first_integrals, germ
-from cliftonpohl.taylor import series_estimate, taylor_step
+from cliftonpohl.taylor import ORDER, _estimator, taylor_step
 
 
 def taylor_reference(state, t_target, steps=200, order=12):
@@ -287,11 +287,32 @@ class TestObstructionLocalization:
         assert tr.status == "Obstructed"
         assert abs(tr.obstruction.t_star - math.pi / 2) < 1e-3
 
+    def test_radius_contains_the_pole(self):
+        # a shoot's radius holds the closed-form pole: u = tan t straight
+        # and oblique, the README halt, and NullRational u = 1/(C - B t)
+        # with pole C/B.  The misses reach 6.3e-15 while |off| * spread
+        # stays below 1e-21, so the 1e-12 floor is what holds them
+        cases = [
+            (germ(0, 1, 1, 0), (0, 3), math.pi / 2),
+            (germ(0, 1, 1, 0), (0, 1.2j, math.pi - 1.2j), math.pi / 2),
+            (germ(1, 0, 1, 0), (0, 2), 1.0),
+        ]
+        r = random.Random(13)
+        for _ in range(8):
+            a, x = (complex(r.uniform(-2, 2), r.uniform(-2, 2)) for _ in range(2))
+            s = solve(germ(a, 0, x, 0))
+            assert isinstance(s, NullRationalSampler)
+            cases.append((germ(a, 0, x, 0), (0, 2 * s.pole), s.pole))
+        for g, path, pole in cases:
+            tr = continue_path(g, PathPolyline(path), 1e-10)
+            assert tr.status == "Obstructed"
+            assert abs(tr.obstruction.t_star - pole) <= tr.obstruction.radius, (g, path)
+
 
 def shifted_estimate(U, V, x):
     """The estimate the scan reads off a step's series, as an offset from
     the step's end x."""
-    est = series_estimate(U, V)
+    est = _estimator(ORDER)(U, V)
     return None if est is None else (est[0] - x, est[1])
 
 
@@ -299,12 +320,18 @@ def shifted_estimate(U, V, x):
 def scan_halt_walks():
     """Every walk of a 64-ray probe of the criterion-8 germs that starts
     from a scan halt: ((t, y, est) per walk, series built inside it)."""
-    halts, builds, walking = [], [], [False]
-    real_walk, real_kernel = continuation._walk_localize, continuation._kernel
-    real_estimate = continuation.nearest_singularity
+    halts, builds, walking, stop = [], [], [False], [None]
+    real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
+    real_kernel = continuation._kernel
 
-    def walk(t, y, tol, est=None):
-        if est is None:  # a collapse, not a scan halt
+    def segment(*args, **kwargs):
+        res = real_segment(*args, **kwargs)
+        if not walking[0]:
+            stop[0] = res.status
+        return res
+
+    def walk(t, y, tol, est):
+        if stop[0] != "halted":  # a collapse, not a scan halt
             return real_walk(t, y, tol, est)
         halts.append((t, y, est))
         builds.append(0)
@@ -323,10 +350,10 @@ def scan_halt_walks():
         return g
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "_integrate_segment", segment)
         mp.setattr(continuation, "_walk_localize", walk)
         # the stepper builds every series with the kernel it looks up per segment
         mp.setattr(continuation, "_kernel", lambda order: counted(real_kernel(order)))
-        mp.setattr(continuation, "nearest_singularity", counted(real_estimate))
         for g in _DISCRETENESS_GERMS:
             completeness_probe(g, 5.0, 64, 1e-9)
     return halts, builds
@@ -452,8 +479,10 @@ class TestProbe:
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
         # the scan halts on the estimate each step reads off its own
-        # series, and Newton polishes it on the inverted state; only a
-        # collapse with no estimate would re-expand, and this probe has none
+        # series, a collapse carries the estimate of the series it could
+        # not step with, and Newton polishes either on the inverted state;
+        # no probe re-expands a state.  The 8- and 16-ray fans each
+        # collapse once
         calls = []
         real_estimate = continuation.nearest_singularity
 
@@ -462,8 +491,9 @@ class TestProbe:
             return real_estimate(y)
 
         monkeypatch.setattr(continuation, "nearest_singularity", estimate)
-        rep = completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 64, 1e-9)
-        assert len(rep.obstructions) == 10
+        for n_rays in (8, 16, 64):
+            rep = completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, n_rays, 1e-9)
+            assert len(rep.obstructions) == 10, n_rays
         assert calls == []
 
     def test_converged_halt_settles_without_series(self, scan_halt_walks):
@@ -582,6 +612,46 @@ class TestInvertedChart:
         assert rep.per_ray[0].status == "Obstructed"
         assert len(rep.obstructions) == 1 and abs(rep.obstructions[0] - 1) < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+    def test_crossing_that_stops_past_its_pole_resumes(self, n, monkeypatch):
+        # ray pi of this germ crosses the pole at -4.16576 in the chart
+        # (1/u, 1/v) from about -3.1 and stops at -4.97864, where 1/v blows
+        # up: a zero of v, regular in (u, v).  The ray resumes there and
+        # completes in at most 9 segments, instead of ending Blocked
+        calls = []
+        real_segment = continuation._integrate_segment
+
+        def segment(*args, **kwargs):
+            res = real_segment(*args, **kwargs)
+            calls.append(res.status)
+            assert len(calls) <= 9
+            return res
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        ray = _probe_ray(germ(1.3, -0.7, 0.9, 1.1), 2.0 * math.pi * (n // 2) / n, 5.0, n, 1e-9)
+        assert "obstructed" in calls
+        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
+        for p, pole in zip(ray.obstructions, (-1.3128335656524, -4.1657639700167)):
+            assert abs(p - pole) < 1e-9
+
+    @pytest.mark.parametrize("pole, stop", [(-0.1, 0.0), (0.1, 0.05)], ids=["start", "pole"])
+    def test_a_crossing_that_stops_short_is_blocked(self, monkeypatch, pole, stop):
+        # a faked ray collapses 1 past each start on a pole at offset
+        # pole, and its crossing stops at offset stop: at its own start
+        # (resumed there, the ray would collapse at the same point
+        # forever), or short of the pole it crosses
+        calls = []
+
+        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
+            calls.append(t_to)
+            assert len(calls) < 50
+            t = t_from + (1.0 if on_step else stop)
+            return continuation._Segment("obstructed", t, y, (pole, 0.0))
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        ray = _probe_ray(germ(1.3, -0.7, 0.9, 1.1), 0.0, 5.0, 64, 1e-9)
+        assert ray.status == "Blocked" and len(calls) == 2
+
     @pytest.mark.parametrize("t, off", [(1.0, 0.7), (1.0, 0.45), (1.0, 0.6 + 0.2j), (1 + 2.5j, 0.6 - 2.4j)])
     def test_newton_lands_on_the_pole(self, t, off):
         # from a rough estimate Newton converges on the pole pi/2 of
@@ -592,9 +662,15 @@ class TestInvertedChart:
         assert abs(p - math.pi / 2) < 1e-13
 
     def test_collapse_is_located_and_crossed(self, monkeypatch):
-        # with the scan blind, the ray runs into each pole; the walk
-        # locates it from a fresh series and the ray crosses it
-        monkeypatch.setattr(continuation, "_estimator", lambda order: lambda U, V: None)
+        # with no scan, the ray runs into each pole; the walk locates it
+        # from the estimate the collapse read off its last series, and the
+        # ray crosses it
+        real_segment = continuation._integrate_segment
+
+        def blind(y, t_from, t_to, tol, collect=None, on_step=None):
+            return real_segment(y, t_from, t_to, tol, collect=collect)
+
+        monkeypatch.setattr(continuation, "_integrate_segment", blind)
         ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 16, 1e-9)
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2)):

@@ -12,12 +12,12 @@ from cliftonpohl.continuation import BLOWUP, TAIL_FACTOR
 from cliftonpohl.manifold import germ
 from cliftonpohl.taylor import (
     MAX_SPREAD,
+    _estimator,
     _kernel,
     _Step,
     _stepper,
     geodesic_series,
     nearest_singularity,
-    series_estimate,
     taylor_step,
 )
 
@@ -169,7 +169,7 @@ def _ratio_estimate(coeffs):
 
 
 def loop_estimate(U, V):
-    """``series_estimate`` as a loop: the steadier of the two sequences'
+    """``_estimator`` as a loop: the steadier of the two sequences'
     estimates with spread at most ``MAX_SPREAD``."""
     ests = [e for e in map(_ratio_estimate, (U, V)) if e is not None and e[1] <= MAX_SPREAD]
     return min(ests, key=lambda e: e[1], default=None)
@@ -424,10 +424,10 @@ def test_kernel_matches_loop_bit_for_bit(order, monkeypatch):
             assert repr((U, V)) == repr(geodesic_series(s, order))
             assert repr((dU, dV)) == repr(ref[2:])
             assert repr(step.advance(U, V, dU, dV, x)) == repr(LOOP_STEP.advance(*ref, x))
-        outcome = _step_outcome(step, series_estimate, U, V, dU, dV, tol, x)
+        outcome = _step_outcome(step, _estimator(order), U, V, dU, dV, tol, x)
         assert outcome == _step_outcome(LOOP_STEP, loop_estimate, *ref, tol, x)
         overflowed += not finite
-        estimates += series_estimate(U, V) is not None
+        estimates += _estimator(order)(U, V) is not None
     assert overflowed >= 3 and null_finite >= 50 and null_overflowed >= 3
     assert sum(runs) >= null_finite + null_overflowed
     assert estimates >= (100 if order >= 8 else 0)

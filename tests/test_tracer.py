@@ -28,6 +28,8 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
         )
         token = tracer.begin_op("probe and loop")
         rep = continuation.completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 8, 1e-9)
+        # no probe re-expands a state; the tracer still wraps the estimator
+        continuation.nearest_singularity(germ(1.3, -0.7, 0.9, 1.1).state())
         loop = continuation.loop_monodromy(germ(1, 0, 1, 0), 1 + 0.3j, 0.5)
         tracer.end_op(token, keep=True)
     finally:
