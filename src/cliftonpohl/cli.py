@@ -1,8 +1,8 @@
 """Command-line surface: shoot, classify, probe, verify.
 
-Outputs are deterministic: fixed field order and floats printed with 17
-significant digits, so identical inputs give byte-identical files.
-Complex numbers are always two-element arrays [re, im].
+Outputs are deterministic: fixed field order, and each float in its shortest
+form that reads back as the same double (signed zeros kept), so identical
+inputs give byte-identical files.  Complex numbers are always [re, im].
 
 Exit codes: 0 success/Completed, 2 malformed input or unwritable output,
 3 Obstructed shoot, 4 out-of-domain germ.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -36,53 +35,15 @@ DEFAULT_TOL = 1e-10
 # deterministic JSON
 
 
-def _num(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("cannot serialize non-finite number")
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return f"{x:.17g}"
-
-
-def _emit(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_num(obj))
-    elif isinstance(obj, complex):
-        out.append(f"[{_num(obj.real)},{_num(obj.imag)}]")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, it in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(it, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    else:
-        raise TypeError(f"unserializable {type(obj)}")
+def _pair(obj):
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"unserializable {type(obj)}")
 
 
 def dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    """Compact JSON with complex numbers as [re, im]; NaN and infinity raise ValueError."""
+    return json.dumps(obj, default=_pair, separators=(",", ":"), allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +175,7 @@ def _write_csv(trace: ContinuationTrace, out: str) -> None:
     for s in trace.samples:
         lines.append(
             ",".join(
-                _num(c)
+                repr(c)
                 for z in (s.t, s.u, s.v, s.du, s.dv)
                 for c in (z.real, z.imag)
             )
@@ -341,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     except OutOfDomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (InputError, ValueError, CliftonPohlError) as e:
+    except (InputError, ValueError, ArithmeticError, CliftonPohlError) as e:
+        # ArithmeticError: an input whose arithmetic leaves the float range
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -353,13 +353,14 @@ class GenericEllipticSampler:
         of u or v, where the log chart breaks (``ChartDegeneracyError``).
         At B = 0 the roots are double, with residues +1 and -1; the
         formula gives +1/2 and -1/2 there, the same signs, so they count
-        as poles.
+        as poles.  The smaller residue is thus -1, -1/2 or 0, and is
+        compared with -1/4: at a zero it is 0 up to rounding, either sign.
         """
         Y, Yp = self.curve_point(t)
         one = 1.0 + Y * Y
         if abs(one) * POLE_THRESHOLD < 4.0 * max(1.0, abs(Y * Y)):
             r, h = self.A * self.B / (Y * self.D * Yp), 0.5j / Y
-            if min((r + h).real, (r - h).real) < 0.0:
+            if min((r + h).real, (r - h).real) < -0.25:
                 raise PoleError("chain root: pole of u or v", location=t)
             raise ChartDegeneracyError("chain root: zero of u or v", location=t)
         ch = (1.0 - Y * Y) / one

@@ -48,9 +48,14 @@ def in_domain(u: complex, v: complex) -> bool:
     """True iff (u, v) avoids the cone u^2 + v^2 = 0.
 
     Equivalently, (u, v) is not on either line (1, i)C or (1, -i)C,
-    since u^2 + v^2 = (u + iv)(u - iv).
+    since u^2 + v^2 = (u + iv)(u - iv).  The test is homogeneous, so it
+    runs on (u, v) scaled by its largest component, which cannot overflow.
     """
     u, v = complex(u), complex(v)
+    scale = max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag))
+    if scale == 0.0:
+        return False
+    u, v = u / scale, v / scale
     return abs(u * u + v * v) > DOMAIN_EPS * (abs(u) ** 2 + abs(v) ** 2)
 
 

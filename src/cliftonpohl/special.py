@@ -12,6 +12,8 @@ Branch conventions
   parameters come from the arithmetic-geometric mean; this is uniformly
   valid for complex parameter m without case analysis, and it preserves
   the algebraic identities sn^2+cn^2 = 1, dn^2+m*sn^2 = 1 to rounding.
+  The argument is first reduced modulo the periods 2K and 2iK', whose
+  values come from ``carlson_rf`` on the same principal branch.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .errors import ConvergenceError, PoleError, SingularPathError
 #: Magnitudes above this are treated as "at a pole".
 POLE_THRESHOLD = 1e12
 
-#: Landen recursion stops once |m_n| drops below this.
-LANDEN_TOL = 1e-16
+#: Landen recursion stops once |m_n| drops below this.  The bottom step
+#: drops an O(m_n^2) term, which stays below rounding on a reduced argument.
+LANDEN_TOL = 1e-8
 
 
 def require_finite(*values: complex) -> None:
@@ -55,25 +58,39 @@ class EllipticTriple:
 
 
 @lru_cache(maxsize=64)
-def _landen_ladder(m: complex) -> tuple[tuple[complex, ...], complex]:
-    """The descending Landen moduli k1 for parameter m, and the final m.
+def _landen_ladder(m: complex):
+    """What the Jacobi functions at parameter m need, computed once per m.
 
-    The ladder depends on m alone, and a sampler evaluates at one fixed
-    m, so it is computed once per m (DLMF 22.7).
+    A sampler evaluates at one fixed m, so this is cached (DLMF 22.7,
+    19.25.1).  Returns the descending Landen moduli k1, the final m, the
+    argument's total scale 1/prod(1 + k1), and the period lattice
+    (2K, 2iK', W1, W2), where z = Im(z W1) 2K + Im(z W2) 2iK' writes z in
+    the periods.  At m = 0, K' is infinite and the lattice is all zeros,
+    so nothing is reduced.
     """
-    scale = []
+    lattice = (0j, 0j, 0j, 0j)
+    if m != 0:
+        P, Q = 2.0 * carlson_rf(0.0, 1.0 - m, 1.0), 2j * carlson_rf(0.0, m, 1.0)
+        det = P.real * Q.imag - P.imag * Q.real
+        lattice = (P, Q, -Q.conjugate() / det, P.conjugate() / det)
+    scale, shrink = [], 1.0
     while abs(m) >= LANDEN_TOL:
         kp = cmath.sqrt(1.0 - m)
         k1 = (1.0 - kp) / (1.0 + kp)
         scale.append(k1)
+        shrink /= 1.0 + k1
         m = k1 * k1
         if len(scale) > 64:
             raise ConvergenceError(f"Landen recursion stalled at m = {m!r}")
-    return tuple(scale), m
+    return tuple(scale), m, shrink, lattice
 
 
 def _jacobi_raw(z: complex, m: complex) -> tuple[complex, complex, complex]:
     """Jacobi (sn, cn, dn) with no pole guard; used by the solution chain.
+
+    z is first reduced by the nearest lattice point p*2K + q*2iK'; by the
+    half-period translations (DLMF 22.4(iii)) an odd p negates sn and cn,
+    an odd q negates cn and dn.
 
     Descending Landen: with k' = sqrt(1-m) and k1 = (1-k')/(1+k'), the
     parameter m1 = k1^2 shrinks quadratically, the argument scales by
@@ -91,10 +108,12 @@ def _jacobi_raw(z: complex, m: complex) -> tuple[complex, complex, complex]:
         c = 1.0 / cmath.cosh(z)
         return s, c, c
 
-    scale, m = _landen_ladder(m)
-    z1 = z
-    for k1 in scale:
-        z1 /= 1.0 + k1
+    scale, m, shrink, (P, Q, W1, W2) = _landen_ladder(m)
+    p, q = round((z * W1).imag), round((z * W2).imag)
+    if p or q:
+        z -= p * P + q * Q
+
+    z1 = z * shrink
 
     s, c = cmath.sin(z1), cmath.cos(z1)
     corr = 0.25 * m * (z1 - s * c)
@@ -104,6 +123,10 @@ def _jacobi_raw(z: complex, m: complex) -> tuple[complex, complex, complex]:
         ssq = s * s
         den = 1.0 + k1 * ssq
         s, c, d = (1.0 + k1) * s / den, c * d / den, (1.0 - k1 * ssq) / den
+    if p % 2:
+        s, c = -s, -c
+    if q % 2:
+        c, d = -c, -d
     return s, c, d
 
 

@@ -1,11 +1,13 @@
 """CLI surface: exit codes, schema, determinism, CSV."""
 
 import json
+import struct
 
 import pytest
 
 from cliftonpohl import cli
 from cliftonpohl.cli import main
+from cliftonpohl.continuation import TraceSample, continue_path
 
 RATIONAL = '{"alpha":[1,0],"beta":[0,0],"x":[1,0],"y":[0,0]}'
 EXPONENTIAL = '{"alpha":[1,0],"beta":[2,0],"x":[1,0],"y":[2,0]}'
@@ -57,6 +59,22 @@ class TestExitCodes:
         germ = '{"alpha":[0,0],"beta":[1,0],"x":[1e-40,0],"y":[1,0]}'
         assert run(["classify", "--germ", germ]) == 2
         assert capsys.readouterr().err == "error: germ could not be moved off the axis\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify"], 2),
+            (["shoot", "--path", "[[0,0],[1,0]]"], 3),
+            (["probe", "--radius", "3"], 2),
+        ],
+        ids=["classify", "shoot", "probe"],
+    )
+    def test_huge_germ_is_refused_without_traceback(self, capsys, argv, code):
+        # |u|^2 = 1e400 overflows a float; no command may raise past main
+        germ = '{"alpha":[1e200,0],"beta":[1,0],"x":[1,0],"y":[1,0]}'
+        assert run(argv[:1] + ["--germ", germ] + argv[1:]) == code
+        err = capsys.readouterr().err
+        assert err == "" if code == 3 else err.startswith("error:") and err.count("\n") == 1
 
     def test_path_must_match_t0(self):
         assert run(["shoot", "--germ", RATIONAL, "--path", "[[0.5,0],[1,0]]"]) == 2
@@ -201,14 +219,48 @@ class TestDeterminism:
         assert man["tolerances"]["tol"] == 1e-9
         assert man["tool_version"]
 
-    def test_seventeen_digit_floats(self, tmp_path):
+    def test_floats_round_trip_exactly(self, tmp_path):
+        # every number of the trace reads back as the same double, in the
+        # JSON and in the CSV, the sign of zero included
+        germ = '{"alpha":[1,-0.0],"beta":[2,0],"x":[1,-0.0],"y":[1,0]}'
+        path = "[[0,0],[0.4,-0.0]]"
         out = tmp_path / "t.json"
-        run(["shoot", "--germ", GENERIC, "--path", "[[0,0],[0.4,0]]", "--out", str(out)])
-        text = out.read_text()
-        # a third of a unit step appears with full precision somewhere
-        rec = json.loads(text)
-        u = rec["endpoint"]["u"][0]
-        assert f"{u:.17g}" in text
+        assert run(["shoot", "--germ", germ, "--path", path, "--out", str(out), "--csv"]) == 0
+        trace = continue_path(cli.parse_germ(germ), cli.parse_path(path), cli.DEFAULT_TOL)
+        want = [
+            struct.pack("<d", c)
+            for s in trace.samples
+            for z in (s.t, s.u, s.v, s.du, s.dv)
+            for c in (z.real, z.imag)
+        ]
+        assert struct.pack("<d", -0.0) in want
+        rec = json.loads(out.read_text())
+        from_json = [
+            struct.pack("<d", c)
+            for s in rec["samples"]
+            for key in ("t", "u", "v", "du", "dv")
+            for c in s[key]
+        ]
+        rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        from_csv = [struct.pack("<d", float(c)) for row in rows for c in row.split(",")]
+        assert from_json == want
+        assert from_csv == want
+        # a float stays a float: 1.0 is not read back as the integer 1
+        assert all(isinstance(c, float) for c in rec["samples"][0]["u"])
+
+    def test_non_finite_sample_is_2_with_nothing_written(self, tmp_path, capsys, monkeypatch):
+        # the JSON is serialized, and refuses NaN, before either file is written
+        def nan_trace(g, path, tol):
+            trace = continue_path(g, path, tol)
+            s = trace.samples[-1]
+            trace.samples.append(TraceSample(s.t, complex(float("nan"), 0), s.v, s.du, s.dv))
+            return trace
+
+        monkeypatch.setattr(cli, "continue_path", nan_trace)
+        argv = ["shoot", "--germ", GENERIC, "--path", "[[0,0],[0.4,0]]"]
+        assert run(argv + ["--out", str(tmp_path / "t.json"), "--csv"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsv:

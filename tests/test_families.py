@@ -392,6 +392,20 @@ class TestBoundedWork:
         ru, rv = contour_residues(s, p)
         assert abs(ru - residues[0]) < 1e-6 and abs(rv - residues[1]) < 1e-6
 
+    @pytest.mark.parametrize(
+        "state, start",
+        [((1, 2, 1, 1), -1.21315), (POOL_GERM, -1.00137 - 0.53648j)],
+        ids=["zero", "pool-zero"],
+    )
+    def test_zero_is_never_refused_as_a_pole(self, state, start):
+        # at a zero one residue is exactly 0, so rounding gives it either
+        # sign; each of 16 points within 1e-14 of the root is a zero
+        s = solve_generic(germ(*state))
+        p = chain_root(s, start)
+        for k in range(16):
+            with pytest.raises(ChartDegeneracyError):
+                s.position_velocity(p + 1e-14 * cmath.exp(2j * math.pi * k / 16))
+
     @pytest.mark.parametrize("state", [(1, 2, 1, 1), POOL_GERM], ids=["criterion-2", "pool"])
     def test_acceleration_evaluates_the_chain_once(self, state, monkeypatch):
         # one chain evaluation at t and one quadrature give, bit for bit,

@@ -110,6 +110,36 @@ class TestJacobi:
                     assert abs(g - r) <= 1e-13 * abs(r)
         assert _landen_ladder.cache_info().hits >= hits + 5 * len(zs)
 
+    def test_far_arguments_against_mpmath(self, seed):
+        # |z| up to 30 spans dozens of periods; without the reduction
+        # modulo 2K and 2iK' the Landen recursion is off by order 1 here.
+        # Real m < 0 (a real germ's m, its imaginary part a signed zero)
+        # puts K' on the cut of R_F.  The reduced argument inherits the
+        # rounding of K and K' (up to 6e-16 relative) times |z|, so the
+        # bound allows that much through each function's derivative: at
+        # m = -16.6, |z| = 29.6 it is 1.3e-13 relative to 1 + |dn|
+        mpmath = pytest.importorskip("mpmath")
+        r = random.Random(seed)
+        draws = {
+            "complex": lambda: cmath.rect(r.uniform(0.1, 3.0), r.uniform(0, 2 * math.pi)),
+            "real m < 0": lambda: complex(-r.uniform(0.3, 20.0), r.choice((-0.0, 0.0))),
+            "m > 1": lambda: complex(r.uniform(1.05, 5.0), 0.0),
+        }
+        for kind, draw in draws.items():
+            checked = 0
+            while checked < 30:
+                z, m = cmath.rect(r.uniform(0, 30), r.uniform(0, 2 * math.pi)), draw()
+                with mpmath.workdps(30):
+                    ref = [complex(mpmath.ellipfun(k, z, m=m)) for k in ("sn", "cn", "dn")]
+                if max(map(abs, ref)) > 5:
+                    continue
+                checked += 1
+                sn, cn, dn = ref
+                slopes = (cn * dn, sn * dn, m * sn * cn)
+                for g, v, dv in zip(_jacobi_raw(z, m), ref, slopes):
+                    bound = 1e-13 * (1 + abs(v)) + 1e-15 * abs(z) * abs(dv)
+                    assert abs(g - v) <= bound, (kind, z, m)
+
 
 class TestEllipticF:
     def test_zero(self):
