@@ -9,7 +9,8 @@ running into the excluded cone u^2 + v^2 = 0.
 The integrator takes fixed-order Taylor steps along the real arclength
 of each polyline segment.  Each step builds the series of (u, v) and
 of (u', v') once, with the order-``ORDER`` kernel that
-``taylor.geodesic_series`` runs, and takes the longest step whose
+``taylor.geodesic_series`` runs (three Cauchy products per order, from
+the energy integral u'v'/(u^2 + v^2)), and takes the longest step whose
 truncated tail, judged by the last two terms of u, v, u' and v' (Jorba &
 Zou 2005, Exp. Math. 14:99), stays below ``TAIL_FACTOR * tol`` relative
 to 1 + |component|.  ``tol`` thus bounds the local error of every step
@@ -18,11 +19,12 @@ perfbench check against a 30-digit reference, the endpoint error stays
 below ``tol`` itself.  The step length, the Horner update of the state
 and the estimate below are straight-line code that ``taylor`` generates
 (``_stepper``, ``_estimator``), so a step runs no loop outside the
-series build, and a null state (u' or v' zero) builds only half the
-series.
+series build, and a null state (u' or v' zero) builds only the moving
+coordinate's series, at a sixth of the products.
 The same coefficients give the nearest singularity by the ratio test
 (Chang & Corliss 1980): a path is obstructed where its step collapses
-below the floor or its state blows up.  Every stop of a segment carries
+below the floor or its state blows up, past ``BLOWUP`` times the scale
+of the segment's starting state.  Every stop of a segment carries
 one estimate, (offset, spread), and nothing re-expands its state: a
 collapse reads it off the series it could not step with, and a scan
 halt carries the estimate it halted on.  ``continue_path`` reports the
@@ -75,7 +77,9 @@ from .taylor import nearest_singularity  # noqa: F401
 
 State = tuple[complex, complex, complex, complex]
 
-#: State magnitudes above this count as a blow-up.
+#: State magnitudes above this many times the segment's starting scale,
+#: max(1, |u|, |v|, |u'|, |v'|), count as a blow-up.  The scale keeps the
+#: test invariant under the isometries (u, v) -> c (u, v) with |c| >= 1.
 BLOWUP = 1e12
 
 #: Step-size floor, relative to the segment length.
@@ -220,6 +224,7 @@ def _integrate_segment(
     series = _kernel(ORDER)
     length, advance = _stepper(ORDER)
     tail = TAIL_FACTOR * tol
+    bound = BLOWUP * max(1.0, *map(abs, y))
     L = abs(t_to - t_from)
     e = (t_to - t_from) / L
     s = 0.0
@@ -238,7 +243,7 @@ def _integrate_segment(
         x = h * e
         u, v, du, dv = y_new = advance(U, V, dU, dV, x)
         # a NaN component fails its comparison, wherever it sits
-        if not (abs(u) <= BLOWUP and abs(v) <= BLOWUP and abs(du) <= BLOWUP and abs(dv) <= BLOWUP):
+        if not (abs(u) <= bound and abs(v) <= bound and abs(du) <= bound and abs(dv) <= bound):
             return _Segment("obstructed", t_cur, y, _estimator(ORDER)(U, V) or (0j, 0.0))
         y = y_new
         s = L if last else s + h

@@ -33,7 +33,8 @@ class NullVelocityComponentError(CliftonPohlError):
 
 
 class DegenerateGermError(CliftonPohlError):
-    """A germ could not be moved off a coordinate axis."""
+    """A germ could not be moved off a coordinate axis, or its u^2 + v^2
+    is not a finite nonzero double."""
 
 
 class BothComponentsZeroError(CliftonPohlError):

@@ -17,6 +17,7 @@ and carry the two first integrals
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 
@@ -89,6 +90,10 @@ class GeodesicGerm:
         require_finite(x, y, self.t0)
         if x == 0 and y == 0:
             raise ValueError("germ velocity must be nonzero")
+        # the series kernel and the first integrals divide by it unscaled
+        f = self.alpha * self.alpha + self.beta * self.beta
+        if not (cmath.isfinite(f) and f != 0):
+            raise DegenerateGermError(f"u^2 + v^2 = {f!r} at the germ's point is out of range")
 
     @property
     def alpha(self) -> complex:

@@ -1,33 +1,36 @@
 """Local power-series expansion of geodesics.
 
 The geodesic equation u'' = 2 u (u')^2 / F with F = u^2 + v^2 (and the
-same for v) is used as u'' = u' (u^2)' / F.  Each Taylor order then
-costs five Cauchy products: u^2 and v^2 as symmetric self-products
-(half the terms each), (u^2)'/F and (v^2)'/F by series division, and
-the two products with u' and v', against nine products per order when
-F, 1/F, (u')^2 and u (u')^2 are formed apiece.  It also loses fewer
-digits near the cone F = 0.
+same for v) keeps the energy u'v'/F constant, so it can be written as
+u'' v' = (u'v'/F)(0) (u^2)'.  In p = u'/u'(0) and q = v'/v'(0) that is
+p' q = (u^2)'/F(0), and each Taylor order costs three Cauchy products:
+u^2 and v^2 as symmetric self-products (half the terms each) and p' q
+and q' p, against five when (u^2)'/F is formed by series division and
+nine when F, 1/F, (u')^2 and u (u')^2 are formed apiece.  No order
+m >= 1 of F is formed, so nothing cancels near the cone F = 0, and
+nothing is divided by a velocity component.
 
 Everything a Taylor step computes runs as straight-line code generated
 once per order, as Jorba & Zou (2005, Exp. Math. 14:99) generate jet
 code for a Taylor integrator: the recurrence (``_kernel``), and the step
 length and Horner update (``_stepper``) and the ratio-test estimate
 (``_estimator``) that read its coefficients.  Every coefficient is a
-local variable, every index and constant (the order m, 1/((k + 2) m),
-1/k) is fixed when the code is generated, and no loop or generator
-runs.  Each sum, min and max is written out in the order the loop form
-of the same calculation evaluates it, with the same int and float
-constants, so every result is bit-identical to the loop's (inf, nan and
-signed zeros included); the tests keep the loop forms as references.
+local variable, every index and constant (the order m, 1/m, 1/k) is
+fixed when the code is generated, and no loop or generator runs.  Each
+sum, min and max is written out in the order the loop form of the same
+calculation evaluates it, with the same int and float constants, so
+every result is bit-identical to the loop's (inf, nan and signed zeros
+included); the tests keep the loop forms as references.
 The kernel also returns the derivative series, which the stepper
 evaluates as u' and v'.
 
 A geodesic is null exactly when one velocity component vanishes, and
 then stays null: for v' = 0 every coefficient of v past the first two is
-zero.  The kernel runs a variant without the v recurrence on such a
-state (and on u' = 0 by swapping u and v, under which the recurrence is
-symmetric bit for bit), at half the cost of a build.  Each variant is
-compiled on first use.
+zero, and the u recurrence is the Riccati equation u' = c (u^2 + v^2)
+with c = u'(0)/F(0).  The kernel runs a variant without the v
+recurrence on such a state (and on u' = 0 by swapping u and v, under
+which the recurrence is symmetric bit for bit), at a sixth of the
+products of a build.  Each variant is compiled on first use.
 
 The stepper and every singularity estimate share one order, ``ORDER``.
 Two consumers:
@@ -53,12 +56,12 @@ from typing import Callable, NamedTuple
 State = tuple[complex, complex, complex, complex]
 
 #: Taylor order of every integration step and singularity estimate.
-#: Probing the benchmark's six probe germs at 64 rays with the generated
-#: step takes 0.78-0.86 s at order 16, 0.70-0.76 s at 20, 0.70-0.76 s at
-#: 24, 0.65-0.74 s at 26 and 0.73-0.76 s at 28 (medians of five, five
-#: rounds, 2-vCPU VM), and finds the same obstructions at each order:
-#: lower orders take shorter steps, higher ones cost more per step, and
-#: orders 20 to 26 lie within the noise of each other.
+#: Probing the benchmark's six probe germs at 64 rays takes 0.42 s at
+#: order 16, 0.36 s at 20, 0.35 s at 24 and 0.36 s at 28 (medians of
+#: seven interleaved rounds, 2-vCPU VM, Python 3.11), and finds the same
+#: obstructions at each order: lower orders take shorter steps, higher
+#: ones cost more per step, and orders 20 to 28 lie within the noise of
+#: each other.
 ORDER = 20
 
 #: Relative spread above which a ratio sequence gives no estimate.
@@ -93,7 +96,7 @@ def _kernel(order: int):
 
     The function returned maps a state (u, v, u', v') to the coefficient
     lists U and V of length order+1 and their derivative series dU and
-    dV of length order, dU[k - 1] = k U[k].  A state with v' == 0 runs
+    dV of length order, U[k] = dU[k - 1]/k.  A state with v' == 0 runs
     the null variant, and one with u' == 0 runs it with u and v swapped;
     either gives the generic lists wherever those are finite.
     """
@@ -119,14 +122,18 @@ def _variant(order: int, null: bool):
 def _series_source(n: int, null: bool) -> str:
     """Source of the order-n recurrence.
 
-    Pass k fills F[k + 1] = (u^2 + v^2)[k + 1], cu[k] = ((u^2)'/F)[k] by
-    series division, U[k + 2] from u'' = u' cu, and dU[k + 1] (the same
-    for v).  The null variant drops the v recurrence: with v' == 0 the
-    v self-product is +0+0j at every order, so F[m] = a + 0j, and V and
-    dV are returned as [v, v', 0j, ...] and [1 * v', 0j, ...], which is
-    what the v recurrence gives wherever its output is finite.
+    The energy u'v'/F is constant along a geodesic, so with
+    p = u'/u'(0), q = v'/v'(0) and g0 = 1/F(0) the geodesic equation reads
+    p' q = g0 (u^2)' and q' p = g0 (v^2)'.  Pass k fills order k of
+    P = p', P[k] = m (u^2)[m] g0 - sum_{i<k} P[i] q[k - i] with m = k + 1,
+    then p[m] = P[k]/m, dU[m] = u' p[m] and U[m + 1] = dU[m]/(m + 1) (the
+    same for v), so no order m >= 1 of F is formed and nothing is divided
+    by a velocity.  The null variant drops the v recurrence and has q = 1
+    (with v' == 0 the sum is +0+0j at every order), and V and dV are
+    returned as [v, v', 0j, ...] and [v', 0j, ...], which is what the v
+    recurrence gives wherever its output is finite.
     """
-    coords = (("u", "a", "cu"),) if null else (("u", "a", "cu"), ("v", "b", "cv"))
+    coords = ("u",) if null else ("u", "v")
     body = [
         "u0 = complex(state[0])",
         "v0 = complex(state[1])",
@@ -140,37 +147,29 @@ def _series_source(n: int, null: bool) -> str:
             "    raise ZeroDivisionError('series base point lies on u^2 + v^2 = 0')",
             "g0 = 1.0 / f0",
         ]
-    # the self-products and the u'' sums start from 0j, as the loop's
-    # accumulators do: 0j + z differs from z where z has a -0.0 part
+    # the self-products, the sums and dU[m] start from 0j, as the loop's
+    # accumulators do: 0j + z differs from z where z has a -0.0 part, and
+    # a null coordinate's coefficients come out +0+0j
     for k in range(n - 1):
         m = k + 1
-        for c, s, _ in coords:
+        for c in coords:
+            o = "v" if c == "u" else "u"
             # order m of u^2, a symmetric self-product
             body.append(
-                f"{s} = 0j" + "".join(f" + {c}{j} * {c}{m - j}" for j in range((m + 1) // 2))
+                "s = 0j" + "".join(f" + {c}{j} * {c}{m - j}" for j in range((m + 1) // 2))
             )
-            body.append(f"{s} += {s}")
+            body.append("s += s")
             if not m & 1:
-                body.append(f"{s} += {c}{m >> 1} * {c}{m >> 1}")
-        body.append(f"F{m} = a + {'0j' if null else 'b'}")
-        for c, s, cc in coords:
-            # cu[k] = (m a - sum F[i] cu[k - i]) / F[0], then
-            # U[k + 2] = (sum dU[i] cu[k - i] + u' cu[k]) / ((k + 2) m)
-            body.append(
-                f"{cc}{k} = ({m} * {s}"
-                + "".join(f" - F{i} * {cc}{k - i}" for i in range(1, m))
-                + ") * g0"
-            )
-            body.append(
-                f"{c}{k + 2} = (0j"
-                + "".join(f" + d{c}{i} * {cc}{k - i}" for i in range(1, m))
-                + f" + {c}1 * {cc}{k}) * {1.0 / ((k + 2) * m)!r}"
-            )
-            body.append(f"d{c}{m} = {k + 2} * {c}{k + 2}")
+                body.append(f"s += {c}{m >> 1} * {c}{m >> 1}")
+            conv = "".join(f" + P{c}{i} * p{o}{k - i}" for i in range(k))
+            body += [
+                f"P{c}{k} = {m} * s * g0" + (f" - (0j{conv})" if conv and not null else ""),
+                f"p{c}{m} = P{c}{k} * {1.0 / m!r}",
+                f"d{c}{m} = 0j + {c}1 * p{c}{m}",
+                f"{c}{m + 1} = d{c}{m} * {1.0 / (m + 1)!r}",
+            ]
     series = {c: [f"{c}{k}" for k in range(n + 1)] for c in "uv"}
-    # dU[0] is returned as 1 * u', like every k U[k]; the product
-    # differs from u' in the sign of a zero part
-    derivs = {c: ([f"1 * {c}1"] if n else []) + [f"d{c}{m}" for m in range(1, n)] for c in "uv"}
+    derivs = {c: [f"{c}1", *(f"d{c}{m}" for m in range(1, n))][:n] for c in "uv"}
     if null:
         series["v"] = (["v0", "v1"] + ["0j"] * (n - 1))[: n + 1]
         derivs["v"] = derivs["v"][:1] + ["0j"] * (n - 1)

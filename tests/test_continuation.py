@@ -23,7 +23,7 @@ from cliftonpohl.continuation import (
     loop_monodromy,
 )
 from cliftonpohl.families import NullRationalSampler, NullTanSampler, sample, solve
-from cliftonpohl.manifold import first_integrals, germ
+from cliftonpohl.manifold import dilate, first_integrals, germ
 from cliftonpohl.taylor import ORDER, _estimator, taylor_step
 
 
@@ -229,6 +229,22 @@ class TestTaylorStepper:
         )
         tr = continue_path(g, PathPolyline((0, -4.983027093884124 - 0.41163209497892583j)), 1e-10)
         assert tr.status == "Completed"
+
+    def test_dilated_germ_completes(self):
+        # (u, v) -> 2^40 (u, v) is an isometry: the shot completes, and
+        # its endpoint is the unscaled one times 2^40
+        path = PathPolyline((0, 2 + 1j, 3 - 1j))
+        g = germ(1.3, -0.7, 0.9, 1.1)
+        tr, big = continue_path(g, path), continue_path(dilate(g, 40), path)
+        assert tr.completed and big.completed
+        a, b = tr.endpoint, big.endpoint
+        for x, y in ((a.u, b.u), (a.v, b.v), (a.du, b.du), (a.dv, b.dv)):
+            assert abs(2.0**40 * x - y) <= 1e-9 * abs(y)
+
+    def test_subnormal_velocity_completes(self):
+        # v' = 1e-310 is not null, and no series coefficient divides by it
+        tr = continue_path(germ(1, 2, 1, 1e-310), PathPolyline((0, 1)))
+        assert tr.completed and all(cmath.isfinite(z) for z in vars(tr.endpoint).values())
 
     def test_step_budget(self):
         # tripwire: order-20 steps cross this length-5 ray in about 40

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliftonpohl.errors import NullVelocityComponentError, OutOfDomainError
+from cliftonpohl.continuation import completeness_probe
+from cliftonpohl.errors import DegenerateGermError, NullVelocityComponentError, OutOfDomainError
 from cliftonpohl.manifold import (
     GeodesicClass,
     Point,
@@ -173,6 +174,19 @@ class TestDilate:
         assert (d.alpha, d.beta, d.x, d.y) == (2, 0, 2, 0)
         d = dilate(germ(1, 2, 1, 1), -1)
         assert (d.alpha, d.beta, d.x, d.y) == (0.5, 1, 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "state", [(1e200, 1, 1, 1), (1e-300, 1e-300 + 1e-300j, 1, 1)], ids=["huge", "tiny"]
+    )
+    def test_germ_out_of_double_range_is_refused(self, state):
+        # u^2 + v^2 overflows to inf or underflows to 0, though the point is
+        # off the cone: classify and the probe would divide by it
+        with pytest.raises(DegenerateGermError):
+            classify(germ(*state))
+        with pytest.raises(DegenerateGermError):
+            completeness_probe(germ(*state), 3.0, 8)
+        with pytest.raises(DegenerateGermError):
+            dilate(germ(1, 2, 1, 1), 600 if state[0] > 1 else -600)
 
     def test_tag_invariance_across_orbit(self):
         for g in (germ(1, 0, 1, 0), germ(1, 2, 1, 2), germ(1, 2, 1, 1)):

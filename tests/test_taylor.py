@@ -57,26 +57,27 @@ def reference_series(state, order):
 
 
 def loop_series(state, order):
-    """The five-product recurrence as a loop over orders, kept as the
-    reference the generated kernel must match bit for bit."""
+    """The energy-integral recurrence as a loop over orders, kept as the
+    reference the generated kernel must match bit for bit: U, V and their
+    derivative series dU, dV."""
     n = order
     U = [complex(state[0]), complex(state[2])] + [0j] * (n - 1)
     V = [complex(state[1]), complex(state[3])] + [0j] * (n - 1)
+    dU = [U[1]] + [0j] * (n - 1)
+    dV = [V[1]] + [0j] * (n - 1)
     if n < 2:
-        return U[: n + 1], V[: n + 1]
+        return U[: n + 1], V[: n + 1], dU[:n], dV[:n]
 
     f0 = U[0] * U[0] + V[0] * V[0]
     if f0 == 0:
         raise ZeroDivisionError("series base point lies on u^2 + v^2 = 0")
     g0 = 1.0 / f0
 
-    # F = u^2 + v^2, dU/dV = derivative series, cu = (u^2)'/F and
-    # cv = (v^2)'/F; pass k fills F[k + 1], cu[k], U[k + 2], dU[k + 1]
-    F = [f0] + [0j] * n
-    dU = [U[1]] + [0j] * (n - 1)
-    dV = [V[1]] + [0j] * (n - 1)
-    cu = [0j] * n
-    cv = [0j] * n
+    # p = u'/u'(0) and q = v'/v'(0), whose derivatives P and Q satisfy
+    # P q = g0 (u^2)' and Q p = g0 (v^2)'; pass k fills P[k], p[k + 1],
+    # dU[k + 1] and U[k + 2] (and the same for v)
+    P, Q = [0j] * n, [0j] * n
+    p, q = [0j] * n, [0j] * n
     for k in range(n - 1):
         m = k + 1
         # order m of u^2 and v^2, each a symmetric self-product
@@ -89,27 +90,19 @@ def loop_series(state, order):
         if not m & 1:
             a += U[m >> 1] * U[m >> 1]
             b += V[m >> 1] * V[m >> 1]
-        F[m] = a + b
-        # order k of cu = (u^2)'/F by division, and of u'' = u' cu all
-        # but its cu[k] term, in one pass (and the same for v)
-        su = m * a
-        sv = m * b
-        wu = wv = 0j
-        for i in range(1, m):
-            x = cu[k - i]
-            y = cv[k - i]
-            su -= F[i] * x
-            sv -= F[i] * y
-            wu += dU[i] * x
-            wv += dV[i] * y
-        cu[k] = x = su * g0
-        cv[k] = y = sv * g0
-        d = 1.0 / ((k + 2) * m)
-        U[k + 2] = (wu + dU[0] * x) * d
-        V[k + 2] = (wv + dV[0] * y) * d
-        dU[m] = (k + 2) * U[k + 2]
-        dV[m] = (k + 2) * V[k + 2]
-    return U, V
+        su = sv = 0j
+        for i in range(k):
+            su += P[i] * q[k - i]
+            sv += Q[i] * p[k - i]
+        P[k] = m * a * g0 - su
+        Q[k] = m * b * g0 - sv
+        p[m] = P[k] * (1.0 / m)
+        q[m] = Q[k] * (1.0 / m)
+        dU[m] = 0j + U[1] * p[m]
+        dV[m] = 0j + V[1] * q[m]
+        U[m + 1] = dU[m] * (1.0 / (m + 1))
+        V[m + 1] = dV[m] * (1.0 / (m + 1))
+    return U, V, dU, dV
 
 
 def loop_tail_step(coeffs, tol):
@@ -308,6 +301,23 @@ class TestAgainstReference:
                 assert len(got[0]) == len(got[1]) == order + 1
                 assert scaled_error(got, reference_series(s, order)) <= 1e-12, (s, order)
 
+    def test_agrees_on_null_states(self):
+        # NullTan k tan(a t + b) with |a| up to 12 and NullRational
+        # 1/(C - B t), each with v' = 0 and with u and v swapped (u' = 0)
+        r = random.Random(13)
+        for i in range(60):
+            if i % 2:
+                k, b = _gauss(r), complex(r.uniform(-1.5, 1.5), r.uniform(-1, 1))
+                a = cmath.rect(r.uniform(0.5, 12), r.uniform(0, 2 * math.pi))
+                s = (k * cmath.tan(b), k, k * a / cmath.cos(b) ** 2, 0j)
+            else:
+                B, C = _gauss(r), cmath.rect(r.uniform(0.3, 3), r.uniform(0, 2 * math.pi))
+                s = (1 / C, 0j, B / C**2, 0j)
+            for state in (s, (s[1], s[0], s[3], s[2])):
+                for order in (2, 3, 8, 20, 26):
+                    ref = reference_series(state, order)
+                    assert scaled_error(geodesic_series(state, order), ref) <= 1e-12, (state, order)
+
     @pytest.mark.parametrize("order", [20, 26])
     def test_near_cone_no_less_accurate(self, order):
         # v = i u (1 + eps): u^2 + v^2 cancels to about -2 eps u^2
@@ -412,8 +422,8 @@ def test_kernel_matches_loop_bit_for_bit(order, monkeypatch):
         if s[0] ** 2 + s[1] ** 2 == 0:
             continue
         U, V, dU, dV = _kernel(order)(s)
-        rU, rV = loop_series(s, order)
-        ref = (rU, rV, *([k * c[k] for k in range(1, order + 1)] for c in (rU, rV)))
+        ref = loop_series(s, order)
+        rU, rV = ref[:2]
         x = cmath.rect(10 ** r.uniform(-4, 0), r.uniform(0, 2 * math.pi))
         finite = all(cmath.isfinite(c) for c in rU + rV)
         null = s[2] == 0 or s[3] == 0
