@@ -33,7 +33,8 @@ The final integration back to (u, v) uses
     omega' = A B cosh(phi) + phi'/2,   eta' = A B cosh(phi) - phi'/2,
 
 whose square-root branch is pinned automatically by the germ through
-phi'(t0) = x/alpha - y/beta.
+phi'(t0) = x/alpha - y/beta.  Their integral is taken a 16-node panel at a
+time, with the sampler's constants and the Landen ladder looked up once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .manifold import (
     first_integrals,
     germ as make_germ,
 )
-from .special import POLE_THRESHOLD, _jacobi_raw, require_finite
+from .special import POLE_THRESHOLD, _jacobi_raw, _landen_ladder, require_finite
 
 QUAD_TOL = 1e-12
 
@@ -102,18 +103,17 @@ def _gl_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _gl_pair(f, a: complex, b: complex, n: int = 16) -> tuple[complex, complex]:
-    """Integrate a C -> C^2 function over the segment [a, b]."""
+    """Integrate over [a, b] a C -> C^2 function f, which takes the panel's
+    nodes and yields their values in order: none past a blow-up is evaluated."""
     nodes, weights = _gl_rule(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    points = [mid + half * x for x in nodes]
     s1 = 0j
     s2 = 0j
-    for x, w in zip(nodes, weights):
-        f1, f2 = f(mid + half * x)
+    for t, w, (f1, f2) in zip(points, weights, f(points)):
         if abs(f1) > POLE_THRESHOLD or abs(f2) > POLE_THRESHOLD:
-            raise PoleError(
-                "integrand blows up on the evaluation path", location=mid + half * x
-            )
+            raise PoleError("integrand blows up on the evaluation path", location=t)
         s1 += w * f1
         s2 += w * f2
     return half * s1, half * s2
@@ -318,33 +318,37 @@ class GenericEllipticSampler:
         self.omega0, self.eta0 = omega0, eta0
         self.t0 = t0
 
-    # -- elliptic curve point (Y, dY/dTheta), propagated by the addition law
+    def _curve(self, points):
+        """The curve point (Y, dY/dTheta) at each of ``points``, in order, by
+        the addition law; constants and the Landen ladder are looked up once."""
+        m, D, t0, s1, p1 = self.m, self.D, self.t0, self.Y0, self.Yp0
+        s1sq, mc1sq, d1sq = s1 * s1, m * (1.0 - s1 * s1), 1.0 - m * s1 * s1
+        ladder = _landen_ladder(m)
+        for t in points:
+            s2, c2, d2 = _jacobi_raw(D * (t - t0), m, ladder)
+            p2 = c2 * d2
+            s1s2 = s1sq * s2 * s2
+            Q = 1.0 - m * s1s2
+            if abs(Q) == 0.0:
+                raise PoleError("elliptic argument hit a lattice pole", location=t)
+            Y = (s1 * p2 + s2 * p1) / Q
+            Yp = (
+                p1 * p2 * (1.0 + m * s1s2)
+                - s1 * s2 * (mc1sq * c2 * c2 + d1sq * d2 * d2)
+            ) / (Q * Q)
+            yield Y, Yp
 
     def curve_point(self, t: complex) -> tuple[complex, complex]:
-        m = self.m
-        s1, p1 = self.Y0, self.Yp0
-        s2, c2, d2 = _jacobi_raw(self.D * (t - self.t0), m)
-        p2 = c2 * d2
-        s1s2 = s1 * s1 * s2 * s2
-        Q = 1.0 - m * s1s2
-        if abs(Q) == 0.0:
-            raise PoleError("elliptic argument hit a lattice pole", location=t)
-        c1sq = 1.0 - s1 * s1
-        d1sq = 1.0 - m * s1 * s1
-        Y = (s1 * p2 + s2 * p1) / Q
-        Yp = (
-            p1 * p2 * (1.0 + m * s1s2)
-            - s1 * s2 * (m * c1sq * c2 * c2 + d1sq * d2 * d2)
-        ) / (Q * Q)
-        return Y, Yp
+        return next(self._curve((t,)))
 
     def psi(self, t: complex) -> tuple[complex, complex]:
         """(psi, dpsi/dt)."""
         Y, Yp = self.curve_point(t)
         return 1j * Y, 1j * self.D * Yp
 
-    def _chain(self, t: complex) -> tuple[complex, complex, complex, complex, complex, complex]:
-        """Y, dY/dTheta, cosh(phi), phi', omega', eta' at t.
+    def _rates(self, points, curve):
+        """cosh(phi) and phi' at each of ``points``, in order, from the
+        curve points (Y, dY/dTheta) that ``curve`` yields for them.
 
         A root of 1 + Y^2 (psi = +/-1) is refused by what it is.  There
         omega' and eta' have residues AB/(Y D Y') + i/(2Y) and
@@ -356,15 +360,21 @@ class GenericEllipticSampler:
         as poles.  The smaller residue is thus -1, -1/2 or 0, and is
         compared with -1/4: at a zero it is 0 up to rounding, either sign.
         """
+        AB, D, D2j = self.A * self.B, self.D, 2j * self.D
+        for t, (Y, Yp) in zip(points, curve):
+            YY = Y * Y
+            one = 1.0 + YY
+            if abs(one) * POLE_THRESHOLD < 4.0 * max(1.0, abs(YY)):
+                r, h = AB / (Y * D * Yp), 0.5j / Y
+                if min((r + h).real, (r - h).real) < -0.25:
+                    raise PoleError("chain root: pole of u or v", location=t)
+                raise ChartDegeneracyError("chain root: zero of u or v", location=t)
+            yield (1.0 - YY) / one, D2j * Yp / one
+
+    def _chain(self, t: complex) -> tuple[complex, complex, complex, complex, complex, complex]:
+        """Y, dY/dTheta, cosh(phi), phi', omega', eta' at t (see ``_rates``)."""
         Y, Yp = self.curve_point(t)
-        one = 1.0 + Y * Y
-        if abs(one) * POLE_THRESHOLD < 4.0 * max(1.0, abs(Y * Y)):
-            r, h = self.A * self.B / (Y * self.D * Yp), 0.5j / Y
-            if min((r + h).real, (r - h).real) < -0.25:
-                raise PoleError("chain root: pole of u or v", location=t)
-            raise ChartDegeneracyError("chain root: zero of u or v", location=t)
-        ch = (1.0 - Y * Y) / one
-        phid = 2j * self.D * Yp / one
+        ch, phid = next(self._rates((t,), ((Y, Yp),)))
         ab = self.A * self.B * ch
         return Y, Yp, ch, phid, ab + 0.5 * phid, ab - 0.5 * phid
 
@@ -374,11 +384,7 @@ class GenericEllipticSampler:
         return od, ed
 
     def _omega_eta(self, t: complex) -> tuple[complex, complex]:
-        def f(s: complex) -> tuple[complex, complex]:
-            _, _, ch, phid, _, _ = self._chain(s)
-            return ch, phid
-
-        ic, iphi = adaptive_segment_integral(f, self.t0, t)
+        ic, iphi = adaptive_segment_integral(lambda p: self._rates(p, self._curve(p)), self.t0, t)
         ab = self.A * self.B * ic
         return self.omega0 + ab + 0.5 * iphi, self.eta0 + ab - 0.5 * iphi
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -171,12 +172,18 @@ def first_integrals(g: GeodesicGerm) -> FirstIntegrals:
     a, b, x, y = g.state()
     if x == 0 or y == 0:
         raise NullVelocityComponentError("B is undefined when x*y = 0")
-    return FirstIntegrals(A=x * y / (a * a + b * b), B=a / x + b / y)
+    A = x * y / (a * a + b * b)
+    if not (cmath.isfinite(A) and A != 0):
+        raise DegenerateGermError(f"A = xy/(u^2 + v^2) = {A!r} is out of range")
+    return FirstIntegrals(A=A, B=a / x + b / y)
 
 
 def _discriminant(a: complex, b: complex, x: complex, y: complex) -> complex:
     # A B^2 cosh(log(a/b)) with cosh(log z) written branch-free as
-    # (a^2 + b^2)/(2 a b); simplifies to (a y + b x)^2 / (2 a b x y)
+    # (a^2 + b^2)/(2 a b); simplifies to (a y + b x)^2 / (2 a b x y), which
+    # scaling (x, y) leaves alone: by a power of two it keeps every bit
+    s = 2.0 ** -math.frexp(max(abs(x), abs(y)))[1]
+    x, y = s * x, s * y
     return (a * y + b * x) ** 2 / (2.0 * a * b * x * y)
 
 

@@ -66,8 +66,10 @@ def _landen_ladder(m: complex):
     argument's total scale 1/prod(1 + k1), and the period lattice
     (2K, 2iK', W1, W2), where z = Im(z W1) 2K + Im(z W2) 2iK' writes z in
     the periods.  At m = 0, K' is infinite and the lattice is all zeros,
-    so nothing is reduced.
+    so nothing is reduced.  At m = 1 it is (): sn = tanh, cn = dn = sech.
     """
+    if abs(m - 1.0) < 1e-15:
+        return ()
     lattice = (0j, 0j, 0j, 0j)
     if m != 0:
         P, Q = 2.0 * carlson_rf(0.0, 1.0 - m, 1.0), 2j * carlson_rf(0.0, m, 1.0)
@@ -85,8 +87,10 @@ def _landen_ladder(m: complex):
     return tuple(scale), m, shrink, lattice
 
 
-def _jacobi_raw(z: complex, m: complex) -> tuple[complex, complex, complex]:
+def _jacobi_raw(z: complex, m: complex, ladder=None) -> tuple[complex, complex, complex]:
     """Jacobi (sn, cn, dn) with no pole guard; used by the solution chain.
+
+    A caller at one m for many z looks up ``ladder = _landen_ladder(m)`` once.
 
     z is first reduced by the nearest lattice point p*2K + q*2iK'; by the
     half-period translations (DLMF 22.4(iii)) an odd p negates sn and cn,
@@ -103,12 +107,14 @@ def _jacobi_raw(z: complex, m: complex) -> tuple[complex, complex, complex]:
     where (s, c, d) are the functions at (z1, m1).  The lift preserves
     both Jacobi identities exactly, so rounding is the only defect.
     """
-    if abs(m - 1.0) < 1e-15:
+    if ladder is None:
+        ladder = _landen_ladder(m)
+    if not ladder:
         s = cmath.tanh(z)
         c = 1.0 / cmath.cosh(z)
         return s, c, c
 
-    scale, m, shrink, (P, Q, W1, W2) = _landen_ladder(m)
+    scale, m, shrink, (P, Q, W1, W2) = ladder
     p, q = round((z * W1).imag), round((z * W2).imag)
     if p or q:
         z -= p * P + q * Q

@@ -73,6 +73,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: u^2 + v^2 = (inf+0j)") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("speed", ["1e200", "1e-300"], ids=["fast", "slow"])
+    def test_out_of_range_first_integral_is_refused_without_traceback(self, capsys, speed):
+        # A = xy/(u^2 + v^2) is inf+nanj or 0j: refused by name, not by an
+        # OverflowError or ZeroDivisionError
+        germ = f'{{"alpha":[1,0],"beta":[2,0],"x":[{speed},0],"y":[{speed},0]}}'
+        assert run(["classify", "--germ", germ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: A = xy/(u^2 + v^2) = ") and err.count("\n") == 1
+
     def test_path_must_match_t0(self):
         assert run(["shoot", "--germ", RATIONAL, "--path", "[[0.5,0],[1,0]]"]) == 2
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cliftonpohl import families
-from cliftonpohl.acceptance import rand_complex
+from cliftonpohl.acceptance import rand_complex, random_generic_germ
 from cliftonpohl.continuation import PathPolyline, continue_path
 from cliftonpohl.errors import (
     BothComponentsZeroError,
@@ -28,6 +28,7 @@ from cliftonpohl.families import (
     solve_null,
 )
 from cliftonpohl.manifold import FirstIntegrals, first_integrals, geodesic_rhs, germ
+from cliftonpohl.special import POLE_THRESHOLD, _jacobi_raw
 from cliftonpohl.taylor import taylor_step
 
 
@@ -349,6 +350,51 @@ def reference_quadrature(f, a, b, tol=families.QUAD_TOL, depth=48):
     return l[0] + r[0], l[1] + r[1]
 
 
+def pointwise_panel(s, a, b):
+    """``families._gl_pair`` over the sampler's integrand in loop form: the
+    scalar chain at each node in turn; kept as the panel loop's reference."""
+    nodes, weights = families._gl_rule(16)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    s1 = s2 = 0j
+    for x, w in zip(nodes, weights):
+        _, _, f1, f2, _, _ = s._chain(mid + half * x)
+        if abs(f1) > POLE_THRESHOLD or abs(f2) > POLE_THRESHOLD:
+            raise PoleError("integrand blows up on the evaluation path", location=mid + half * x)
+        s1 += w * f1
+        s2 += w * f2
+    return half * s1, half * s2
+
+
+def scalar_curve_point(s, t):
+    """The addition law at one point, in the association order whose bits
+    the sampler keeps (1 - m s1 s1, not 1 - m (s1 s1))."""
+    m, s1, p1 = s.m, s.Y0, s.Yp0
+    s2, c2, d2 = _jacobi_raw(s.D * (t - s.t0), m)
+    p2 = c2 * d2
+    s1s2 = s1 * s1 * s2 * s2
+    Q = 1.0 - m * s1s2
+    c1sq = 1.0 - s1 * s1
+    d1sq = 1.0 - m * s1 * s1
+    Y = (s1 * p2 + s2 * p1) / Q
+    Yp = (p1 * p2 * (1.0 + m * s1s2) - s1 * s2 * (m * c1sq * c2 * c2 + d1sq * d2 * d2)) / (Q * Q)
+    return Y, Yp
+
+
+def outcome(s, t):
+    """position_velocity at t, or the type and location of its refusal."""
+    try:
+        return s.position_velocity(t)
+    except CliftonPohlError as e:
+        return type(e), e.location
+
+
+def pointwise_outcomes(s, targets, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(families, "_gl_pair", lambda f, a, b: pointwise_panel(s, a, b))
+        return [outcome(s, t) for t in targets]
+
+
 @pytest.fixture
 def panels(monkeypatch):
     """Every 16-point Gauss-Legendre panel the quadrature evaluates."""
@@ -483,3 +529,36 @@ class TestBoundedWork:
         got = [s.position_velocity(t) for t in SPREAD_TARGETS]
         monkeypatch.setattr(families, "adaptive_segment_integral", reference_quadrature)
         assert got == [s.position_velocity(t) for t in SPREAD_TARGETS]
+
+
+class TestPanelLoop:
+    """The quadrature evaluates the chain a panel at a time; it gives, bit
+    for bit, what the scalar chain gives node by node."""
+
+    def test_matches_pointwise_chain(self, seed, monkeypatch):
+        r = random.Random(seed)
+        for _ in range(6):
+            s = solve(random_generic_germ(r))
+            targets = [s.t0 + rand_complex(r, 0.05, 3.0) for _ in range(15)]
+            assert [outcome(s, t) for t in targets] == pointwise_outcomes(s, targets, monkeypatch)
+            assert all(s.curve_point(t) == scalar_curve_point(s, t) for t in targets)
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    @pytest.mark.parametrize(
+        "state, start, error",
+        [
+            ((1, 2, 1, 1), 3.25162, PoleError),
+            ((1, 2, 1, 1), -1.21315, ChartDegeneracyError),
+            (POOL_GERM, -0.37618 + 1.20099j, PoleError),
+            (POOL_GERM, -1.00137 - 0.53648j, ChartDegeneracyError),
+        ],
+        ids=["pole", "zero", "pool-pole", "pool-zero"],
+    )
+    def test_node_on_a_chain_root(self, state, start, error, k, monkeypatch):
+        # the first panel, [t0, t], puts its node k on the root
+        s = solve_generic(germ(*state))
+        p = chain_root(s, start)
+        t = s.t0 + 2 * (p - s.t0) / (1 + families._gl_rule(16)[0][k])
+        got = outcome(s, t)
+        assert got == pointwise_outcomes(s, [t], monkeypatch)[0]
+        assert got[0] is error and abs(got[1] - p) < 1e-12

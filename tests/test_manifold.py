@@ -188,6 +188,24 @@ class TestDilate:
         with pytest.raises(DegenerateGermError):
             dilate(germ(1, 2, 1, 1), 600 if state[0] > 1 else -600)
 
+    @pytest.mark.parametrize(
+        "state", [(1, 2, 1e200, 1e200), (1, 2, 1e-300, 1e-300)], ids=["fast", "slow"]
+    )
+    def test_first_integral_out_of_double_range_is_refused(self, state):
+        # A = xy/(u^2 + v^2) overflows to inf+nanj or underflows to 0;
+        # classify raised OverflowError and ZeroDivisionError on these
+        with pytest.raises(DegenerateGermError):
+            first_integrals(germ(*state))
+        with pytest.raises(DegenerateGermError):
+            classify(germ(*state))
+
+    def test_discriminant_at_large_velocity_keeps_its_bits(self):
+        # (a y + b x)^2 overflowed here though A, B and the discriminant are
+        # in range; it is formed at the velocity scaled by a power of two
+        d = classify(germ(1e150, 2e150, 2.0**34, 2.0**34)).discriminant
+        assert d == classify(germ(1e150, 2e150, 1, 1)).discriminant
+        assert abs(d - 2.25) < 1e-14
+
     def test_tag_invariance_across_orbit(self):
         for g in (germ(1, 0, 1, 0), germ(1, 2, 1, 2), germ(1, 2, 1, 1)):
             tag = classify(g).tag

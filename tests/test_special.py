@@ -110,6 +110,20 @@ class TestJacobi:
                     assert abs(g - r) <= 1e-13 * abs(r)
         assert _landen_ladder.cache_info().hits >= hits + 5 * len(zs)
 
+    @pytest.mark.parametrize("m", [0, 1, 1.32 + 0.61j, -0.8 + 0.2j], ids=["0", "1", "bench", "complex"])
+    def test_ladder_passed_in_changes_no_bit(self, m, seed):
+        # a caller at one m looks the ladder up once and passes it in; at
+        # m = 1 the ladder is (), which selects sn = tanh, cn = dn = sech
+        r = random.Random(seed)
+        ladder = _landen_ladder(m)
+        assert (ladder == ()) is (m == 1)
+        for _ in range(200):
+            z = cmath.rect(r.uniform(0, 30), r.uniform(0, 2 * math.pi))
+            got = _jacobi_raw(z, m, ladder)
+            assert got == _jacobi_raw(z, m)
+            if m == 1:
+                assert got == (cmath.tanh(z), 1 / cmath.cosh(z), 1 / cmath.cosh(z))
+
     def test_far_arguments_against_mpmath(self, seed):
         # |z| up to 30 spans dozens of periods; without the reduction
         # modulo 2K and 2iK' the Landen recursion is off by order 1 here.
