@@ -11,9 +11,7 @@ far continuation reaches (obstructions form discrete sets).
 __version__ = "0.1.0"
 
 from .errors import (
-    BothComponentsZeroError,
     ChartDegeneracyError,
-    ClassificationMismatchError,
     CliftonPohlError,
     ConvergenceError,
     DegenerateCoefficientsError,
@@ -53,9 +51,6 @@ from .families import (
     psi_coefficients,
     sample,
     solve,
-    solve_exponential,
-    solve_generic,
-    solve_null,
 )
 from .continuation import (
     ContinuationTrace,
@@ -71,9 +66,7 @@ from .continuation import (
 
 __all__ = [
     "__version__",
-    "BothComponentsZeroError",
     "ChartDegeneracyError",
-    "ClassificationMismatchError",
     "CliftonPohlError",
     "ConvergenceError",
     "DegenerateCoefficientsError",
@@ -107,9 +100,6 @@ __all__ = [
     "psi_coefficients",
     "sample",
     "solve",
-    "solve_exponential",
-    "solve_generic",
-    "solve_null",
     "ContinuationTrace",
     "LoopResult",
     "Obstruction",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .continuation import PathPolyline, completeness_probe, continue_path
 from .errors import CliftonPohlError
-from .families import sample, solve, solve_generic
+from .families import sample, solve
 from .manifold import (
     GeodesicClass,
     GeodesicGerm,
@@ -194,7 +194,7 @@ def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     r = rng(4)
     g = germ(1, 2, 1, 1)
-    s = solve_generic(g)
+    s = solve(g)
     checked = 0
     worst = 0.0
     ok = True

@@ -33,20 +33,13 @@ class NullVelocityComponentError(CliftonPohlError):
 
 
 class DegenerateGermError(CliftonPohlError):
-    """A germ could not be moved off a coordinate axis, or its u^2 + v^2,
-    or its A = xy/(u^2 + v^2), is not a finite nonzero double."""
-
-
-class BothComponentsZeroError(CliftonPohlError):
-    """Null solver got a germ whose velocity components both vanish."""
-
-
-class ClassificationMismatchError(CliftonPohlError):
-    """A family solver received a germ of a different class."""
+    """A germ could not be moved off a coordinate axis, or its u^2 + v^2, its
+    A = xy/(u^2 + v^2) or its discriminant is out of the double range."""
 
 
 class ChartDegeneracyError(CliftonPohlError):
-    """Evaluation would cross u = 0 or v = 0 where the log chart breaks."""
+    """Evaluation would cross u = 0 or v = 0 where the log chart breaks, or
+    the chain's curve point at t0 is inconsistent (as near beta = +-alpha)."""
 
 
 class DegenerateCoefficientsError(CliftonPohlError):

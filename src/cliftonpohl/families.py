@@ -1,14 +1,16 @@
 """Closed-form geodesic families as evaluatable samplers.
 
-Four families cover every germ:
+``solve`` classifies a germ once and gives it one of four samplers:
 
 * ``NullRational``   one coordinate is identically 0, the other is
                      t -> 1/(C - B t);
 * ``NullTan``        one coordinate is a nonzero constant k, the other
                      is t -> k tan(a t + b);
-* ``Exponential``    t -> (alpha e^{b(t-t0)}, beta e^{b(t-t0)}) for
-                     proportional data alpha y = beta x;
-* ``GenericElliptic`` the log / inverse-tanh / elliptic chain.
+* ``Exponential``    t -> (alpha e^{b(t-t0)}, beta e^{b(t-t0)}) on the
+                     lines beta = +-alpha, the only place it is a geodesic;
+* ``GenericElliptic`` the log / inverse-tanh / elliptic chain, for every
+                     other germ; it refuses by a typed error one it cannot
+                     represent (near beta = +-alpha, or where A B^2 = 2).
 
 The generic chain, concretely: in log coordinates omega = log u,
 eta = log v, the first integrals become
@@ -45,15 +47,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    BothComponentsZeroError,
     ChartDegeneracyError,
-    ClassificationMismatchError,
     ConvergenceError,
     DegenerateCoefficientsError,
     PoleError,
 )
 from .manifold import (
     AXIS_STEP,
+    PROPORTIONAL_EPS,
     FirstIntegrals,
     GeodesicClass,
     GeodesicGerm,
@@ -430,36 +431,7 @@ GeodesicSampler = (
 
 
 # ---------------------------------------------------------------------------
-# Solvers
-
-
-def solve_null(g: GeodesicGerm) -> NullRationalSampler | NullTanSampler:
-    """Closed form for a germ with exactly one zero velocity component."""
-    a, b, x, y = g.state()
-    if x == 0 and y == 0:
-        raise BothComponentsZeroError("null solver needs one moving coordinate")
-    if x != 0 and y != 0:
-        raise ClassificationMismatchError("germ is not null")
-    if x == 0:
-        moving, k, w0, dw0 = "v", a, b, y
-    else:
-        moving, k, w0, dw0 = "u", b, a, x
-    if k == 0:
-        B = dw0 / (w0 * w0)
-        C = 1.0 / w0 + B * g.t0
-        return NullRationalSampler(moving, B, C)
-    arg = k * k + w0 * w0  # nonzero: the germ is in the domain
-    aa = k * dw0 / arg
-    bb = cmath.atan(w0 / k) - aa * g.t0
-    return NullTanSampler(moving, k, aa, bb)
-
-
-def solve_exponential(g: GeodesicGerm) -> ExponentialSampler:
-    """Closed form (alpha e^{bt}, beta e^{bt}) for proportional data."""
-    tag = classify(g).tag
-    if tag is not GeodesicClass.EXPONENTIAL:
-        raise ClassificationMismatchError(f"classified {tag.value}, not Exponential")
-    return ExponentialSampler(g.alpha, g.beta, g.x / g.alpha, g.t0)
+# Solver
 
 
 def _generic_from_state(
@@ -491,25 +463,26 @@ def _generic_from_state(
     )
 
 
-def solve_generic(g: GeodesicGerm) -> GenericEllipticSampler:
-    """Build the elliptic chain for a generic germ (off the axes)."""
-    tag = classify(g).tag
-    if tag is not GeodesicClass.GENERIC:
-        raise ClassificationMismatchError(f"classified {tag.value}, not Generic")
-    if g.alpha == 0 or g.beta == 0:
-        raise ChartDegeneracyError(
-            "germ sits on a coordinate axis; advance it off the axis first"
-        )
-    return _generic_from_state(g.state(), g.t0)
-
-
 def solve(g: GeodesicGerm) -> GeodesicSampler:
-    """Dispatch a germ to its family solver."""
+    """The closed form through a germ, classified once: its null sampler, the
+    exponential form on beta = +-alpha (a geodesic only there), else the
+    elliptic chain, which refuses by a typed error a germ it cannot represent."""
+    a, b, x, y = g.state()
     tag = classify(g).tag
     if tag in (GeodesicClass.NULL_U_CONST, GeodesicClass.NULL_V_CONST):
-        return solve_null(g)
+        if x == 0:
+            moving, k, w0, dw0 = "v", a, b, y
+        else:
+            moving, k, w0, dw0 = "u", b, a, x
+        if k == 0:
+            B = dw0 / (w0 * w0)
+            return NullRationalSampler(moving, B, 1.0 / w0 + B * g.t0)
+        aa = k * dw0 / (k * k + w0 * w0)  # nonzero: the germ is in the domain
+        return NullTanSampler(moving, k, aa, cmath.atan(w0 / k) - aa * g.t0)
     if tag is GeodesicClass.EXPONENTIAL:
-        return solve_exponential(g)
+        a2, b2 = a * a, b * b
+        if abs(a2 - b2) <= PROPORTIONAL_EPS * (abs(a2) + abs(b2)):
+            return ExponentialSampler(a, b, x / a, g.t0)
     return _generic_from_state(g.state(), g.t0)
 
 

@@ -207,9 +207,12 @@ def classify(g: GeodesicGerm) -> Classification:
         if abs(a) < 1e-30 or abs(b) < 1e-30:
             raise DegenerateGermError("germ could not be moved off the axis")
 
+    d = _discriminant(a, b, x, y)
+    if not cmath.isfinite(d):
+        raise DegenerateGermError(f"discriminant A B^2 cosh(log(a/b)) = {d!r} is out of range")
     if abs(a * y - b * x) <= PROPORTIONAL_EPS * (abs(a * y) + abs(b * x)):
-        return Classification(GeodesicClass.EXPONENTIAL, fi, _discriminant(a, b, x, y))
-    return Classification(GeodesicClass.GENERIC, fi, _discriminant(a, b, x, y))
+        return Classification(GeodesicClass.EXPONENTIAL, fi, d)
+    return Classification(GeodesicClass.GENERIC, fi, d)
 
 
 def dilate(g: GeodesicGerm, k: int) -> GeodesicGerm:

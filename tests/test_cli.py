@@ -82,6 +82,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: A = xy/(u^2 + v^2) = ") and err.count("\n") == 1
 
+    def test_out_of_range_discriminant_is_refused_without_traceback(self, capsys):
+        # A and B are in range, the discriminant is not: the JSON writer
+        # refused it with "Out of range float values are not JSON compliant"
+        germ = '{"alpha":[1,0],"beta":[2,0],"x":[1e160,0],"y":[1e-160,0]}'
+        assert run(["classify", "--germ", germ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: discriminant ") and err.count("\n") == 1
+
     def test_path_must_match_t0(self):
         assert run(["shoot", "--germ", RATIONAL, "--path", "[[0.5,0],[1,0]]"]) == 2
 

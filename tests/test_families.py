@@ -7,25 +7,21 @@ import random
 import pytest
 
 from cliftonpohl import families
-from cliftonpohl.acceptance import rand_complex, random_generic_germ
+from cliftonpohl.acceptance import rand_complex, random_generic_germ, random_proportional_germ
 from cliftonpohl.continuation import PathPolyline, continue_path
 from cliftonpohl.errors import (
-    BothComponentsZeroError,
     ChartDegeneracyError,
-    ClassificationMismatchError,
     CliftonPohlError,
     DegenerateCoefficientsError,
     PoleError,
 )
 from cliftonpohl.families import (
     MAX_PANELS,
+    ExponentialSampler,
     GenericEllipticSampler,
     psi_coefficients,
     sample,
     solve,
-    solve_exponential,
-    solve_generic,
-    solve_null,
 )
 from cliftonpohl.manifold import FirstIntegrals, first_integrals, geodesic_rhs, germ
 from cliftonpohl.special import POLE_THRESHOLD, _jacobi_raw
@@ -48,14 +44,14 @@ def germ_match_defect(s, g):
 
 class TestNull:
     def test_incomplete_real_geodesic(self):
-        s = solve_null(germ(1, 0, 1, 0))
+        s = solve(germ(1, 0, 1, 0))
         assert s.family == "NullRational"
         pt, vel = sample(s, 0.5)
         assert abs(pt.u - 2) < 1e-14 and pt.v == 0
         assert abs(s.pole - 1) < 1e-14
 
     def test_tan_family(self):
-        s = solve_null(germ(0, 1, 1, 0))
+        s = solve(germ(0, 1, 1, 0))
         assert s.family == "NullTan"
         pt, _ = sample(s, 0.9)
         assert abs(pt.u - cmath.tan(0.9)) < 1e-13
@@ -64,26 +60,22 @@ class TestNull:
     def test_nonunit_constant_coordinate(self):
         # v = 2: the moving coordinate is 2 tan(a t + b), not tan(2t + b)
         g = germ(0.5, 2, 1.3, 0)
-        s = solve_null(g)
+        s = solve(g)
         assert germ_match_defect(s, g) < 1e-10
         assert eq1_residual(s, 0.4 + 0.1j) < 1e-12
 
     def test_moving_v(self):
         g = germ(2, 0.5, 0, -0.7)
-        s = solve_null(g)
+        s = solve(g)
         assert germ_match_defect(s, g) < 1e-10
         assert eq1_residual(s, -0.3 + 0.2j) < 1e-12
 
     def test_both_zero_rejected(self):
-        with pytest.raises((BothComponentsZeroError, ValueError)):
-            solve_null(germ(1, 0, 0, 0))
-
-    def test_nonnull_rejected(self):
-        with pytest.raises(ClassificationMismatchError):
-            solve_null(germ(1, 2, 1, 1))
+        with pytest.raises(ValueError):
+            solve(germ(1, 0, 0, 0))
 
     def test_pole_errors_carry_location(self):
-        s = solve_null(germ(0, 1, 1, 0))
+        s = solve(germ(0, 1, 1, 0))
         with pytest.raises(PoleError) as err:
             sample(s, math.pi / 2)
         assert abs(err.value.location - math.pi / 2) < 1e-9
@@ -91,12 +83,12 @@ class TestNull:
 
 class TestExponential:
     def test_diagonal(self):
-        s = solve_exponential(germ(1, 1, -1, -1))
+        s = solve(germ(1, 1, -1, -1))
         pt, _ = sample(s, 1.0)
         assert abs(pt.u - math.exp(-1)) < 1e-14
 
     def test_entire_evaluation(self):
-        s = solve_exponential(germ(1, 2, 1, 2))
+        s = ExponentialSampler(1, 2, 1, 0)
         pt, vel = sample(s, 1 + 1j)
         assert abs(pt.u - cmath.exp(1 + 1j)) < 1e-13
         assert abs(pt.v - 2 * cmath.exp(1 + 1j)) < 1e-13
@@ -104,22 +96,77 @@ class TestExponential:
     def test_first_integrals_constant_along_sampler(self):
         g = germ(1, 2, 1, 2)
         fi = first_integrals(g)
-        s = solve_exponential(g)
+        s = ExponentialSampler(g.alpha, g.beta, g.x / g.alpha, g.t0)
         for t in (0.3, 1 - 0.5j, -2 + 1j):
             (u, v), (du, dv) = s.position_velocity(t)
             assert abs(du * dv / (u * u + v * v) - fi.A) < 1e-12
             assert abs(u / du + v / dv - fi.B) < 1e-12
 
-    def test_mismatch_rejected(self):
-        with pytest.raises(ClassificationMismatchError):
-            solve_exponential(germ(1, 2, 1, 1))
+    def test_diagonal_and_offdiagonal_germs_solve_equation(self):
+        # (a e^{bt}, +-a e^{bt}) are geodesics; off the diagonal that form
+        # keeps the first integrals and the germ but not the equation, so
+        # solve gives a proportional germ there the elliptic chain
+        assert eq1_residual(solve(germ(1, 1, 2, 2)), 0.4) < 1e-13
+        assert eq1_residual(solve(germ(1, -1, 2, -2)), 0.4) < 1e-13
+        assert eq1_residual(ExponentialSampler(1, 2, 1, 0), 0.4) > 1e-2
+        s = solve(germ(1, 2, 1, 2))
+        assert isinstance(s, GenericEllipticSampler)
+        assert eq1_residual(s, 0.4) < 1e-8
 
-    def test_diagonal_solves_equation_offdiagonal_does_not(self):
-        # (a e^{bt}, +-a e^{bt}) are geodesics; proportional germs off
-        # the diagonal satisfy the first integrals but not the equation
-        assert eq1_residual(solve_exponential(germ(1, 1, 2, 2)), 0.4) < 1e-13
-        assert eq1_residual(solve_exponential(germ(1, -1, 2, -2)), 0.4) < 1e-13
-        assert eq1_residual(solve_exponential(germ(1, 2, 1, 2)), 0.4) > 1e-2
+
+def route_error(g, t):
+    """``sample(solve(g), t)`` against ``continue_path`` at tol 1e-12: the
+    largest difference in (u, v, u', v'), relative to the largest component
+    of the numeric state.  A typed refusal of ``solve`` or ``sample`` propagates."""
+    pt, (du, dv) = sample(solve(g), t)
+    trace = continue_path(g, PathPolyline((g.t0, t)), 1e-12)
+    assert trace.completed
+    e = trace.endpoint
+    ref = (e.u, e.v, e.du, e.dv)
+    return max(abs(p - q) for p, q in zip(ref, (pt.u, pt.v, du, dv))) / max(map(abs, ref))
+
+
+class TestProportional:
+    """Proportional germs: the exponential form on beta = +-alpha, the
+    elliptic chain elsewhere; each agrees with the numeric route or is refused."""
+
+    def test_agrees_with_continuation_or_is_refused(self):
+        # the exponential form, given to all of these, missed by up to 5.07
+        r = random.Random(11)
+        refused = 0
+        for _ in range(120):
+            g = random_proportional_germ(r)
+            t = g.t0 + rand_complex(r, 0.0, 1.0)
+            try:
+                assert route_error(g, t) < 1e-9
+            except CliftonPohlError:
+                refused += 1
+        assert refused <= 2
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["beta=alpha", "beta=-alpha"])
+    def test_near_the_diagonal_no_wrong_value(self, sign):
+        # beta = sign (1 + eps) alpha: the chain refuses from about 1e-12 to
+        # 1e-4 (to 1e-2 for beta = -alpha) where its curve point degenerates
+        for k in range(1, 17):
+            for d in (1, 1j):
+                for a, x in ((1, 0.8), (0.6 + 0.9j, -0.7 + 0.4j)):
+                    q = sign * (1 + d * 10.0**-k)
+                    g = germ(a, q * a, x, q * x)
+                    for t in (0.7, -0.4 + 0.6j):
+                        try:
+                            assert route_error(g, t) < 1e-9
+                        except CliftonPohlError:
+                            pass
+
+    def test_diagonal_is_decided_by_proportional_eps(self):
+        # |alpha^2 - beta^2| against manifold.PROPORTIONAL_EPS (1e-12) times
+        # |alpha^2| + |beta^2|: about 1e-13 of it is on the diagonal, 1e-10 off
+        assert isinstance(solve(germ(1, 1 + 1e-13, 1, 1 + 1e-13)), ExponentialSampler)
+        try:
+            s = solve(germ(1, 1 + 1e-10, 1, 1 + 1e-10))
+        except CliftonPohlError:
+            s = None
+        assert not isinstance(s, ExponentialSampler)
 
 
 class TestPsiCoefficients:
@@ -146,12 +193,12 @@ class TestPsiCoefficients:
 class TestGenericChain:
     def test_germ_matching(self):
         g = germ(1, 2, 1, 1)
-        s = solve_generic(g)
+        s = solve(g)
         assert germ_match_defect(s, g) < 1e-10
 
     def test_residual_on_disk(self, seed):
         g = germ(1, 2, 1, 1)
-        s = solve_generic(g)
+        s = solve(g)
         r = random.Random(seed)
         for _ in range(20):
             t = cmath.rect(r.uniform(0, 0.5), r.uniform(0, 2 * math.pi))
@@ -159,7 +206,7 @@ class TestGenericChain:
 
     def test_psi_equation_residual(self, seed):
         g = germ(1, 2, 1, 1)
-        s = solve_generic(g)
+        s = solve(g)
         co = psi_coefficients(first_integrals(g))
         P, R = co.prefactor, co.ratio
         r = random.Random(seed + 3)
@@ -171,7 +218,7 @@ class TestGenericChain:
 
     def test_initial_branch_consistency(self):
         g = germ(1, 2, 1, 1)
-        s = solve_generic(g)
+        s = solve(g)
         fi = first_integrals(g)
         od, ed = s.log_rates(g.t0)
         assert abs(od - 1.0) < 1e-12  # x / alpha
@@ -183,7 +230,7 @@ class TestGenericChain:
 
     def test_log_branch_shift_is_invisible(self):
         g = germ(1, 2, 1, 1)
-        s = solve_generic(g)
+        s = solve(g)
         shifted = GenericEllipticSampler(
             s.A, s.B, s.m, s.D, s.Y0, s.Yp0,
             s.omega0 + 2j * math.pi, s.eta0 - 2j * math.pi, s.t0,
@@ -194,11 +241,9 @@ class TestGenericChain:
             assert abs(u1 - u2) < 1e-12 * (1 + abs(u1))
             assert abs(v1 - v2) < 1e-12 * (1 + abs(v1))
 
-    def test_on_axis_rejected_by_solver_handled_by_dispatch(self):
+    def test_on_axis_germ_is_anchored_off_the_axis(self):
         g = germ(0, 1, 1, 1)
-        with pytest.raises(ChartDegeneracyError):
-            solve_generic(g)
-        s = solve(g)  # dispatcher advances the germ off the axis
+        s = solve(g)  # the chain is anchored a mini-step along the geodesic
         (u, v), (du, dv) = s.position_velocity(g.t0 + 1e-3)
         ref = taylor_step(g.state(), 1e-3, order=8)
         assert abs(u - ref[0]) < 1e-9 and abs(v - ref[1]) < 1e-9
@@ -221,12 +266,12 @@ class TestGenericChain:
 
         assert classify(g).tag is GeodesicClass.GENERIC
         with pytest.raises(DegenerateCoefficientsError):
-            solve_generic(g)
+            solve(g)
 
     def test_obstruction_is_pole_of_artanh_argument(self):
         # the chain's own singular set: psi = +-1; refine the root of
         # 1 + Y^2 by Newton, then evaluation at it must raise
-        s = solve_generic(germ(1, 2, 1, 1))
+        s = solve(germ(1, 2, 1, 1))
         t = 3.2516195 + 0j
         for _ in range(8):
             Y, Yp = s.curve_point(t)
@@ -428,7 +473,7 @@ class TestBoundedWork:
     )
     def test_chain_root_is_refused_by_kind(self, state, start, error, residues, panels):
         # residue -1 of omega' or eta' is a pole of u or v, +1 a zero
-        s = solve_generic(germ(*state))
+        s = solve(germ(*state))
         p = chain_root(s, start)
         for evaluate in (s.position_velocity, s.acceleration):
             with pytest.raises(error) as err:
@@ -446,7 +491,7 @@ class TestBoundedWork:
     def test_zero_is_never_refused_as_a_pole(self, state, start):
         # at a zero one residue is exactly 0, so rounding gives it either
         # sign; each of 16 points within 1e-14 of the root is a zero
-        s = solve_generic(germ(*state))
+        s = solve(germ(*state))
         p = chain_root(s, start)
         for k in range(16):
             with pytest.raises(ChartDegeneracyError):
@@ -457,7 +502,7 @@ class TestBoundedWork:
         # one chain evaluation at t and one quadrature give, bit for bit,
         # what curve_point, position_velocity and log_rates gave apiece;
         # targets drawn as criterion 2 draws them
-        s = solve_generic(germ(*state))
+        s = solve(germ(*state))
         r = random.Random(2)
         targets = [s.t0 + rand_complex(r, 0.05, 1.0) for _ in range(100)]
         expected = {}
@@ -491,7 +536,7 @@ class TestBoundedWork:
     def test_near_root_targets_spend_bounded_work(self, start, panels):
         # 1 + Y^2 cancels near a root, so from about 1e-7 away the rule
         # never meets QUAD_TOL; the panel budget ends the bisection
-        s = solve_generic(germ(1, 2, 1, 1))
+        s = solve(germ(1, 2, 1, 1))
         p = chain_root(s, start)
         for k in range(2, 12):
             for d in (1, 1j, cmath.exp(2.5j)):
@@ -556,7 +601,7 @@ class TestPanelLoop:
     )
     def test_node_on_a_chain_root(self, state, start, error, k, monkeypatch):
         # the first panel, [t0, t], puts its node k on the root
-        s = solve_generic(germ(*state))
+        s = solve(germ(*state))
         p = chain_root(s, start)
         t = s.t0 + 2 * (p - s.t0) / (1 + families._gl_rule(16)[0][k])
         got = outcome(s, t)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cliftonpohl.continuation import completeness_probe
 from cliftonpohl.errors import DegenerateGermError, NullVelocityComponentError, OutOfDomainError
+from cliftonpohl.families import solve
 from cliftonpohl.manifold import (
     GeodesicClass,
     Point,
@@ -44,6 +45,11 @@ class TestDomain:
     def test_lines_are_excluded(self, z):
         assert not in_domain(z, 1j * z)
         assert not in_domain(z, -1j * z)
+
+    def test_cone_tolerance_is_pinned(self):
+        # |u^2 + v^2| = 2 delta against DOMAIN_EPS (1e-14) times 2
+        assert in_domain(1, 1j * (1 + 1e-12))
+        assert not in_domain(1, 1j * (1 + 1e-15))
 
     def test_line_factorization_sweep(self, seed):
         # u^2 + v^2 = (u + iv)(u - iv): points of either line must fail
@@ -132,6 +138,11 @@ class TestClassify:
         assert c.tag is GeodesicClass.GENERIC
         assert abs(c.discriminant - 2.25) < 1e-14
 
+    def test_proportional_tolerance_is_pinned(self):
+        # |a y - b x| = 2 delta against PROPORTIONAL_EPS (1e-12) times 4
+        assert classify(germ(1, 2, 1, 2 * (1 + 1e-10))).tag is GeodesicClass.GENERIC
+        assert classify(germ(1, 2, 1, 2 * (1 + 1e-13))).tag is GeodesicClass.EXPONENTIAL
+
     def test_axis_germ_gets_ministep(self):
         # on-axis germ with x*y != 0: classified after an exact Taylor
         # advance, consistently with nearby germs of the same geodesic
@@ -205,6 +216,14 @@ class TestDilate:
         d = classify(germ(1e150, 2e150, 2.0**34, 2.0**34)).discriminant
         assert d == classify(germ(1e150, 2e150, 1, 1)).discriminant
         assert abs(d - 2.25) < 1e-14
+
+    def test_discriminant_out_of_double_range_is_refused(self):
+        # A = 0.2 and B = 2e160 are in range, A B^2 cosh(log(alpha/beta))
+        # is not; solve refused it as a degenerate quartic (A B^2 = 2)
+        g = germ(1, 2, 1e160, 1e-160)
+        for call in (classify, solve):
+            with pytest.raises(DegenerateGermError, match="discriminant"):
+                call(g)
 
     def test_tag_invariance_across_orbit(self):
         for g in (germ(1, 0, 1, 0), germ(1, 2, 1, 2), germ(1, 2, 1, 1)):
