@@ -7,10 +7,11 @@ blow-up of the state, a branch point of the solution, or the geodesic
 running into the excluded cone u^2 + v^2 = 0.
 
 The integrator takes fixed-order Taylor steps along the real arclength
-of each polyline segment.  Each step builds the series of (u, v) and
-of (u', v') once, with the order-``ORDER`` kernel that
-``taylor.geodesic_series`` runs (three Cauchy products per order, from
-the energy integral u'v'/(u^2 + v^2)), and takes the longest step whose
+of each polyline segment, or of a circle in ``loop_monodromy``, in one
+step loop.  Each step builds the series of (u, v) and of (u', v')
+once, with the order-``ORDER`` kernel that ``taylor.geodesic_series``
+runs (three Cauchy products per order, from the energy integral
+u'v'/(u^2 + v^2)), and takes the longest step whose
 truncated tail, judged by the last two terms of u, v, u' and v' (Jorba &
 Zou 2005, Exp. Math. 14:99), stays below ``TAIL_FACTOR * tol`` relative
 to 1 + |component|.  ``tol`` thus bounds the local error of every step
@@ -82,7 +83,7 @@ State = tuple[complex, complex, complex, complex]
 #: test invariant under the isometries (u, v) -> c (u, v) with |c| >= 1.
 BLOWUP = 1e12
 
-#: Step-size floor, relative to the segment length.
+#: Step-size floor, relative to the length of the segment or arc.
 STEP_FLOOR = 1e-12
 
 #: Truncated tail allowed per step, as a fraction of tol * (1 + |y|).
@@ -191,7 +192,7 @@ class LoopResult:
 
 
 class _Segment:
-    """Outcome of integrating one straight segment."""
+    """Outcome of integrating along a segment or an arc."""
 
     __slots__ = ("status", "t", "y", "est")
 
@@ -203,17 +204,12 @@ class _Segment:
         self.est = est
 
 
-def _integrate_segment(
-    y: State,
-    t_from: complex,
-    t_to: complex,
-    tol: float,
-    collect=None,
-    on_step=None,
-) -> _Segment:
-    """Order-``ORDER`` Taylor steps along the straight segment t_from -> t_to.
+def _march(y: State, t: complex, length: float, place, tol: float, collect, on_step) -> _Segment:
+    """Order-``ORDER`` Taylor steps from t along a segment or arc of the given length.
 
     Step rule and obstructions as in the module docstring.
+    ``place(s, t, h)`` gives the position s + h along the curve, its
+    point, that point - t, and whether it ends the curve.
     ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)``
     may return an estimate (offset from t, spread) to halt on cleanly at
     the current accepted state, where U and V are the step's series about
@@ -222,38 +218,47 @@ def _integrate_segment(
     the cone before a series is built, carries (0, 0): it stopped on t.
     """
     series = _kernel(ORDER)
-    length, advance = _stepper(ORDER)
+    step_length, advance = _stepper(ORDER)
     tail = TAIL_FACTOR * tol
     bound = BLOWUP * max(1.0, *map(abs, y))
-    L = abs(t_to - t_from)
-    e = (t_to - t_from) / L
+    floor = STEP_FLOOR * length
     s = 0.0
-    t_cur = t_from
     while True:
         try:
             U, V, dU, dV = series(y)
-            h = length(U, V, dU, dV, tail)
+            h = step_length(U, V, dU, dV, tail)
         except (ZeroDivisionError, OverflowError):  # on the cone; |coefficient| > 1e308
-            return _Segment("obstructed", t_cur, y, (0j, 0.0))
-        last = h >= L - s
-        if not (last or h >= STEP_FLOOR * L):  # also catches NaN
-            return _Segment("obstructed", t_cur, y, _estimator(ORDER)(U, V) or (0j, 0.0))
-        if last:
-            h = L - s
-        x = h * e
+            return _Segment("obstructed", t, y, (0j, 0.0))
+        s_new, t_new, x, last = place(s, t, h)
+        if not (last or h >= floor):  # also catches NaN
+            return _Segment("obstructed", t, y, _estimator(ORDER)(U, V) or (0j, 0.0))
         u, v, du, dv = y_new = advance(U, V, dU, dV, x)
         # a NaN component fails its comparison, wherever it sits
         if not (abs(u) <= bound and abs(v) <= bound and abs(du) <= bound and abs(dv) <= bound):
-            return _Segment("obstructed", t_cur, y, _estimator(ORDER)(U, V) or (0j, 0.0))
-        y = y_new
-        s = L if last else s + h
-        t_cur = t_to if last else t_from + s * e
+            return _Segment("obstructed", t, y, _estimator(ORDER)(U, V) or (0j, 0.0))
+        y, s, t = y_new, s_new, t_new
         if collect is not None:
-            collect(t_cur, y)
+            collect(t, y)
         if last:
-            return _Segment("done", t_to, y)
-        if on_step is not None and (est := on_step(t_cur, U, V, x)) is not None:
-            return _Segment("halted", t_cur, y, est)
+            return _Segment("done", t, y)
+        if on_step is not None and (est := on_step(t, U, V, x)) is not None:
+            return _Segment("halted", t, y, est)
+
+
+def _integrate_segment(
+    y: State, t_from: complex, t_to: complex, tol: float, collect=None, on_step=None
+) -> _Segment:
+    """``_march`` along the straight segment t_from -> t_to."""
+    L = abs(t_to - t_from)
+    e = (t_to - t_from) / L
+
+    def place(s, t, h):
+        if h >= L - s:
+            return L, t_to, (L - s) * e, True
+        s += h
+        return s, t_from + s * e, h * e, False
+
+    return _march(y, t_from, L, place, tol, collect, on_step)
 
 
 def _check_tol(tol: float) -> None:
@@ -281,22 +286,19 @@ def continue_path(
     trace = ContinuationTrace(g, path.waypoints, tol)
     y = g.state()
     trace.samples.append(TraceSample(g.t0, *y))
-    res = _follow(y, path.waypoints, tol, lambda t, w: trace.samples.append(TraceSample(t, *w)))
-    if res.status == "obstructed":
-        off, spread = res.est
-        trace.status = "Obstructed"
-        trace.obstruction = Obstruction(res.t + off, max(abs(off) * spread, 1e-12))
+
+    def collect(t, w):
+        trace.samples.append(TraceSample(t, *w))
+
+    for a, b in zip(path.waypoints, path.waypoints[1:]):
+        res = _integrate_segment(y, a, b, tol, collect=collect)
+        if res.status != "done":
+            off, spread = res.est
+            trace.status = "Obstructed"
+            trace.obstruction = Obstruction(res.t + off, max(abs(off) * spread, 1e-12))
+            break
+        y = res.y
     return trace
-
-
-def _follow(y: State, waypoints, tol: float, collect=None) -> _Segment:
-    """Integrate along a polyline: the first segment that does not finish, else the last."""
-    for a, b in zip(waypoints, waypoints[1:]):
-        seg = _integrate_segment(y, a, b, tol, collect=collect)
-        if seg.status != "done":
-            return seg
-        y = seg.y
-    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +481,12 @@ def loop_monodromy(
 ) -> LoopResult:
     """Continue around a circle and compare the state with the basepoint.
 
-    The circle is approximated by a polyline (32-gon, doubled until the
-    endpoint is tol-stable); homotopic refinements cannot change the
-    endpoint, so doubling only guards against a chord grazing an
-    obstruction.
+    One leg runs straight from t0 to the basepoint center + loop_radius,
+    then ``turns`` turns counterclockwise along the circle itself.  A
+    step of length h moves to the point of the circle at chord h, at most
+    half a turn on, so every point of the arc it covers lies in the disc
+    where its series holds: no singularity can hide between a chord and
+    the arc.  The last step lands on the basepoint.
     """
     _check_tol(tol)
     _check_radius(loop_radius)
@@ -493,24 +497,18 @@ def loop_monodromy(
     if leg is not None and leg.status != "done":
         return LoopResult("Obstructed", None, None, False, math.inf)
     y0: State = leg.y if leg is not None else g.state()
+    total = 2.0 * math.pi * turns
 
-    prev_end: State | None = None
-    for ngon in (32, 64, 128, 256):
-        pts = [
-            center + loop_radius * cmath.exp(2j * math.pi * k / ngon)
-            for k in range(ngon * turns + 1)
-        ]
-        seg = _follow(y0, pts, tol)
-        if seg.status != "done":
-            return LoopResult("Obstructed", y0, None, False, math.inf)
-        y = seg.y
-        if prev_end is not None:
-            drift = max(
-                abs(y[q] - prev_end[q]) / (1.0 + abs(y[q])) for q in range(4)
-            )
-            if drift <= tol:
-                break
-        prev_end = y
+    def place(a, t, h):
+        a += 2.0 * math.asin(min(h / (2.0 * loop_radius), 1.0))  # a NaN h stays NaN
+        if a >= total:
+            return total, base, base - t, True
+        t_new = center + loop_radius * cmath.exp(1j * a)
+        return a, t_new, t_new - t, False
 
+    arc = _march(y0, base, loop_radius * total, place, tol, None, None)
+    if arc.status != "done":
+        return LoopResult("Obstructed", y0, None, False, math.inf)
+    y = arc.y
     mismatch = max(abs(y[q] - y0[q]) / (1.0 + abs(y0[q])) for q in range(4))
     return LoopResult("Completed", y0, y, mismatch > 10.0 * tol, mismatch)

@@ -889,3 +889,51 @@ class TestLoopMonodromy:
         assert again.status == "Completed"
         for a, b in zip(again.end_state, two.end_state):
             assert abs(a - b) < 10 * tol * (1 + abs(b))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-5, -1e-3])
+    def test_loop_grazing_a_pole(self, eps):
+        # u = 1/(1 - t) around a circle that passes eps * r inside its
+        # pole (outside for eps < 0): the arc steps along the circle, so
+        # no chord can cut the pole off or pass on its far side
+        center = 1 + 0.5 * (1 - eps) * 1j
+        res = loop_monodromy(germ(1, 0, 1, 0), center, 0.5)
+        assert res.status == "Completed" and not res.branch_changed
+        want = 1 / (1 - (center + 0.5))
+        assert abs(res.end_state[0] - want) <= 1e-9 * abs(want)
+
+    def test_loop_through_a_pole_is_obstructed(self):
+        res = loop_monodromy(germ(1, 0, 1, 0), 1 + 0.5j, 0.5)
+        assert res.status == "Obstructed"
+        assert res.base_state is not None and res.end_state is None
+
+    @pytest.mark.parametrize("radius", [0.4, 0.2])
+    def test_loop_matches_the_closed_form(self, radius):
+        g = germ(1, 2, 1, 1)
+        center = 3.2516195 + 0.05j
+        res = loop_monodromy(g, center, radius)
+        assert res.status == "Completed"
+        p, (du, dv) = sample(solve(g), center + radius)
+        for a, b in zip(res.end_state, (p.u, p.v, du, dv)):
+            assert abs(a - b) <= 1e-9 * abs(b)
+
+    def test_loop_series_builds(self, monkeypatch):
+        # one pass along the circle takes 100 builds, leg included; the
+        # bound fails a loop that traces polygons (a 32-gon and a 64-gon
+        # cost 183)
+        builds = 0
+        kernel = continuation._kernel
+
+        def counted(order):
+            series = kernel(order)
+
+            def build(y):
+                nonlocal builds
+                builds += 1
+                return series(y)
+
+            return build
+
+        monkeypatch.setattr(continuation, "_kernel", counted)
+        res = loop_monodromy(germ(1, 2, 1, 1), 3.2516195 + 0.05j, 0.4)
+        assert res.status == "Completed"
+        assert builds <= 120
