@@ -21,7 +21,6 @@ from .continuation import (
     ContinuationTrace,
     ObstructionReport,
     PathPolyline,
-    TraceSample,
     completeness_probe,
     continue_path,
 )
@@ -124,25 +123,21 @@ def _manifest(command: str, g: GeodesicGerm, parameters: dict, tolerances: dict)
     }
 
 
-def _sample_record(s: TraceSample) -> dict:
-    # [re, im] lists made here, not by the encoder's hook for each number
-    t, u, v, du, dv = s.t, s.u, s.v, s.du, s.dv
-    return {"t": [t.real, t.imag], "u": [u.real, u.imag], "v": [v.real, v.imag],
-            "du": [du.real, du.imag], "dv": [dv.real, dv.imag]}
-
-
-def _trace_json(trace: ContinuationTrace, manifest: dict) -> dict:
-    return {
-        "manifest": manifest,
-        "status": trace.status,
-        "samples": [_sample_record(s) for s in trace.samples],
-        "endpoint": _sample_record(trace.endpoint) if trace.completed else None,
-        "obstruction": (
-            {"t_star": trace.obstruction.t_star, "radius": trace.obstruction.radius}
-            if trace.obstruction is not None
-            else None
-        ),
-    }
+def _trace_text(trace: ContinuationTrace, manifest: dict) -> str:
+    """The trace record, byte for byte as ``dumps`` writes it, with the
+    samples joined from ``trace.sample_reprs``, which the CSV reuses."""
+    samples = [
+        '{"t":[%s,%s],"u":[%s,%s],"v":[%s,%s],"du":[%s,%s],"dv":[%s,%s]}' % c
+        for c in trace.sample_reprs
+    ]
+    joined = ",".join(samples)
+    if "n" in joined:  # inf or nan: no finite float's repr has an n
+        raise ValueError("Out of range float values are not JSON compliant")
+    head = dumps({"manifest": manifest, "status": trace.status})
+    ob = trace.obstruction
+    obstruction = dumps({"t_star": ob.t_star, "radius": ob.radius}) if ob is not None else "null"
+    endpoint = samples[-1] if trace.completed else "null"
+    return f'{head[:-1]},"samples":[{joined}],"endpoint":{endpoint},"obstruction":{obstruction}}}'
 
 
 def _report_json(rep: ObstructionReport, manifest: dict) -> dict:
@@ -175,12 +170,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _write_csv(trace: ContinuationTrace, out: str) -> None:
     lines = ["t_re,t_im,u_re,u_im,v_re,v_im,du_re,du_im,dv_re,dv_im"]
-    lines += [
-        "%r,%r,%r,%r,%r,%r,%r,%r,%r,%r"
-        % (s.t.real, s.t.imag, s.u.real, s.u.imag, s.v.real, s.v.imag,
-           s.du.real, s.du.imag, s.dv.real, s.dv.imag)
-        for s in trace.samples
-    ]
+    lines += [",".join(c) for c in trace.sample_reprs]
     _write_output("\n".join(lines), out)
 
 
@@ -202,7 +192,7 @@ def _cmd_shoot(args) -> int:
         {"path": list(path.waypoints)},
         {"tol": args.tol},
     )
-    _write_output(dumps(_trace_json(trace, manifest)), args.out)
+    _write_output(_trace_text(trace, manifest), args.out)
     if args.csv:
         try:
             _write_csv(trace, str(Path(args.out).with_suffix(".csv")))

@@ -23,16 +23,19 @@ and the estimate below are straight-line code that ``taylor`` generates
 series build, and a null state (u' or v' zero) builds only the moving
 coordinate's series, at a sixth of the products.
 The same coefficients give the nearest singularity by the ratio test
-(Chang & Corliss 1980): a path is obstructed where its step collapses
-below the floor or its state blows up, past ``BLOWUP`` times the scale
-of the segment's starting state.  Every stop of a segment carries
-one estimate, (offset, spread), and nothing re-expands its state: a
-collapse reads it off the series it could not step with, and a scan
+(Chang & Corliss 1980).  A shot stops where its step's own estimate has
+settled (relative spread at most ``SETTLED_SPREAD``) on a point of the
+rest of its segment; failing that, a path is obstructed where its step
+collapses below the floor or its state blows up, past ``BLOWUP`` times
+the scale of the segment's starting state.  Every stop of a segment
+carries one estimate, (offset, spread), and nothing re-expands its
+state: a collapse reads it off the series it could not step with, and a
 halt carries the estimate it halted on.  ``continue_path`` reports the
 singular time t + offset with radius max(|offset| spread, 1e-12); on
-the halts of the tests and perfbench, |offset| spread stays below 1e-21
-and the floor sets the radius.  An obstruction is reported as *data* (a
-trace status with an estimated singular time), never as an exception.
+the shot halts of the tests and perfbench, |offset| spread stays below
+3.4e-13 and the floor sets the radius.  An obstruction is reported as
+*data* (a trace status with an estimated singular time), never as an
+exception.
 
 The completeness probe shoots straight rays and reads every step's own
 nearest-singularity estimate; there is no second estimator on the ray.
@@ -68,6 +71,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .manifold import GeodesicGerm
 from .special import require_finite
@@ -163,6 +167,20 @@ class ContinuationTrace:
     @property
     def completed(self) -> bool:
         return self.status == "Completed"
+
+    @cached_property
+    def sample_reprs(self) -> list[tuple[str, ...]]:
+        """Each sample's ten floats, t, u, v, u', v' as re, im, by ``float.__repr__``.
+
+        Formatted on first use, once the trace is complete, so that every
+        artifact written from the trace reads the same strings.
+        """
+        r = float.__repr__
+        return [
+            (r(s.t.real), r(s.t.imag), r(s.u.real), r(s.u.imag), r(s.v.real), r(s.v.imag),
+             r(s.du.real), r(s.du.imag), r(s.dv.real), r(s.dv.imag))
+            for s in self.samples
+        ]
 
 
 @dataclass(frozen=True)
@@ -279,19 +297,52 @@ def _check_radius(radius: float) -> None:
 def continue_path(
     g: GeodesicGerm, path: PathPolyline, tol: float = 1e-10
 ) -> ContinuationTrace:
-    """Continue a germ along a polyline; obstruction is a status, not an error."""
+    """Continue a germ along a polyline; obstruction is a status, not an error.
+
+    A segment halts after a step whose estimate has settled (spread at
+    most ``SETTLED_SPREAD``) on a point of the segment's rest: its
+    projection on the segment lies in (0, |b - t|] and its lateral
+    offset is at most max(|offset| spread, 1e-12).  A step runs that
+    estimate only where the last raw coefficient ratio of u or v (one
+    division) already puts a singular point there, within
+    ``SPREAD_FLOOR`` of its distance, so a step whose ratio points
+    elsewhere runs no estimate.  A segment that never settles on a point
+    ahead ends in a collapse or a blow-up.
+    """
     _check_tol(tol)
     if abs(path.waypoints[0] - g.t0) > 1e-12 * (1.0 + abs(g.t0)):
         raise ValueError("path must start at the germ's base time")
     trace = ContinuationTrace(g, path.waypoints, tol)
     y = g.state()
     trace.samples.append(TraceSample(g.t0, *y))
+    estimate = _estimator(ORDER)
 
     def collect(t, w):
         trace.samples.append(TraceSample(t, *w))
 
+    def settled(t, U, V, x):
+        # w: a singular point's offset from t, turned onto the segment
+        rest = abs(b - t)
+        for c in (U, V):
+            if c[-1]:
+                w = (c[-2] / c[-1] - x) / e
+                near = SPREAD_FLOOR * w.real  # NaN and inf fail below
+                if abs(w.imag) <= near and w.real - near <= rest:
+                    break
+        else:
+            return None
+        est = estimate(U, V)
+        if est is None or not est[1] <= SETTLED_SPREAD:
+            return None
+        off, spread = est[0] - x, est[1]
+        w = off / e
+        if 0.0 < w.real <= rest and abs(w.imag) <= max(abs(off) * spread, 1e-12):
+            return off, spread
+        return None
+
     for a, b in zip(path.waypoints, path.waypoints[1:]):
-        res = _integrate_segment(y, a, b, tol, collect=collect)
+        e = (b - a) / abs(b - a)
+        res = _integrate_segment(y, a, b, tol, collect=collect, on_step=settled)
         if res.status != "done":
             off, spread = res.est
             trace.status = "Obstructed"
@@ -486,11 +537,15 @@ def loop_monodromy(
     step of length h moves to the point of the circle at chord h, at most
     half a turn on, so every point of the arc it covers lies in the disc
     where its series holds: no singularity can hide between a chord and
-    the arc.  The last step lands on the basepoint.
+    the arc.  The last step lands on the basepoint.  ``turns`` is at most
+    100, which bounds the work: a turn takes some 45 steps on the
+    benchmark's loops.
     """
     _check_tol(tol)
     _check_radius(loop_radius)
     _check_count(turns, 1, "turns")
+    if turns > 100:
+        raise ValueError("turns must be at most 100")
     require_finite(center)
     base = center + loop_radius
     leg = _integrate_segment(g.state(), g.t0, base, tol) if base != g.t0 else None

@@ -277,6 +277,47 @@ class TestDeterminism:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSerialization:
+    @pytest.mark.parametrize("germ, path", [
+        (RATIONAL, "[[0,0],[2,0]]"),
+        (RATIONAL, "[[0,0],[0.5,0.5],[2,0]]"),
+        (GENERIC, "[[0,0],[2,1],[3,-1]]"),
+        ('{"alpha":[1,-0.0],"beta":[2,0],"x":[1,-0.0],"y":[1,0]}', "[[0,0],[0.4,-0.0]]"),
+    ])
+    def test_files_equal_the_encoders_serialization(self, tmp_path, germ, path):
+        # the samples are joined from strings formatted once; both files
+        # read as json.dumps of the trace record and %r of each float
+        out = tmp_path / "t.json"
+        code = run(["shoot", "--germ", germ, "--path", path, "--out", str(out), "--csv"])
+        g, p = cli.parse_germ(germ), cli.parse_path(path)
+        trace = continue_path(g, p, cli.DEFAULT_TOL)
+        assert code == (0 if trace.completed else 3)
+
+        def pair(z):
+            return [z.real, z.imag]
+
+        def record(s):
+            return {k: pair(getattr(s, k)) for k in ("t", "u", "v", "du", "dv")}
+
+        ob = trace.obstruction
+        rec = {
+            "manifest": cli._manifest(
+                "shoot", g, {"path": list(p.waypoints)}, {"tol": cli.DEFAULT_TOL}),
+            "status": trace.status,
+            "samples": [record(s) for s in trace.samples],
+            "endpoint": record(trace.endpoint) if trace.completed else None,
+            "obstruction": {"t_star": ob.t_star, "radius": ob.radius} if ob else None,
+        }
+        want = json.dumps(rec, default=pair, separators=(",", ":"), allow_nan=False)
+        assert out.read_text() == want + "\n"
+        rows = ["t_re,t_im,u_re,u_im,v_re,v_im,du_re,du_im,dv_re,dv_im"] + [
+            ",".join("%r" % c for k in ("t", "u", "v", "du", "dv")
+                     for c in pair(getattr(s, k)))
+            for s in trace.samples
+        ]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+
+
 class TestCsv:
     def test_columns_and_rows(self, tmp_path):
         out = tmp_path / "t.json"

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -306,23 +307,101 @@ class TestObstructionLocalization:
     def test_radius_contains_the_pole(self):
         # a shoot's radius holds the closed-form pole: u = tan t straight
         # and oblique, the README halt, and NullRational u = 1/(C - B t)
-        # with pole C/B.  The misses reach 6.3e-15 while |off| * spread
-        # stays below 1e-21, so the 1e-12 floor is what holds them
+        # with pole C/B.  Each stops where its estimate settles; the misses
+        # reach 1.0e-13 while |off| * spread stays below 1e-12, so the
+        # 1e-12 floor is what holds them
         cases = [
             (germ(0, 1, 1, 0), (0, 3), math.pi / 2),
             (germ(0, 1, 1, 0), (0, 1.2j, math.pi - 1.2j), math.pi / 2),
             (germ(1, 0, 1, 0), (0, 2), 1.0),
+            *null_rational_halts(),
         ]
-        r = random.Random(13)
-        for _ in range(8):
-            a, x = (complex(r.uniform(-2, 2), r.uniform(-2, 2)) for _ in range(2))
-            s = solve(germ(a, 0, x, 0))
-            assert isinstance(s, NullRationalSampler)
-            cases.append((germ(a, 0, x, 0), (0, 2 * s.pole), s.pole))
         for g, path, pole in cases:
             tr = continue_path(g, PathPolyline(path), 1e-10)
             assert tr.status == "Obstructed"
             assert abs(tr.obstruction.t_star - pole) <= tr.obstruction.radius, (g, path)
+
+    def test_null_rational_halts_on_its_first_estimate(self, monkeypatch):
+        # the coefficients of 1/(C - B t) are geometric, so the first
+        # step's estimate has settled on the pole ahead: one build, where
+        # stepping on until the step collapses takes about 90
+        builds = count_builds(monkeypatch)
+        for g, path, pole in null_rational_halts():
+            builds.clear()
+            tr = continue_path(g, PathPolyline(path), 1e-10)
+            assert tr.status == "Obstructed" and len(builds) <= 2, (g, len(builds))
+            assert abs(tr.obstruction.t_star - pole) <= tr.obstruction.radius
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_huge_germ_halts_at_its_pole(self, scale):
+        # u is close to scale/(1 - t).  Stepping on to the collapse, the
+        # order-20 products overflow first and the pole came out 9.1e-6
+        # (1e100) and 0.47 (1e150) away
+        tr = continue_path(germ(scale, 1, scale, 1), PathPolyline((0, 2)))
+        assert tr.status == "Obstructed"
+        assert abs(tr.obstruction.t_star - 1) <= tr.obstruction.radius
+
+    def test_settled_spread_is_pinned(self, monkeypatch):
+        # the tan halt stops on its 8th build with |off| * spread below the
+        # 1e-12 floor.  At SETTLED_SPREAD = 1e-14 it steps on to the 10th;
+        # at 1e-10 it stops on the 7th, with a radius of 1.0e-11
+        builds = count_builds(monkeypatch)
+        tr = continue_path(germ(0, 1, 1, 0), PathPolyline((0, 3)))
+        assert tr.status == "Obstructed" and len(builds) <= 8
+        assert tr.obstruction.radius == 1e-12
+        assert abs(tr.obstruction.t_star - math.pi / 2) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [10.0**-k for k in range(2, 10)])
+    def test_shot_beside_a_pole_completes(self, eps):
+        # u = 1/(1 - t) along a stretch eps above its pole: the estimate
+        # settles on the pole, which is off the path, so the shot steps
+        # on.  The stretch starts 1e-4 before the pole, as a straight shot
+        # from 0 that passes within 1e-7 meets the blow-up bound
+        path = PathPolyline((0, 1 - 1e-4 + eps * 1j, 1 + 1e-4 + eps * 1j, 2))
+        tr = continue_path(germ(1, 0, 1, 0), path)
+        assert tr.status == "Completed"
+        assert abs(tr.endpoint.u - 1 / (1 - 2)) <= 1e-9
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3])
+    def test_shot_ending_short_of_a_pole_completes(self, gap):
+        # the pole of u = 1/(1 - t) lies gap past the shot's end, on its
+        # line: not on the rest of the segment, so no step halts on it
+        end = 1 - gap
+        tr = continue_path(germ(1, 0, 1, 0), PathPolyline((0, end)))
+        assert tr.status == "Completed"
+        want = 1 / (1 - end)
+        assert abs(tr.endpoint.u - want) <= 1e-9 * abs(want)
+
+
+def null_rational_halts():
+    """(germ, path, pole) of shots through the pole C/B of NullRational
+    u = 1/(C - B t), to twice the pole."""
+    r = random.Random(13)
+    cases = []
+    for _ in range(8):
+        a, x = (complex(r.uniform(-2, 2), r.uniform(-2, 2)) for _ in range(2))
+        s = solve(germ(a, 0, x, 0))
+        assert isinstance(s, NullRationalSampler)
+        cases.append((germ(a, 0, x, 0), (0, 2 * s.pole), s.pole))
+    return cases
+
+
+def count_builds(monkeypatch):
+    """A list that gains one entry per series build of the integrator."""
+    builds = []
+    kernel = continuation._kernel
+
+    def counted(order):
+        series = kernel(order)
+
+        def build(y):
+            builds.append(1)
+            return series(y)
+
+        return build
+
+    monkeypatch.setattr(continuation, "_kernel", counted)
+    return builds
 
 
 def shifted_estimate(U, V, x):
@@ -920,20 +999,19 @@ class TestLoopMonodromy:
         # one pass along the circle takes 100 builds, leg included; the
         # bound fails a loop that traces polygons (a 32-gon and a 64-gon
         # cost 183)
-        builds = 0
-        kernel = continuation._kernel
-
-        def counted(order):
-            series = kernel(order)
-
-            def build(y):
-                nonlocal builds
-                builds += 1
-                return series(y)
-
-            return build
-
-        monkeypatch.setattr(continuation, "_kernel", counted)
+        builds = count_builds(monkeypatch)
         res = loop_monodromy(germ(1, 2, 1, 1), 3.2516195 + 0.05j, 0.4)
         assert res.status == "Completed"
-        assert builds <= 120
+        assert len(builds) <= 120
+
+    def test_turns_are_capped(self):
+        # about 45 steps a turn: 100 turns run in a fraction of a second,
+        # and a count past the cap is refused before any step
+        g = germ(1, 0, 1, 0)
+        res = loop_monodromy(g, 1 + 0.3j, 0.5, 100)
+        assert res.status == "Completed" and not res.branch_changed
+        for turns in (101, 10**9):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="at most 100"):
+                loop_monodromy(g, 1 + 0.3j, 0.5, turns)
+            assert time.perf_counter() - start < 0.1
