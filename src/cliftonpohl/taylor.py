@@ -20,7 +20,9 @@ fixed when the code is generated, and no loop or generator runs.  Each
 sum, min and max is written out in the order the loop form of the same
 calculation evaluates it, with the same int and float constants, so
 every result is bit-identical to the loop's (inf, nan and signed zeros
-included); the tests keep the loop forms as references.
+included); the tests keep the loop forms as references.  Each order of
+the recurrence forms one product G = m g0, shared by u and v, and every
+sum starts from its first term rather than from 0j.
 The kernel also returns the derivative series, which the stepper
 evaluates as u' and v'.
 
@@ -30,7 +32,8 @@ zero, and the u recurrence is the Riccati equation u' = c (u^2 + v^2)
 with c = u'(0)/F(0).  The kernel runs a variant without the v
 recurrence on such a state (and on u' = 0 by swapping u and v, under
 which the recurrence is symmetric bit for bit), at a sixth of the
-products of a build.  Each variant is compiled on first use.
+products of a build; it equals the generic recurrence in value, not in
+the sign of every zero.  Each variant is compiled on first use.
 
 The stepper and every singularity estimate share one order, ``ORDER``.
 Two consumers:
@@ -38,9 +41,11 @@ Two consumers:
 * the continuation stepper, which steps with these coefficients and
   reads its nearest-singularity estimate off them (complex ratio test
   with Richardson acceleration, Chang & Corliss 1980): the completeness
-  probe's scan halts on that estimate, a collapse carries the estimate
-  of the series it could not step with, and Newton in the chart
-  (1/u, 1/v) polishes either where it has not converged; no stop
+  probe's scan halts on that estimate, which it runs only where the last
+  raw coefficient ratio already points near its ray, and builds the
+  series of the germ's own state once per fan; a collapse carries the
+  estimate of the series it could not step with, and Newton in the
+  chart (1/u, 1/v) polishes either where it has not converged; no stop
   re-expands its state, and ``nearest_singularity`` serves callers that
   hold a state but no series;
 * an exact polynomial mini-step used to move an on-axis germ into
@@ -56,12 +61,12 @@ from typing import Callable, NamedTuple
 State = tuple[complex, complex, complex, complex]
 
 #: Taylor order of every integration step and singularity estimate.
-#: Probing the benchmark's six probe germs at 64 rays takes 0.42 s at
-#: order 16, 0.36 s at 20, 0.35 s at 24 and 0.36 s at 28 (medians of
-#: seven interleaved rounds, 2-vCPU VM, Python 3.11), and finds the same
-#: obstructions at each order: lower orders take shorter steps, higher
-#: ones cost more per step, and orders 20 to 28 lie within the noise of
-#: each other.
+#: Probing the benchmark's six probe germs at 64 rays takes 0.23 s at
+#: order 16, 0.20 s at 20, 0.195 s at 24 and 0.205 s at 28 (medians of
+#: seven interleaved rounds, three runs, 2-vCPU VM, Python 3.11), and
+#: finds the same obstructions at each order: lower orders take shorter
+#: steps, higher ones cost more per step, and order 24 is about 3%
+#: faster than 20, too little to move every step and estimate for.
 ORDER = 20
 
 #: Relative spread above which a ratio sequence gives no estimate.
@@ -98,7 +103,8 @@ def _kernel(order: int):
     lists U and V of length order+1 and their derivative series dU and
     dV of length order, U[k] = dU[k - 1]/k.  A state with v' == 0 runs
     the null variant, and one with u' == 0 runs it with u and v swapped;
-    either gives the generic lists wherever those are finite.
+    either equals the generic lists in value wherever those are finite,
+    though a zero may differ in sign.
     """
 
     def series(state):
@@ -125,13 +131,16 @@ def _series_source(n: int, null: bool) -> str:
     The energy u'v'/F is constant along a geodesic, so with
     p = u'/u'(0), q = v'/v'(0) and g0 = 1/F(0) the geodesic equation reads
     p' q = g0 (u^2)' and q' p = g0 (v^2)'.  Pass k fills order k of
-    P = p', P[k] = m (u^2)[m] g0 - sum_{i<k} P[i] q[k - i] with m = k + 1,
-    then p[m] = P[k]/m, dU[m] = u' p[m] and U[m + 1] = dU[m]/(m + 1) (the
+    P = p', P[k] = (u^2)[m] G - sum_{i<k} P[i] q[k - i] with m = k + 1 and
+    G = m g0 (one product per order, shared by u and v), then
+    p[m] = P[k]/m, dU[m] = u' p[m] and U[m + 1] = dU[m]/(m + 1) (the
     same for v), so no order m >= 1 of F is formed and nothing is divided
-    by a velocity.  The null variant drops the v recurrence and has q = 1
-    (with v' == 0 the sum is +0+0j at every order), and V and dV are
-    returned as [v, v', 0j, ...] and [v', 0j, ...], which is what the v
-    recurrence gives wherever its output is finite.
+    by a velocity.  Every sum starts from its first term, not from 0j.
+    The null variant drops the v recurrence and has q = 1 (with v' == 0
+    the sum holds only zeros), and V and dV are returned as
+    [v, v', 0j, ...] and [v', 0j, ...].  Wherever the generic
+    recurrence's output on such a state is finite, it equals the null
+    variant's in value, but a zero may carry the other sign.
     """
     coords = ("u",) if null else ("u", "v")
     body = [
@@ -147,25 +156,20 @@ def _series_source(n: int, null: bool) -> str:
             "    raise ZeroDivisionError('series base point lies on u^2 + v^2 = 0')",
             "g0 = 1.0 / f0",
         ]
-    # the self-products, the sums and dU[m] start from 0j, as the loop's
-    # accumulators do: 0j + z differs from z where z has a -0.0 part, and
-    # a null coordinate's coefficients come out +0+0j
     for k in range(n - 1):
         m = k + 1
+        body.append(f"G = {m} * g0")
         for c in coords:
             o = "v" if c == "u" else "u"
-            # order m of u^2, a symmetric self-product
-            body.append(
-                "s = 0j" + "".join(f" + {c}{j} * {c}{m - j}" for j in range((m + 1) // 2))
-            )
-            body.append("s += s")
-            if not m & 1:
-                body.append(f"s += {c}{m >> 1} * {c}{m >> 1}")
-            conv = "".join(f" + P{c}{i} * p{o}{k - i}" for i in range(k))
+            # order m of u^2, a symmetric self-product: twice the half-sum
+            # s, plus the middle square at even m
+            body.append("s = " + " + ".join(f"{c}{j} * {c}{m - j}" for j in range((m + 1) // 2)))
+            square = "s + s" + ("" if m & 1 else f" + {c}{m >> 1} * {c}{m >> 1}")
+            conv = " + ".join(f"P{c}{i} * p{o}{k - i}" for i in range(k))
             body += [
-                f"P{c}{k} = {m} * s * g0" + (f" - (0j{conv})" if conv and not null else ""),
+                f"P{c}{k} = ({square}) * G" + (f" - ({conv})" if conv and not null else ""),
                 f"p{c}{m} = P{c}{k} * {1.0 / m!r}",
-                f"d{c}{m} = 0j + {c}1 * p{c}{m}",
+                f"d{c}{m} = {c}1 * p{c}{m}",
                 f"{c}{m + 1} = d{c}{m} * {1.0 / (m + 1)!r}",
             ]
     series = {c: [f"{c}{k}" for k in range(n + 1)] for c in "uv"}

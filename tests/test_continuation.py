@@ -387,7 +387,7 @@ def null_rational_halts():
 
 
 def count_builds(monkeypatch):
-    """A list that gains one entry per series build of the integrator."""
+    """A list that gains one entry, the state, per series build of the integrator."""
     builds = []
     kernel = continuation._kernel
 
@@ -395,7 +395,7 @@ def count_builds(monkeypatch):
         series = kernel(order)
 
         def build(y):
-            builds.append(1)
+            builds.append(y)
             return series(y)
 
         return build
@@ -461,6 +461,15 @@ DENSE = germ(
     0.4734218027454179 - 1.2556348209772725j,
     1.2732188825588533 - 0.5351614835126342j,
     0.5264944699592413 - 1.0334189171705328j,
+)
+
+
+# the 17th draw of random_generic_germ(Random(77)), another dense lattice
+DRAW_77_16 = germ(
+    0.4556825325580108 + 1.2410439255787442j,
+    -1.2541655580692568 + 0.6084463882286584j,
+    0.46143019063905183 - 0.5280359900705798j,
+    0.9079454917082416 - 1.1259305554050676j,
 )
 
 
@@ -590,6 +599,58 @@ class TestProbe:
             rep = completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, n_rays, 1e-9)
             assert len(rep.obstructions) == 10, n_rays
         assert calls == []
+
+    def test_scan_gate_changes_no_report(self, monkeypatch):
+        # the scan runs the estimate only where the last raw coefficient
+        # ratio of u or v lies within SCAN_REACH tube widths of t; with no
+        # gate at all the reports are the same.  At a reach of 1.0 both
+        # reports change
+        germs = (DENSE, DRAW_77_16)
+        gated = [completeness_probe(g, 5.0, 64, 1e-9) for g in germs]
+        monkeypatch.setattr(continuation, "SCAN_REACH", math.inf)
+        assert [completeness_probe(g, 5.0, 64, 1e-9) for g in germs] == gated
+
+    def test_fan_shares_its_t0_series_and_gates_estimates(self, monkeypatch):
+        # a real germ's fan builds the series of its state once, for the
+        # first step of all its rays, and the scan runs the estimate on
+        # few of its steps (17% on the benchmark's six probe germs)
+        builds = count_builds(monkeypatch)
+        steps, estimates = [0], [0]
+        real_segment, real_estimator = continuation._integrate_segment, continuation._estimator
+
+        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
+            def scan(*args):
+                steps[0] += 1
+                return on_step(*args)
+
+            return real_segment(y, t_from, t_to, tol, collect, on_step and scan)
+
+        def estimator(order):
+            estimate = real_estimator(order)
+
+            def counted(U, V):
+                estimates[0] += 1
+                return estimate(U, V)
+
+            return counted
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        monkeypatch.setattr(continuation, "_estimator", estimator)
+        for g in _DISCRETENESS_GERMS:
+            builds.clear()
+            completeness_probe(g, 5.0, 64, 1e-9)
+            assert builds.count(g.state()) == 1, g
+        assert estimates[0] <= steps[0] / 4, (estimates[0], steps[0])
+
+    def test_expanded_state_carries_its_own_series(self):
+        # the fan's shared series is the one each ray would build, and a
+        # state whose series cannot be built travels without one, so each
+        # ray's first step raises and stops as it would
+        y = germ(1.3, -0.7, 0.9, 1.1).state()
+        seeded = continuation._expanded(y)
+        assert seeded == y and repr(seeded.series) == repr(continuation._kernel(ORDER)(y))
+        cone = (1.0, 1j, 0.5, 0.3)
+        assert continuation._expanded(cone) is cone
 
     def test_converged_halt_settles_without_series(self, scan_halt_walks):
         # a halt on an estimate whose ratios have converged to rounding

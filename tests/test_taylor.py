@@ -56,10 +56,18 @@ def reference_series(state, order):
     return U, V
 
 
-def loop_series(state, order):
+def loop_series(state, order, null=None):
     """The energy-integral recurrence as a loop over orders, kept as the
     reference the generated kernel must match bit for bit: U, V and their
-    derivative series dU, dV."""
+    derivative series dU, dV.  ``null`` picks the recurrence as the
+    kernel does: by default a state with v' == 0 runs the null one, which
+    leaves v out, and one with u' == 0 runs it with u and v swapped;
+    ``null=False`` runs the generic one on any state."""
+    if null is None:
+        null = state[3] == 0 or state[2] == 0
+        if null and state[3] != 0:
+            V, U, dV, dU = loop_series((state[1], state[0], state[3], state[2]), order, True)
+            return U, V, dU, dV
     n = order
     U = [complex(state[0]), complex(state[2])] + [0j] * (n - 1)
     V = [complex(state[1]), complex(state[3])] + [0j] * (n - 1)
@@ -75,33 +83,33 @@ def loop_series(state, order):
 
     # p = u'/u'(0) and q = v'/v'(0), whose derivatives P and Q satisfy
     # P q = g0 (u^2)' and Q p = g0 (v^2)'; pass k fills P[k], p[k + 1],
-    # dU[k + 1] and U[k + 2] (and the same for v)
+    # dU[k + 1] and U[k + 2] (and the same for v).  The null recurrence
+    # has q = 1 and fills only the u lists
     P, Q = [0j] * n, [0j] * n
     p, q = [0j] * n, [0j] * n
+    coords = ((U, P, p, dU, q),) if null else ((U, P, p, dU, q), (V, Q, q, dV, p))
     for k in range(n - 1):
         m = k + 1
-        # order m of u^2 and v^2, each a symmetric self-product
-        a = b = 0j
-        for j in range((m + 1) // 2):
-            a += U[j] * U[m - j]
-            b += V[j] * V[m - j]
-        a += a
-        b += b
-        if not m & 1:
-            a += U[m >> 1] * U[m >> 1]
-            b += V[m >> 1] * V[m >> 1]
-        su = sv = 0j
-        for i in range(k):
-            su += P[i] * q[k - i]
-            sv += Q[i] * p[k - i]
-        P[k] = m * a * g0 - su
-        Q[k] = m * b * g0 - sv
-        p[m] = P[k] * (1.0 / m)
-        q[m] = Q[k] * (1.0 / m)
-        dU[m] = 0j + U[1] * p[m]
-        dV[m] = 0j + V[1] * q[m]
-        U[m + 1] = dU[m] * (1.0 / (m + 1))
-        V[m + 1] = dV[m] * (1.0 / (m + 1))
+        G = m * g0
+        for C, D, d, dC, other in coords:
+            # order m of C^2, a symmetric self-product: twice the half-sum
+            # s, plus the middle square at even m; each sum starts from
+            # its first term, as the kernel's expressions do
+            s = C[0] * C[m]
+            for j in range(1, (m + 1) // 2):
+                s += C[j] * C[m - j]
+            a = s + s
+            if not m & 1:
+                a += C[m >> 1] * C[m >> 1]
+            D[k] = a * G
+            if k and not null:
+                conv = D[0] * other[k]
+                for i in range(1, k):
+                    conv += D[i] * other[k - i]
+                D[k] -= conv
+            d[m] = D[k] * (1.0 / m)
+            dC[m] = C[1] * d[m]
+            C[m + 1] = dC[m] * (1.0 / (m + 1))
     return U, V, dU, dV
 
 
@@ -378,17 +386,17 @@ def _null_states():
     return states
 
 
-def _step_outcome(step, estimate, U, V, dU, dV, tol, x):
+def _step_outcome(step, estimate, U, V, dU, dV, tol, x, form=repr):
     """What the stepper makes of a series: the step length, whether the
     state at x leaves the blow-up bound (and the state if not), and the
-    estimate; an exception counts by its type."""
+    estimate, each by ``form``; an exception counts by its type."""
     try:
         h = step.length(U, V, dU, dV, tol=tol)
     except ArithmeticError as e:
         h = type(e).__name__
     y = step.advance(U, V, dU, dV, x)
     blew = not all(abs(c) <= BLOWUP for c in y)
-    return repr(h), blew, None if blew else repr(y), repr(estimate(U, V))
+    return form(h), blew, None if blew else form(y), form(estimate(U, V))
 
 
 #: The loop forms of the step length and update.
@@ -401,11 +409,12 @@ LOOP_STEP = _Step(
 @pytest.mark.parametrize("order", [2, 3, 8, 20, 26])
 def test_kernel_matches_loop_bit_for_bit(order, monkeypatch):
     # repr equality counts signed zeros, inf and nan, which == would not.
-    # The generated step length, update and estimate must match their
-    # loop forms on every series, and a null state's series must match
-    # the generic recurrence wherever that is finite; where it is not,
-    # the generic V (or U) can be NaN where the null one is 0, and the
-    # step outcome must still be the same
+    # The generated series, step length, update and estimate must match
+    # their loop forms on every state.  A null state's series must equal
+    # the generic recurrence's in value wherever that is finite (the sign
+    # of a zero may differ); where it is not, the generic V (or U) can be
+    # NaN where the null one is 0, and the step outcome must still be the
+    # same
     states = _identity_states()
     cone = [s for s in states[1::3] if abs(s[0] ** 2 + s[1] ** 2) < 1e-5 * abs(s[0]) ** 2]
     assert cone and max(abs(s[0]) for s in states) > 1e11
@@ -423,24 +432,42 @@ def test_kernel_matches_loop_bit_for_bit(order, monkeypatch):
             continue
         U, V, dU, dV = _kernel(order)(s)
         ref = loop_series(s, order)
-        rU, rV = ref[:2]
         x = cmath.rect(10 ** r.uniform(-4, 0), r.uniform(0, 2 * math.pi))
-        finite = all(cmath.isfinite(c) for c in rU + rV)
         null = s[2] == 0 or s[3] == 0
+        generic = loop_series(s, order, null=False)
+        finite = all(cmath.isfinite(c) for c in generic[0] + generic[1])
         null_finite += null and finite
         null_overflowed += null and not finite
-        if finite or not null:
-            assert repr((U, V)) == repr((rU, rV)), (s, order)
-            assert repr((U, V)) == repr(geodesic_series(s, order))
-            assert repr((dU, dV)) == repr(ref[2:])
-            assert repr(step.advance(U, V, dU, dV, x)) == repr(LOOP_STEP.advance(*ref, x))
+        assert repr((U, V, dU, dV)) == repr(ref), (s, order)
+        assert repr((U, V)) == repr(geodesic_series(s, order))
+        assert repr(step.advance(U, V, dU, dV, x)) == repr(LOOP_STEP.advance(*ref, x))
         outcome = _step_outcome(step, _estimator(order), U, V, dU, dV, tol, x)
         assert outcome == _step_outcome(LOOP_STEP, loop_estimate, *ref, tol, x)
+        if null:
+            assert not finite or (U, V, dU, dV) == generic, (s, order)
+            same = lambda z: z  # noqa: E731
+            outcome = _step_outcome(step, _estimator(order), U, V, dU, dV, tol, x, form=same)
+            assert outcome == _step_outcome(LOOP_STEP, loop_estimate, *generic, tol, x, form=same)
         overflowed += not finite
         estimates += _estimator(order)(U, V) is not None
     assert overflowed >= 3 and null_finite >= 50 and null_overflowed >= 3
     assert sum(runs) >= null_finite + null_overflowed
     assert estimates >= (100 if order >= 8 else 0)
+
+
+@pytest.mark.parametrize("order", [2, 3, 8, 20, 26])
+def test_kernel_is_symmetric_in_u_and_v(order):
+    # the u and v recurrences mirror each other bit for bit, so swapping
+    # u and v in the state swaps U with V and dU with dV, signed zeros,
+    # inf and nan included.  A state at rest (u' = v' = 0), which no germ
+    # has and no geodesic reaches, runs the v' = 0 variant either way
+    # round, whose u lists then hold zeros of either sign
+    for s in _identity_states() + _null_states():
+        if s[0] ** 2 + s[1] ** 2 == 0 or s[2] == s[3] == 0:
+            continue
+        U, V, dU, dV = _kernel(order)(s)
+        swapped = _kernel(order)((s[1], s[0], s[3], s[2]))
+        assert repr(swapped) == repr((V, U, dV, dU)), (s, order)
 
 
 def test_kernel_refuses_the_cone():
