@@ -17,11 +17,12 @@ Zou 2005, Exp. Math. 14:99), stays below ``TAIL_FACTOR * tol`` relative
 to 1 + |component|.  ``tol`` thus bounds the local error of every step
 at 1e-4 tol; on the paths of length up to 5 that the tests and
 perfbench check against a 30-digit reference, the endpoint error stays
-below ``tol`` itself.  The step length, the Horner update of the state
-and the estimate below are straight-line code that ``taylor`` generates
-(``_stepper``, ``_estimator``), so a step runs no loop outside the
-series build, and a null state (u' or v' zero) builds only the moving
-coordinate's series, at a sixth of the products.
+below ``tol`` itself.  The series build, the step length, the Horner
+update of the state and the estimate below are straight-line code that
+``taylor`` generates and compiles as one module per order, the jet
+(``taylor._jet``), which each segment binds once; so a step runs no
+loop outside the series build, and a null state (u' or v' zero) builds
+only the moving coordinate's series, at a sixth of the products.
 The same coefficients give the nearest singularity by the ratio test
 (Chang & Corliss 1980).  A shot stops where its step's own estimate has
 settled (relative spread at most ``SETTLED_SPREAD``) on a point of the
@@ -80,9 +81,9 @@ from functools import cached_property
 
 from .manifold import GeodesicGerm
 from .special import require_finite
-from .taylor import ORDER, _estimator, _kernel, _stepper
+from .taylor import ORDER, _jet
 # not called here: perfbench's tracer wraps continuation.nearest_singularity
-# by name; ROADMAP item 6 retires the import with that wrapper
+# by name; ROADMAP items 1 and 9 retire the import with that wrapper
 from .taylor import nearest_singularity  # noqa: F401
 
 State = tuple[complex, complex, complex, complex]
@@ -232,7 +233,7 @@ class _Expanded(tuple):
 def _expanded(y: State) -> State:
     """y carrying its series, or y itself where the series cannot be built."""
     try:
-        series = _kernel(ORDER)(y)
+        series = _jet(ORDER).series(y)
     except (ZeroDivisionError, OverflowError):  # each segment from y stops as it would
         return y
     seeded = _Expanded(y)
@@ -267,9 +268,9 @@ def _march(y: State, t: complex, length: float, place, tol: float, collect, on_s
     the cone before a series is built, carries (0, 0): it stopped on t.
     The first step of a y made by ``_expanded`` takes the series it carries.
     """
-    series = _kernel(ORDER)
+    jet = _jet(ORDER)
+    series, step_length, advance, estimate = jet.series, jet.length, jet.advance, jet.estimate
     built = getattr(y, "series", None)
-    step_length, advance = _stepper(ORDER)
     tail = TAIL_FACTOR * tol
     bound = BLOWUP * max(1.0, *map(abs, y))
     floor = STEP_FLOOR * length
@@ -283,11 +284,11 @@ def _march(y: State, t: complex, length: float, place, tol: float, collect, on_s
             return _Segment("obstructed", t, y, (0j, 0.0))
         s_new, t_new, x, last = place(s, t, h)
         if not (last or h >= floor):  # also catches NaN
-            return _Segment("obstructed", t, y, _estimator(ORDER)(U, V) or (0j, 0.0))
+            return _Segment("obstructed", t, y, estimate(U, V) or (0j, 0.0))
         u, v, du, dv = y_new = advance(U, V, dU, dV, x)
         # a NaN component fails its comparison, wherever it sits
         if not (abs(u) <= bound and abs(v) <= bound and abs(du) <= bound and abs(dv) <= bound):
-            return _Segment("obstructed", t, y, _estimator(ORDER)(U, V) or (0j, 0.0))
+            return _Segment("obstructed", t, y, estimate(U, V) or (0j, 0.0))
         y, s, t = y_new, s_new, t_new
         if collect is not None:
             collect(t, y)
@@ -318,11 +319,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
 
 
-def _check_count(n: int, least: int, what: str) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < least:
-        raise ValueError(f"{what} must be an integer of at least {least}")
-
-
 def _check_radius(radius: float) -> None:
     if not (0.0 < radius < math.inf):  # also catches NaN
         raise ValueError("radius must be finite and positive")
@@ -349,7 +345,7 @@ def continue_path(
     trace = ContinuationTrace(g, path.waypoints, tol)
     y = g.state()
     trace.samples.append(TraceSample(g.t0, *y))
-    estimate = _estimator(ORDER)
+    estimate = _jet(ORDER).estimate
 
     def collect(t, w):
         trace.samples.append(TraceSample(t, *w))
@@ -461,7 +457,7 @@ def _probe_ray(
     def suppressed(cand: complex, rc: float) -> bool:
         return any(abs(cand - p) < max(r, rc) for pts in (found, unsettled) for p, r in pts)
 
-    estimate = _estimator(ORDER)
+    estimate = _jet(ORDER).estimate
 
     def scan(t: complex, U, V, x: complex) -> tuple[complex, float] | None:
         tube = width(t)
@@ -540,7 +536,8 @@ def completeness_probe(
     """
     _check_tol(tol)
     _check_radius(radius)
-    _check_count(n_rays, 4, "n_rays")
+    if isinstance(n_rays, bool) or not isinstance(n_rays, int) or n_rays < 4:
+        raise ValueError("n_rays must be an integer of at least 4")
     start = _expanded(g.state())  # every ray's first step reads this one series
     real = all(z.imag == 0.0 for z in start)
     axis = 2.0 * g.t0.imag
@@ -573,32 +570,26 @@ def loop_monodromy(
     g: GeodesicGerm,
     center: complex,
     loop_radius: float,
-    turns: int = 1,
     tol: float = 1e-10,
 ) -> LoopResult:
-    """Continue around a circle and compare the state with the basepoint.
+    """Continue once around a circle and compare the state with the basepoint.
 
     One leg runs straight from t0 to the basepoint center + loop_radius,
-    then ``turns`` turns counterclockwise along the circle itself.  A
-    step of length h moves to the point of the circle at chord h, at most
-    half a turn on, so every point of the arc it covers lies in the disc
-    where its series holds: no singularity can hide between a chord and
-    the arc.  The last step lands on the basepoint.  ``turns`` is at most
-    100, which bounds the work: a turn takes some 45 steps on the
-    benchmark's loops.
+    then one turn counterclockwise along the circle itself.  A step of
+    length h moves to the point of the circle at chord h, at most half a
+    turn on, so every point of the arc it covers lies in the disc where
+    its series holds: no singularity can hide between a chord and the
+    arc.  The last step lands on the basepoint.
     """
     _check_tol(tol)
     _check_radius(loop_radius)
-    _check_count(turns, 1, "turns")
-    if turns > 100:
-        raise ValueError("turns must be at most 100")
     require_finite(center)
     base = center + loop_radius
     leg = _integrate_segment(g.state(), g.t0, base, tol) if base != g.t0 else None
     if leg is not None and leg.status != "done":
         return LoopResult("Obstructed", None, None, False, math.inf)
     y0: State = leg.y if leg is not None else g.state()
-    total = 2.0 * math.pi * turns
+    total = 2.0 * math.pi
 
     def place(a, t, h):
         a += 2.0 * math.asin(min(h / (2.0 * loop_radius), 1.0))  # a NaN h stays NaN

@@ -12,9 +12,10 @@ nothing is divided by a velocity component.
 
 Everything a Taylor step computes runs as straight-line code generated
 once per order, as Jorba & Zou (2005, Exp. Math. 14:99) generate jet
-code for a Taylor integrator: the recurrence (``_kernel``), and the step
-length and Horner update (``_stepper``) and the ratio-test estimate
-(``_estimator``) that read its coefficients.  Every coefficient is a
+code for a Taylor integrator, and compiled as one module per order, the
+jet (``_jet``): the recurrence (``series``), and the step length
+(``length``), Horner update (``advance``) and ratio-test estimate
+(``estimate``) that read its coefficients.  Every coefficient is a
 local variable, every index and constant (the order m, 1/m, 1/k) is
 fixed when the code is generated, and no loop or generator runs.  Each
 sum, min and max is written out in the order the loop form of the same
@@ -23,17 +24,17 @@ every result is bit-identical to the loop's (inf, nan and signed zeros
 included); the tests keep the loop forms as references.  Each order of
 the recurrence forms one product G = m g0, shared by u and v, and every
 sum starts from its first term rather than from 0j.
-The kernel also returns the derivative series, which the stepper
+The recurrence also returns the derivative series, which the update
 evaluates as u' and v'.
 
 A geodesic is null exactly when one velocity component vanishes, and
 then stays null: for v' = 0 every coefficient of v past the first two is
 zero, and the u recurrence is the Riccati equation u' = c (u^2 + v^2)
-with c = u'(0)/F(0).  The kernel runs a variant without the v
-recurrence on such a state (and on u' = 0 by swapping u and v, under
-which the recurrence is symmetric bit for bit), at a sixth of the
-products of a build; it equals the generic recurrence in value, not in
-the sign of every zero.  Each variant is compiled on first use.
+with c = u'(0)/F(0).  The jet's ``series`` runs a null recurrence
+without the v recurrence on such a state (and on u' = 0 by swapping u
+and v, under which the recurrence is symmetric bit for bit), at a sixth
+of the products of a build; it equals the generic recurrence in value,
+not in the sign of every zero.
 
 The stepper and every singularity estimate share one order, ``ORDER``.
 Two consumers:
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from types import ModuleType
 
 State = tuple[complex, complex, complex, complex]
 
@@ -79,7 +80,7 @@ def geodesic_series(state: State, order: int) -> tuple[list[complex], list[compl
     ``state`` is (u, v, u', v'); returns coefficient lists of length
     order+1.  Requires u^2 + v^2 != 0 at the base point.
     """
-    U, V, _, _ = _kernel(order)(state)
+    U, V, _, _ = _jet(order).series(state)
     return U, V
 
 
@@ -88,41 +89,41 @@ def _def(signature: str, body: list[str]) -> str:
     return f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
 
 
-def _compile(src: str, label: str) -> dict:
-    """The names the generated source ``src`` defines."""
-    scope: dict = {"inf": math.inf}
-    exec(compile(src, f"<taylor {label}>", "exec"), scope)
-    return scope
-
-
 @lru_cache(maxsize=None)
-def _kernel(order: int):
-    """The series recurrence for one order as compiled straight-line code.
+def _jet(order: int) -> ModuleType:
+    """All generated code of one order, compiled as one module.
 
-    The function returned maps a state (u, v, u', v') to the coefficient
-    lists U and V of length order+1 and their derivative series dU and
-    dV of length order, U[k] = dU[k - 1]/k.  A state with v' == 0 runs
-    the null variant, and one with u' == 0 runs it with u and v swapped;
-    either equals the generic lists in value wherever those are finite,
-    though a zero may differ in sign.
+    * ``series(state)`` maps a state (u, v, u', v') to the coefficient
+      lists U and V of length order+1 and their derivative series dU and
+      dV of length order, U[k] = dU[k - 1]/k.  It runs ``generic``, or
+      ``null`` on a state with v' == 0 and on one with u' == 0 with u and
+      v swapped; either equals the generic lists in value wherever those
+      are finite, though a zero may differ in sign.
+    * ``length(U, V, dU, dV, tail)`` is the longest step whose last two
+      terms of each list stay below tail (1 + |its constant term|) each.
+    * ``advance(U, V, dU, dV, x)`` sums the four series at x by Horner's
+      rule, giving (u, v, u', v').
+    * ``estimate(U, V)`` is the nearest singularity's (offset, relative
+      spread) from the base time, or None where no ratio sequence is
+      steady (see ``_estimate_source``).
     """
-
-    def series(state):
-        if state[3] == 0:
-            return _variant(order, True)(state)
-        if state[2] == 0:
-            V, U, dV, dU = _variant(order, True)((state[1], state[0], state[3], state[2]))
-            return U, V, dU, dV
-        return _variant(order, False)(state)
-
-    return series
-
-
-@lru_cache(maxsize=None)
-def _variant(order: int, null: bool):
-    """The generic or the null recurrence of one order, compiled on first use."""
-    label = f"{'null kernel' if null else 'kernel'} order {order}"
-    return _compile(_series_source(order, null), label)["kernel"]
+    pick = _def("series(state)", [
+        "if state[3] == 0:",
+        "    return null(state)",
+        "if state[2] == 0:",
+        "    V, U, dV, dU = null((state[1], state[0], state[3], state[2]))",
+        "    return U, V, dU, dV",
+        "return generic(state)",
+    ])
+    jet = ModuleType(f"taylor jet order {order}")
+    jet.inf = math.inf
+    # one source at a time, so that no two syntax trees are held at once
+    for src in (
+        _series_source(order, False), _series_source(order, True), pick,
+        _length_source(order), _advance_source(order), _estimate_source(order),
+    ):
+        exec(compile(src, f"<taylor jet order {order}>", "exec"), vars(jet))
+    return jet
 
 
 def _series_source(n: int, null: bool) -> str:
@@ -179,38 +180,7 @@ def _series_source(n: int, null: bool) -> str:
         derivs["v"] = derivs["v"][:1] + ["0j"] * (n - 1)
     lists = [series["u"], series["v"], derivs["u"], derivs["v"]]
     body.append("return " + ", ".join(f"[{', '.join(x)}]" for x in lists))
-    return _def("kernel(state)", body)
-
-
-class _Step(NamedTuple):
-    """The generated calculations of one step that read a built series.
-
-    ``length(U, V, dU, dV, tail)`` is the longest step whose last two
-    terms of each list stay below tail (1 + |its constant term|) each;
-    ``advance(U, V, dU, dV, x)`` sums the four series at x by Horner's
-    rule, giving (u, v, u', v').
-    """
-
-    length: Callable
-    advance: Callable
-
-
-@lru_cache(maxsize=None)
-def _stepper(order: int) -> _Step:
-    """The step length and update for one order, compiled together."""
-    scope = _compile(_length_source(order) + _advance_source(order), f"step order {order}")
-    return _Step(scope["length"], scope["advance"])
-
-
-@lru_cache(maxsize=None)
-def _estimator(order: int):
-    """Nearest-singularity (offset, relative spread) read off the coefficients of (u, v).
-
-    The function returned maps the lists U and V of one order to the
-    offset from their base time, or None where no ratio sequence is
-    steady (see ``_estimate_source``).
-    """
-    return _compile(_estimate_source(order), f"estimate order {order}")["estimate"]
+    return _def(f"{'null' if null else 'generic'}(state)", body)
 
 
 def _length_source(n: int) -> str:
@@ -299,7 +269,8 @@ def _estimate_source(n: int) -> str:
 
 def taylor_step(state: State, h: complex, order: int) -> State:
     """Advance a geodesic state by h with a single series evaluation."""
-    return _stepper(order).advance(*_kernel(order)(state), h)
+    jet = _jet(order)
+    return jet.advance(*jet.series(state), h)
 
 
 def nearest_singularity(state: State) -> tuple[complex, float] | None:
@@ -312,4 +283,4 @@ def nearest_singularity(state: State) -> tuple[complex, float] | None:
         U, V = geodesic_series(state, ORDER)
     except (ZeroDivisionError, OverflowError):
         return None
-    return _estimator(ORDER)(U, V)
+    return _jet(ORDER).estimate(U, V)
