@@ -2,9 +2,9 @@
 
 Continuation integrates the second-order system in (u, v), or in the
 probe also in (1/u, 1/v), never in the log chart, so its degeneracies at
-u = 0 or v = 0 are invisible here; what stops a path is a genuine
-blow-up of the state, a branch point of the solution, or the geodesic
-running into the excluded cone u^2 + v^2 = 0.
+u = 0 or v = 0 are invisible here; what stops a path is a singular point
+of the solution on it (u and v are meromorphic in t, so a pole) or the
+geodesic running into the excluded cone u^2 + v^2 = 0.
 
 The integrator takes fixed-order Taylor steps along the real arclength
 of each polyline segment, or of a circle in ``loop_monodromy``, in one
@@ -24,14 +24,17 @@ update of the state and the estimate below are straight-line code that
 loop outside the series build, and a null state (u' or v' zero) builds
 only the moving coordinate's series, at a sixth of the products.
 The same coefficients give the nearest singularity by the ratio test
-(Chang & Corliss 1980).  A shot stops where its step's own estimate has
-settled (relative spread at most ``SETTLED_SPREAD``) on a point of the
-rest of its segment; failing that, a path is obstructed where its step
-collapses below the floor or its state blows up, past ``BLOWUP`` times
-the scale of the segment's starting state.  Every stop of a segment
-carries one estimate, (offset, spread), and nothing re-expands its
-state: a collapse reads it off the series it could not step with, and a
-halt carries the estimate it halted on.  ``continue_path`` reports the
+(Chang & Corliss 1980), and every stop of a path is read off its step's
+own series.  A straight segment halts where that estimate has settled
+(relative spread at most ``SETTLED_SPREAD``) on a point of its rest
+(``_integrate_segment``'s settle rule, or a probe ray's scan in its
+place); failing that, a path is obstructed where its step collapses
+below the floor, at the start of a step whose new state is not finite,
+or on the cone.  No stop reads the size of the state, so a path passes
+beside a pole however closely.  Every stop of a segment carries one
+estimate, (offset, spread), and nothing re-expands its state: a
+collapse reads it off the series it could not step with, and a halt
+carries the estimate it halted on.  ``continue_path`` reports the
 singular time t + offset with radius max(|offset| spread, 1e-12); on
 the shot halts of the tests and perfbench, |offset| spread stays below
 3.4e-13 and the floor sets the radius.  An obstruction is reported as
@@ -55,14 +58,14 @@ pole of u or v is a regular zero.  A collapse is located from its own
 estimate the same way.  A pole ahead of the halt is crossed by one
 segment in that chart along the ray, to the halt's mirror point past
 the pole's projection; a collapse, by one tube width.  A crossing that
-stops past the pole has met a zero of u or v, regular in (u, v), and
-the ray resumes there; one that stops short of the pole leaves the ray
-Blocked.  A ray thus crosses each pole it records at most once.  A
-state with u or v exactly 0 (v = 0 on a null geodesic whose u has one
-pole) has no image there, and its ray ends at the pole.  A candidate
-that does not settle is suppressed unreported: cone touches
-u^2 + v^2 = 0, where high-order coefficients are rounding noise, and
-estimates that average two poles.
+stops past the pole has met a zero of u or v (it halts where its
+settle rule finds one ahead), regular in (u, v), and the ray resumes
+there; one that stops short of the pole leaves the ray Blocked.  A ray
+thus crosses each pole it records at most once.  A state with u or v
+exactly 0 (v = 0 on a null geodesic whose u has one pole) has no image
+there, and its ray ends at the pole.  A candidate that does not settle
+is suppressed unreported: cone touches u^2 + v^2 = 0, where high-order
+coefficients are rounding noise, and estimates that average two poles.
 
 The geodesic system is autonomous with real coefficients, so for a germ
 whose state (u, v, u', v') is real, Schwarz reflection gives
@@ -87,11 +90,6 @@ from .taylor import ORDER, _jet
 from .taylor import nearest_singularity  # noqa: F401
 
 State = tuple[complex, complex, complex, complex]
-
-#: State magnitudes above this many times the segment's starting scale,
-#: max(1, |u|, |v|, |u'|, |v'|), count as a blow-up.  The scale keeps the
-#: test invariant under the isometries (u, v) -> c (u, v) with |c| >= 1.
-BLOWUP = 1e12
 
 #: Step-size floor, relative to the length of the segment or arc.
 STEP_FLOOR = 1e-12
@@ -257,7 +255,7 @@ class _Segment:
 def _march(y: State, t: complex, length: float, place, tol: float, collect, on_step) -> _Segment:
     """Order-``ORDER`` Taylor steps from t along a segment or arc of the given length.
 
-    Step rule and obstructions as in the module docstring.
+    Step rule and stops as in the module docstring.
     ``place(s, t, h)`` gives the position s + h along the curve, its
     point, that point - t, and whether it ends the curve.
     ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)``
@@ -272,7 +270,6 @@ def _march(y: State, t: complex, length: float, place, tol: float, collect, on_s
     series, step_length, advance, estimate = jet.series, jet.length, jet.advance, jet.estimate
     built = getattr(y, "series", None)
     tail = TAIL_FACTOR * tol
-    bound = BLOWUP * max(1.0, *map(abs, y))
     floor = STEP_FLOOR * length
     s = 0.0
     while True:
@@ -285,9 +282,8 @@ def _march(y: State, t: complex, length: float, place, tol: float, collect, on_s
         s_new, t_new, x, last = place(s, t, h)
         if not (last or h >= floor):  # also catches NaN
             return _Segment("obstructed", t, y, estimate(U, V) or (0j, 0.0))
-        u, v, du, dv = y_new = advance(U, V, dU, dV, x)
-        # a NaN component fails its comparison, wherever it sits
-        if not (abs(u) <= bound and abs(v) <= bound and abs(du) <= bound and abs(dv) <= bound):
+        y_new = advance(U, V, dU, dV, x)
+        if not all(map(cmath.isfinite, y_new)):  # a NaN or an infinity, in any component
             return _Segment("obstructed", t, y, estimate(U, V) or (0j, 0.0))
         y, s, t = y_new, s_new, t_new
         if collect is not None:
@@ -301,9 +297,18 @@ def _march(y: State, t: complex, length: float, place, tol: float, collect, on_s
 def _integrate_segment(
     y: State, t_from: complex, t_to: complex, tol: float, collect=None, on_step=None
 ) -> _Segment:
-    """``_march`` along the straight segment t_from -> t_to."""
+    """``_march`` along the straight segment t_from -> t_to.
+
+    With no ``on_step``, it halts after a step whose estimate has settled
+    (spread at most ``SETTLED_SPREAD``) on a point ahead: projection in
+    (0, |t_to - t|], lateral offset at most max(|offset| spread, 1e-12).
+    The estimate runs only where the last raw coefficient ratio of u or v
+    (one division) already puts a singular point there, within
+    ``SPREAD_FLOOR`` of its distance.
+    """
     L = abs(t_to - t_from)
     e = (t_to - t_from) / L
+    estimate = _jet(ORDER).estimate
 
     def place(s, t, h):
         if h >= L - s:
@@ -311,48 +316,9 @@ def _integrate_segment(
         s += h
         return s, t_from + s * e, h * e, False
 
-    return _march(y, t_from, L, place, tol, collect, on_step)
-
-
-def _check_tol(tol: float) -> None:
-    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
-        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
-
-
-def _check_radius(radius: float) -> None:
-    if not (0.0 < radius < math.inf):  # also catches NaN
-        raise ValueError("radius must be finite and positive")
-
-
-def continue_path(
-    g: GeodesicGerm, path: PathPolyline, tol: float = 1e-10
-) -> ContinuationTrace:
-    """Continue a germ along a polyline; obstruction is a status, not an error.
-
-    A segment halts after a step whose estimate has settled (spread at
-    most ``SETTLED_SPREAD``) on a point of the segment's rest: its
-    projection on the segment lies in (0, |b - t|] and its lateral
-    offset is at most max(|offset| spread, 1e-12).  A step runs that
-    estimate only where the last raw coefficient ratio of u or v (one
-    division) already puts a singular point there, within
-    ``SPREAD_FLOOR`` of its distance, so a step whose ratio points
-    elsewhere runs no estimate.  A segment that never settles on a point
-    ahead ends in a collapse or a blow-up.
-    """
-    _check_tol(tol)
-    if abs(path.waypoints[0] - g.t0) > 1e-12 * (1.0 + abs(g.t0)):
-        raise ValueError("path must start at the germ's base time")
-    trace = ContinuationTrace(g, path.waypoints, tol)
-    y = g.state()
-    trace.samples.append(TraceSample(g.t0, *y))
-    estimate = _jet(ORDER).estimate
-
-    def collect(t, w):
-        trace.samples.append(TraceSample(t, *w))
-
     def settled(t, U, V, x):
         # w: a singular point's offset from t, turned onto the segment
-        rest = abs(b - t)
+        rest = abs(t_to - t)
         for c in (U, V):
             if c[-1]:
                 w = (c[-2] / c[-1] - x) / e
@@ -370,9 +336,40 @@ def continue_path(
             return off, spread
         return None
 
+    return _march(y, t_from, L, place, tol, collect, on_step or settled)
+
+
+def _check_tol(tol: float) -> None:
+    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
+        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}]")
+
+
+def _check_radius(radius: float) -> None:
+    if not (0.0 < radius < math.inf):  # also catches NaN
+        raise ValueError("radius must be finite and positive")
+
+
+def continue_path(
+    g: GeodesicGerm, path: PathPolyline, tol: float = 1e-10
+) -> ContinuationTrace:
+    """Continue a germ along a polyline; obstruction is a status, not an error.
+
+    Each segment stops where ``_integrate_segment`` stops it: a halt on
+    a settled estimate of a point ahead, a collapse, or a non-finite
+    state.  The trace reports that stop's estimate.
+    """
+    _check_tol(tol)
+    if abs(path.waypoints[0] - g.t0) > 1e-12 * (1.0 + abs(g.t0)):
+        raise ValueError("path must start at the germ's base time")
+    trace = ContinuationTrace(g, path.waypoints, tol)
+    y = g.state()
+    trace.samples.append(TraceSample(g.t0, *y))
+
+    def collect(t, w):
+        trace.samples.append(TraceSample(t, *w))
+
     for a, b in zip(path.waypoints, path.waypoints[1:]):
-        e = (b - a) / abs(b - a)
-        res = _integrate_segment(y, a, b, tol, collect=collect, on_step=settled)
+        res = _integrate_segment(y, a, b, tol, collect=collect)
         if res.status != "done":
             off, spread = res.est
             trace.status = "Obstructed"

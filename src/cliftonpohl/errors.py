@@ -33,13 +33,14 @@ class NullVelocityComponentError(CliftonPohlError):
 
 
 class DegenerateGermError(CliftonPohlError):
-    """A germ could not be moved off a coordinate axis, or its u^2 + v^2, its
-    A = xy/(u^2 + v^2) or its discriminant is out of the double range."""
+    """A germ's u^2 + v^2, its A = xy/(u^2 + v^2) or its discriminant is out
+    of the double range."""
 
 
 class ChartDegeneracyError(CliftonPohlError):
     """Evaluation would cross u = 0 or v = 0 where the log chart breaks, or
-    the chain's curve point at t0 is inconsistent (as near beta = +-alpha)."""
+    the chain's anchor at t0 is within rounding of u = 0 or v = 0, or its
+    curve point there is inconsistent (as near beta = +-alpha)."""
 
 
 class DegenerateCoefficientsError(CliftonPohlError):

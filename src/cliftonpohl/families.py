@@ -53,18 +53,15 @@ from .errors import (
     PoleError,
 )
 from .manifold import (
-    AXIS_STEP,
     PROPORTIONAL_EPS,
     FirstIntegrals,
     GeodesicClass,
     GeodesicGerm,
     Point,
-    _off_axis,
     classify,
-    first_integrals,
-    germ as make_germ,
 )
 from .special import POLE_THRESHOLD, _jacobi_raw, _landen_ladder, require_finite
+from .taylor import State, taylor_step
 
 QUAD_TOL = 1e-12
 
@@ -434,17 +431,27 @@ GeodesicSampler = (
 # Solver
 
 
+#: Step used to move an on-axis germ into generic position.
+AXIS_STEP = 1e-3
+
+
+def _off_axis(state: State) -> State:
+    """The state ``AXIS_STEP`` later along its geodesic (order-8 Taylor step)."""
+    return taylor_step(state, AXIS_STEP, order=8)
+
+
 def _generic_from_state(
-    state: tuple[complex, complex, complex, complex], t0: complex
+    state: State, t0: complex, fi: FirstIntegrals
 ) -> GenericEllipticSampler:
+    """The chain through ``state`` at t0, whose first integrals are ``fi``."""
     a, b = state[0], state[1]
     if a == 0 or b == 0 or abs(a + b) <= 1e-12 * (abs(a) + abs(b)):
         # the log chart breaks on an axis, and psi = tanh(phi/2) has a
         # pole on the line beta = -alpha: anchor the chain a mini-step
-        # away, the sampler still covers t0
+        # away, the sampler still covers t0.  A and B are first
+        # integrals, so the step leaves them as they are
         state, t0 = _off_axis(state), t0 + AXIS_STEP
     a, b, x, y = state
-    fi = first_integrals(make_germ(a, b, x, y, t0))
     co = psi_coefficients(fi)
     A, B = fi.A, fi.B
     P, R = co.prefactor, co.ratio
@@ -455,6 +462,8 @@ def _generic_from_state(
     psid0 = 0.5 * phid0 * (1.0 - psi0 * psi0)
     Y0 = -1j * psi0
     Yp0 = psid0 / (1j * D)
+    if abs(1.0 + Y0 * Y0) * POLE_THRESHOLD < 4.0 * max(1.0, abs(Y0 * Y0)):  # as in _rates
+        raise ChartDegeneracyError("chain anchor at a zero of u or v")
     defect = abs(Yp0 * Yp0 - (1.0 - Y0 * Y0) * (1.0 - m * Y0 * Y0))
     if defect > 1e-8 * (1.0 + abs(Yp0) ** 2):
         raise ChartDegeneracyError("inconsistent elliptic curve point for this germ")
@@ -468,8 +477,8 @@ def solve(g: GeodesicGerm) -> GeodesicSampler:
     exponential form on beta = +-alpha (a geodesic only there), else the
     elliptic chain, which refuses by a typed error a germ it cannot represent."""
     a, b, x, y = g.state()
-    tag = classify(g).tag
-    if tag in (GeodesicClass.NULL_U_CONST, GeodesicClass.NULL_V_CONST):
+    c = classify(g)
+    if c.tag in (GeodesicClass.NULL_U_CONST, GeodesicClass.NULL_V_CONST):
         if x == 0:
             moving, k, w0, dw0 = "v", a, b, y
         else:
@@ -479,11 +488,11 @@ def solve(g: GeodesicGerm) -> GeodesicSampler:
             return NullRationalSampler(moving, B, 1.0 / w0 + B * g.t0)
         aa = k * dw0 / (k * k + w0 * w0)  # nonzero: the germ is in the domain
         return NullTanSampler(moving, k, aa, cmath.atan(w0 / k) - aa * g.t0)
-    if tag is GeodesicClass.EXPONENTIAL:
+    if c.tag is GeodesicClass.EXPONENTIAL:
         a2, b2 = a * a, b * b
         if abs(a2 - b2) <= PROPORTIONAL_EPS * (abs(a2) + abs(b2)):
             return ExponentialSampler(a, b, x / a, g.t0)
-    return _generic_from_state(g.state(), g.t0)
+    return _generic_from_state(g.state(), g.t0, c.integrals)
 
 
 def sample(sampler: GeodesicSampler, t: complex) -> tuple[Point, tuple[complex, complex]]:

@@ -28,7 +28,6 @@ from .errors import (
     OutOfDomainError,
 )
 from .special import require_finite
-from .taylor import State, taylor_step
 
 #: Relative tolerance of the cone-membership test.  The excluded set is a
 #: cone, so the test must be homogeneous in the coordinates.
@@ -36,14 +35,6 @@ DOMAIN_EPS = 1e-14
 
 #: Relative tolerance for the proportionality test alpha*y = beta*x.
 PROPORTIONAL_EPS = 1e-12
-
-#: Step used to move an on-axis germ into generic position.
-AXIS_STEP = 1e-3
-
-
-def _off_axis(state: State) -> State:
-    """The state ``AXIS_STEP`` later along its geodesic (order-8 Taylor step)."""
-    return taylor_step(state, AXIS_STEP, order=8)
 
 
 def in_domain(u: complex, v: complex) -> bool:
@@ -143,6 +134,8 @@ class Classification:
     tag: GeodesicClass
     integrals: FirstIntegrals | None = None
     #: A B^2 cosh(log(alpha/beta)); equals 2 exactly on the exponential family.
+    #: None where it is not defined: on a null germ, and on an axis
+    #: (alpha beta = 0), where cosh(log(alpha/beta)) is infinite.
     discriminant: complex | None = None
 
 
@@ -190,10 +183,9 @@ def _discriminant(a: complex, b: complex, x: complex, y: complex) -> complex:
 def classify(g: GeodesicGerm) -> Classification:
     """Sort a germ into null / exponential / generic families.
 
-    A germ sitting on a coordinate axis with both velocity components
-    nonzero is first advanced by one exact Taylor mini-step, reaching a
-    generic position along the same geodesic (the discriminant needs
-    alpha*beta != 0).
+    A germ on a coordinate axis with both velocity components nonzero is
+    generic: alpha y = beta x would need a zero velocity component.  Its
+    discriminant is None, since cosh(log(alpha/beta)) is infinite there.
     """
     a, b, x, y = g.state()
     if x == 0:
@@ -203,9 +195,7 @@ def classify(g: GeodesicGerm) -> Classification:
 
     fi = first_integrals(g)
     if a == 0 or b == 0:
-        a, b, x, y = _off_axis((a, b, x, y))
-        if abs(a) < 1e-30 or abs(b) < 1e-30:
-            raise DegenerateGermError("germ could not be moved off the axis")
+        return Classification(GeodesicClass.GENERIC, fi)
 
     d = _discriminant(a, b, x, y)
     if not cmath.isfinite(d):

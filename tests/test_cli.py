@@ -53,13 +53,6 @@ class TestExitCodes:
         bad = '{"alpha":[1,0],"beta":[0,1],"x":[1,0],"y":[0,0]}'
         assert run(["shoot", "--germ", bad, "--path", "[[0,0],[1,0]]"]) == 4
 
-    def test_library_refusal_is_2_without_traceback(self, capsys):
-        # the germ sits on the axis u = 0 with u' = 1e-40, too slow for the
-        # mini-step to move it off, so classify raises DegenerateGermError
-        germ = '{"alpha":[0,0],"beta":[1,0],"x":[1e-40,0],"y":[1,0]}'
-        assert run(["classify", "--germ", germ]) == 2
-        assert capsys.readouterr().err == "error: germ could not be moved off the axis\n"
-
     @pytest.mark.parametrize(
         "argv",
         [["classify"], ["shoot", "--path", "[[0,0],[1,0]]"], ["probe", "--radius", "3"]],
@@ -166,6 +159,17 @@ class TestClassifyCommand:
         rec = json.loads(out.read_text())
         assert rec["tag"] == "NullVConst"
         assert rec["A"] is None and rec["discriminant"] is None
+
+    def test_on_axis_germ_has_null_discriminant(self, tmp_path):
+        # the germ sits on the axis u = 0, where cosh(log(alpha/beta)) is
+        # infinite: Generic, with its first integrals and no discriminant,
+        # however slowly u' = 1e-40 moves it off
+        out = tmp_path / "c.json"
+        germ = '{"alpha":[0,0],"beta":[1,0],"x":[1e-40,0],"y":[1,0]}'
+        assert run(["classify", "--germ", germ, "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["tag"] == "Generic" and rec["discriminant"] is None
+        assert rec["A"] == [1e-40, 0.0] and rec["B"] == [1.0, 0.0]
 
     def test_exponential_discriminant_2(self, tmp_path):
         out = tmp_path / "c.json"

@@ -287,6 +287,21 @@ class TestConservation:
             assert abs(s.u / s.du + s.v / s.dv - fi.B) < 1e-8 * (1 + abs(fi.B))
 
 
+# every pole within |t| <= 4 of a generic germ and of u = tan t, from
+# their 64-ray probes
+_POLES_WITHIN_4 = [
+    ((1.3, -0.7, 0.9, 1.1), p)
+    for p in (
+        -1.312833565652398 + 0j,
+        -1.3128335656523737 - 2.6649658728713868j,
+        -1.3128335656523737 + 2.6649658728713868j,
+        1.5400968387118306 - 2.6649658728713854j,
+        1.5400968387118306 + 2.6649658728713854j,
+        1.5400968387118643 + 0j,
+    )
+] + [((0, 1, 1, 0), complex(-math.pi / 2)), ((0, 1, 1, 0), complex(math.pi / 2))]
+
+
 class TestObstructionLocalization:
     def test_rational_pole(self):
         tr = continue_path(germ(1, 0, 1, 0), PathPolyline((0, 2)), 1e-10)
@@ -355,12 +370,40 @@ class TestObstructionLocalization:
     def test_shot_beside_a_pole_completes(self, eps):
         # u = 1/(1 - t) along a stretch eps above its pole: the estimate
         # settles on the pole, which is off the path, so the shot steps
-        # on.  The stretch starts 1e-4 before the pole, as a straight shot
-        # from 0 that passes within 1e-7 meets the blow-up bound
+        # on.  The stretch from 1e-4 before the pole was a workaround for
+        # a bound on |u'| that stopped straight shots passing within 1e-6;
+        # test_straight_shot_beside_a_pole_completes checks those
         path = PathPolyline((0, 1 - 1e-4 + eps * 1j, 1 + 1e-4 + eps * 1j, 2))
         tr = continue_path(germ(1, 0, 1, 0), path)
         assert tr.status == "Completed"
         assert abs(tr.endpoint.u - 1 / (1 - 2)) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-9, 1e-10])
+    def test_straight_shot_beside_a_pole_completes(self, eps):
+        # the straight line to 2 + 2 eps i passes eps beside the pole t = 1
+        # of u = 1/(1 - t), where |u'| reaches 1/eps^2: no stop may read
+        # a magnitude as an obstruction
+        end = 2 + 2 * eps * 1j
+        tr = continue_path(germ(1, 0, 1, 0), PathPolyline((0, end)))
+        assert tr.status == "Completed"
+        want = 1 / (1 - end)
+        assert abs(tr.endpoint.u - want) <= 1e-9 * (1 + abs(want))
+
+    @pytest.mark.parametrize(
+        "state, pole", _POLES_WITHIN_4, ids=[f"{s[0]}-{p:.2f}" for s, p in _POLES_WITHIN_4]
+    )
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_shots_beside_each_pole_complete(self, state, pole, eps):
+        # a straight shot to twice the pole, eps off its line, passes eps
+        # beside it; it must end where a shot along the same side that
+        # passes 0.05 away ends
+        g, side = germ(*state), 1j * pole / abs(pole)
+        end = 2 * pole + 2 * eps * side
+        tr = continue_path(g, PathPolyline((0, end)))
+        ref = continue_path(g, PathPolyline((0, pole + 0.05 * side, end)), 1e-12)
+        assert tr.status == "Completed" and ref.status == "Completed"
+        for got, want in zip(vars(tr.endpoint).values(), vars(ref.endpoint).values()):
+            assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
     @pytest.mark.parametrize("gap", [1e-2, 1e-3])
     def test_shot_ending_short_of_a_pole_completes(self, gap):
@@ -776,21 +819,27 @@ class TestInvertedChart:
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
     def test_crossing_that_stops_past_its_pole_resumes(self, n, monkeypatch):
         # ray pi of this germ crosses the pole at -4.16576 in the chart
-        # (1/u, 1/v) from about -3.1 and stops at -4.97864, where 1/v blows
-        # up: a zero of v, regular in (u, v).  The ray resumes there and
-        # completes in at most 9 segments, instead of ending Blocked
-        calls = []
+        # (1/u, 1/v) from about -3.1 and halts past it, near -4.45, on its
+        # settled estimate of -4.97864, where 1/v has a pole: a zero of v,
+        # regular in (u, v).  The ray resumes there and completes in at
+        # most 9 segments, instead of ending Blocked
+        calls, halts = [], []
         real_segment = continuation._integrate_segment
 
-        def segment(*args, **kwargs):
-            res = real_segment(*args, **kwargs)
+        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
+            res = real_segment(y, t_from, t_to, tol, collect, on_step)
             calls.append(res.status)
             assert len(calls) <= 9
+            if on_step is None and res.status == "halted":
+                halts.append((res.t, res.t + res.est[0]))
             return res
 
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
         ray = _probe_ray(germ(1.3, -0.7, 0.9, 1.1), 2.0 * math.pi * (n // 2) / n, 5.0, n, 1e-9)
-        assert "obstructed" in calls
+        assert len(halts) == 1
+        (t, zero), = halts
+        assert t.real < -4.1657639700167
+        assert abs(zero - -4.9786426233) < 1e-9
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, (-1.3128335656524, -4.1657639700167)):
             assert abs(p - pole) < 1e-9
@@ -823,9 +872,11 @@ class TestInvertedChart:
         assert abs(p - math.pi / 2) < 1e-13
 
     def test_collapse_is_located_and_crossed(self, monkeypatch):
-        # with no scan, the ray runs into each pole; the walk locates it
-        # from the estimate the collapse read off its last series, and the
-        # ray crosses it
+        # with no scan, each segment of the ray halts on its own settle
+        # rule, 0.36 and 0.40 before the poles; the walk locates each pole
+        # from the estimate the halt carries, and the ray crosses it.
+        # With the settle rule blinded too, the ray collapses at each pole
+        # and locates the second 1.29e-12 from 3 pi/2
         real_segment = continuation._integrate_segment
 
         def blind(y, t_from, t_to, tol, collect=None, on_step=None):
@@ -888,9 +939,10 @@ class TestInvertedChart:
         assert ray.status == "Obstructed"
 
     def test_a_collapse_at_the_start_crosses_forward(self, monkeypatch):
-        # u is about 1/(1e-6 - t) near t0 = 0, so the first step blows up
-        # and the ray collapses at t0, where only the tube's floor gives
-        # the crossing a length; with none the ray collapses there forever
+        # u is about 1/(1e-6 - t) near t0 = 0, a pole within a tube's
+        # floor of the start: the ray must get past it and not stop at t0
+        # for good.  Its first step halts on the pole at 1.6e-7 and the
+        # crossing carries it to the mirror point 1.8e-6
         calls = []
         real_segment = continuation._integrate_segment
 

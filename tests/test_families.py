@@ -248,6 +248,14 @@ class TestGenericChain:
         ref = taylor_step(g.state(), 1e-3, order=8)
         assert abs(u - ref[0]) < 1e-9 and abs(v - ref[1]) < 1e-9
 
+    def test_germ_within_rounding_of_the_axis_is_refused(self):
+        # u' = 1e-40 leaves u below rounding after the mini-step: the
+        # anchor Y0 = i is a root of 1 + Y^2, a zero of u.  The chain
+        # refuses the germ by the root test it applies at every t; anchored
+        # there, every sample would raise PoleError, though u is regular
+        with pytest.raises(ChartDegeneracyError, match="zero of u or v"):
+            solve(germ(0, 1, 1e-40, 1))
+
     def test_anti_diagonal_start_reanchors(self):
         g = germ(1, -1, 1, 0.5)  # beta = -alpha: psi0 would be infinite
         s = solve(g)

@@ -10,7 +10,7 @@ import pytest
 
 from cliftonpohl import continuation, taylor
 from cliftonpohl.acceptance import random_generic_germ
-from cliftonpohl.continuation import BLOWUP, TAIL_FACTOR
+from cliftonpohl.continuation import TAIL_FACTOR
 from cliftonpohl.manifold import germ
 from cliftonpohl.taylor import (
     MAX_SPREAD,
@@ -420,15 +420,15 @@ def _null_states():
 
 def _step_outcome(step, estimate, U, V, dU, dV, tol, x, form=repr):
     """What the stepper makes of a series: the step length, whether the
-    state at x leaves the blow-up bound (and the state if not), and the
-    estimate, each by ``form``; an exception counts by its type."""
+    state at x is not finite (and the state if it is), and the estimate,
+    each by ``form``; an exception counts by its type."""
     try:
         h = step.length(U, V, dU, dV, tol=tol)
     except ArithmeticError as e:
         h = type(e).__name__
     y = step.advance(U, V, dU, dV, x)
-    blew = not all(abs(c) <= BLOWUP for c in y)
-    return form(h), blew, None if blew else form(y), form(estimate(U, V))
+    not_finite = not all(map(cmath.isfinite, y))
+    return form(h), not_finite, None if not_finite else form(y), form(estimate(U, V))
 
 
 #: The loop forms of the step length and update.
