@@ -28,10 +28,12 @@ The same coefficients give the nearest singularity by the ratio test
 own series.  A straight segment halts where that estimate has settled
 (relative spread at most ``SETTLED_SPREAD``) on a point of its rest
 (``_integrate_segment``'s settle rule, or a probe ray's scan in its
-place); failing that, a path is obstructed where its step collapses
-below the floor, at the start of a step whose new state is not finite,
-or on the cone.  No stop reads the size of the state, so a path passes
-beside a pole however closely.  Every stop of a segment carries one
+place); failing that, a path is obstructed where its step collapses,
+that is, no longer moves t (the step rule shrinks the step toward a
+singular point until it falls below the resolution of t), at the start
+of a step whose new state is not finite, or on the cone.  No stop reads
+the size of the state or the length of a step, so a path passes beside
+a pole however closely or faintly.  Every stop of a segment carries one
 estimate, (offset, spread), and nothing re-expands its state: a
 collapse reads it off the series it could not step with, and a halt
 carries the estimate it halted on.  ``continue_path`` reports the
@@ -90,9 +92,6 @@ from .taylor import ORDER, _jet
 from .taylor import nearest_singularity  # noqa: F401
 
 State = tuple[complex, complex, complex, complex]
-
-#: Step-size floor, relative to the length of the segment or arc.
-STEP_FLOOR = 1e-12
 
 #: Truncated tail allowed per step, as a fraction of tol * (1 + |y|).
 #: At 1e-3 or 1e-2 the endpoint error of paths grazing the cone
@@ -252,12 +251,13 @@ class _Segment:
         self.est = est
 
 
-def _march(y: State, t: complex, length: float, place, tol: float, collect, on_step) -> _Segment:
-    """Order-``ORDER`` Taylor steps from t along a segment or arc of the given length.
+def _march(y: State, t: complex, place, tol: float, collect, on_step) -> _Segment:
+    """Order-``ORDER`` Taylor steps from t along a segment or arc.
 
     Step rule and stops as in the module docstring.
     ``place(s, t, h)`` gives the position s + h along the curve, its
-    point, that point - t, and whether it ends the curve.
+    point, that point - t, and whether it ends the curve; a step whose
+    point is t itself, short of the end, is a collapse.
     ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)``
     may return an estimate (offset from t, spread) to halt on cleanly at
     the current accepted state, where U and V are the step's series about
@@ -270,7 +270,6 @@ def _march(y: State, t: complex, length: float, place, tol: float, collect, on_s
     series, step_length, advance, estimate = jet.series, jet.length, jet.advance, jet.estimate
     built = getattr(y, "series", None)
     tail = TAIL_FACTOR * tol
-    floor = STEP_FLOOR * length
     s = 0.0
     while True:
         try:
@@ -280,10 +279,9 @@ def _march(y: State, t: complex, length: float, place, tol: float, collect, on_s
         except (ZeroDivisionError, OverflowError):  # on the cone; |coefficient| > 1e308
             return _Segment("obstructed", t, y, (0j, 0.0))
         s_new, t_new, x, last = place(s, t, h)
-        if not (last or h >= floor):  # also catches NaN
-            return _Segment("obstructed", t, y, estimate(U, V) or (0j, 0.0))
         y_new = advance(U, V, dU, dV, x)
-        if not all(map(cmath.isfinite, y_new)):  # a NaN or an infinity, in any component
+        # a collapse (the step no longer moves t), or a NaN or an infinity
+        if (t_new == t and not last) or not all(map(cmath.isfinite, y_new)):
             return _Segment("obstructed", t, y, estimate(U, V) or (0j, 0.0))
         y, s, t = y_new, s_new, t_new
         if collect is not None:
@@ -336,7 +334,7 @@ def _integrate_segment(
             return off, spread
         return None
 
-    return _march(y, t_from, L, place, tol, collect, on_step or settled)
+    return _march(y, t_from, place, tol, collect, on_step or settled)
 
 
 def _check_tol(tol: float) -> None:
@@ -595,7 +593,7 @@ def loop_monodromy(
         t_new = center + loop_radius * cmath.exp(1j * a)
         return a, t_new, t_new - t, False
 
-    arc = _march(y0, base, loop_radius * total, place, tol, None, None)
+    arc = _march(y0, base, place, tol, None, None)
     if arc.status != "done":
         return LoopResult("Obstructed", y0, None, False, math.inf)
     y = arc.y

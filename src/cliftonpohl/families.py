@@ -37,6 +37,7 @@ The final integration back to (u, v) uses
 whose square-root branch is pinned automatically by the germ through
 phi'(t0) = x/alpha - y/beta.  Their integral is taken a 16-node panel at a
 time, with the sampler's constants and the Landen ladder looked up once.
+A germ on an axis or on beta = -alpha is anchored one Taylor step along.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .manifold import (
     classify,
 )
 from .special import POLE_THRESHOLD, _jacobi_raw, _landen_ladder, require_finite
-from .taylor import State, taylor_step
+from .taylor import ORDER, State, _jet
 
 QUAD_TOL = 1e-12
 
@@ -431,15 +432,6 @@ GeodesicSampler = (
 # Solver
 
 
-#: Step used to move an on-axis germ into generic position.
-AXIS_STEP = 1e-3
-
-
-def _off_axis(state: State) -> State:
-    """The state ``AXIS_STEP`` later along its geodesic (order-8 Taylor step)."""
-    return taylor_step(state, AXIS_STEP, order=8)
-
-
 def _generic_from_state(
     state: State, t0: complex, fi: FirstIntegrals
 ) -> GenericEllipticSampler:
@@ -447,10 +439,14 @@ def _generic_from_state(
     a, b = state[0], state[1]
     if a == 0 or b == 0 or abs(a + b) <= 1e-12 * (abs(a) + abs(b)):
         # the log chart breaks on an axis, and psi = tanh(phi/2) has a
-        # pole on the line beta = -alpha: anchor the chain a mini-step
-        # away, the sampler still covers t0.  A and B are first
-        # integrals, so the step leaves them as they are
-        state, t0 = _off_axis(state), t0 + AXIS_STEP
+        # pole on the line beta = -alpha: anchor the chain one Taylor step
+        # along, the longest whose tail stays at rounding (2^-52 relative
+        # to 1 + |constant term|); the sampler still covers t0.  A and B
+        # are first integrals, so the step leaves them as they are
+        jet = _jet(ORDER)
+        U, V, dU, dV = jet.series(state)
+        h = jet.length(U, V, dU, dV, 2.0**-52)
+        state, t0 = jet.advance(U, V, dU, dV, h), t0 + h
     a, b, x, y = state
     co = psi_coefficients(fi)
     A, B = fi.A, fi.B
@@ -462,7 +458,8 @@ def _generic_from_state(
     psid0 = 0.5 * phid0 * (1.0 - psi0 * psi0)
     Y0 = -1j * psi0
     Yp0 = psid0 / (1j * D)
-    if abs(1.0 + Y0 * Y0) * POLE_THRESHOLD < 4.0 * max(1.0, abs(Y0 * Y0)):  # as in _rates
+    # as in _rates; a NaN anchor (its step unbounded, all tail terms 0) fails too
+    if not abs(1.0 + Y0 * Y0) * POLE_THRESHOLD >= 4.0 * max(1.0, abs(Y0 * Y0)):
         raise ChartDegeneracyError("chain anchor at a zero of u or v")
     defect = abs(Yp0 * Yp0 - (1.0 - Y0 * Y0) * (1.0 - m * Y0 * Y0))
     if defect > 1e-8 * (1.0 + abs(Yp0) ** 2):

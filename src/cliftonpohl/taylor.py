@@ -37,7 +37,7 @@ of the products of a build; it equals the generic recurrence in value,
 not in the sign of every zero.
 
 The stepper and every singularity estimate share one order, ``ORDER``.
-Two consumers:
+Two consumers of the order-``ORDER`` jet:
 
 * the continuation stepper, which steps with these coefficients and
   reads its nearest-singularity estimate off them (complex ratio test
@@ -49,8 +49,8 @@ Two consumers:
   chart (1/u, 1/v) polishes either where it has not converged; no stop
   re-expands its state, and ``nearest_singularity`` serves callers that
   hold a state but no series;
-* an exact polynomial mini-step used to move an on-axis germ into
-  generic position before classification or solving.
+* ``families``, which anchors the chain of a germ on an axis or on
+  beta = -alpha one step along, the longest at a tail of 2^-52.
 """
 
 from __future__ import annotations

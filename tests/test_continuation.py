@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from cliftonpohl import continuation
-from cliftonpohl.acceptance import _DISCRETENESS_GERMS
+from cliftonpohl.acceptance import _DISCRETENESS_GERMS, random_generic_germ
 from cliftonpohl.continuation import (
     CLUSTER_TOL,
     SETTLED_SPREAD,
@@ -415,13 +415,13 @@ class TestObstructionLocalization:
         want = 1 / (1 - end)
         assert abs(tr.endpoint.u - want) <= 1e-9 * abs(want)
 
-    @pytest.mark.parametrize("scale, eps", [(1e-6, 5e-9), (1e-8, 5e-10)])
+    @pytest.mark.parametrize("scale, eps", [(1e-6, 5e-9), (1e-8, 5e-10), (1e-12, 5e-12)])
     def test_shot_beside_a_faint_pole_completes(self, scale, eps):
         # u = scale/(1 - t) along a line that passes eps beside its pole:
-        # |u'| peaks at about scale/eps^2 = 4e10, below the blow-up bound,
-        # and the shortest step is 0.142 eps, above the floor
-        # STEP_FLOOR * |path| = 2e-12.  At STEP_FLOOR = 1e-9 (a floor of
-        # 2e-9) both shots collapse beside the pole and read Obstructed
+        # the shortest step is about 0.14 eps, and every step still moves
+        # t, so none is taken for a collapse.  A floor on the step of 1e-12
+        # times the path's length (2e-12) stopped the third shot at
+        # 1.0006, Obstructed; one of 1e-9 times it stopped all three
         end = 2 + 2 * eps * 1j
         tr = continue_path(germ(scale, 0, scale, 0), PathPolyline((0, end)))
         assert tr.status == "Completed"
@@ -871,6 +871,34 @@ class TestInvertedChart:
         p, _ = _walk_localize(t, y, 1e-10, (off, 0.1))
         assert abs(p - math.pi / 2) < 1e-13
 
+    def test_newton_puts_a_scan_halt_on_its_chain_root(self, monkeypatch):
+        # ray 17 of draw 5 (counting from 0) of
+        # random_generic_germ(Random(77)) halts on an estimate of spread
+        # above SETTLED_SPREAD, 2e-9 off its pole; Newton in the chart
+        # (1/u, 1/v) puts it 6.4e-15 from the root of 1 + Y^2 that the
+        # closed form gives.  Newton converges quadratically and its first
+        # step lands within 1e-8 here, so its stop, 1e-13 (1 + |t|), is
+        # not what this pins: stops up to 1e-4 give the same point
+        r = random.Random(77)
+        g = [random_generic_germ(r) for _ in range(6)][5]
+        walks, real_walk = [], continuation._walk_localize
+
+        def walk(t, y, tol, est):
+            loc = real_walk(t, y, tol, est)
+            walks.append((t, est, loc))
+            return loc
+
+        monkeypatch.setattr(continuation, "_walk_localize", walk)
+        _probe_ray(g, 2 * math.pi * 17 / 64, 5.0, 64, 1e-9)
+        (t, (off, spread), (p, _)), = walks
+        s = solve(g)
+        root = p
+        for _ in range(8):
+            Y, Yp = s.curve_point(root)
+            root -= (1 + Y * Y) / (2 * Y * Yp * s.D)
+        assert spread > SETTLED_SPREAD and abs(t + off - root) > 1e-9
+        assert abs(p - root) < 1e-12
+
     def test_collapse_is_located_and_crossed(self, monkeypatch):
         # with no scan, each segment of the ray halts on its own settle
         # rule, 0.36 and 0.40 before the poles; the walk locates each pole
@@ -887,6 +915,33 @@ class TestInvertedChart:
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2)):
             assert abs(p - pole) < 1e-12
+
+    def test_a_collapse_takes_its_measured_steps(self, monkeypatch):
+        # with both stop rules blinded, the ray of
+        # test_collapse_is_located_and_crossed steps into each pole until a
+        # new state is not finite (the first) or a step no longer moves t
+        # (the second).  Each collapse
+        # may take no more steps than it was measured to: a tripwire for a
+        # stall whose steps shrink without ever leaving t where it is
+        real_segment, collapses = continuation._integrate_segment, []
+
+        def blind(y, t_from, t_to, tol, collect=None, on_step=None):
+            if on_step is None:  # a crossing
+                return real_segment(y, t_from, t_to, tol, collect=collect)
+            steps = []
+            res = real_segment(
+                y, t_from, t_to, tol, collect=lambda t, w: steps.append(t), on_step=lambda *a: None
+            )
+            collapses.append((res.status, len(steps)))
+            return res
+
+        monkeypatch.setattr(continuation, "_integrate_segment", blind)
+        ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 16, 1e-9)
+        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
+        for p, pole in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2)):
+            assert abs(p - pole) < 2e-12
+        assert [status for status, _ in collapses] == ["obstructed", "obstructed"]
+        assert all(n <= bound for (_, n), bound in zip(collapses, (194, 196)))
 
     def test_crossing_runs_along_the_ray_to_the_mirror_point(self, ray_log):
         # a halt crosses its pole in the chart (1/u, 1/v) by one segment
@@ -939,22 +994,27 @@ class TestInvertedChart:
         assert ray.status == "Obstructed"
 
     def test_a_collapse_at_the_start_crosses_forward(self, monkeypatch):
-        # u is about 1/(1e-6 - t) near t0 = 0, a pole within a tube's
-        # floor of the start: the ray must get past it and not stop at t0
-        # for good.  Its first step halts on the pole at 1.6e-7 and the
-        # crossing carries it to the mirror point 1.8e-6
+        # u is about 1/(t0 + 1e-6 - t) near t0 = 1e10, a pole closer to the
+        # start than the resolution of t there (1.9e-6): the ray's first
+        # step (1.6e-7) does not move t, so the ray collapses at t0 itself.
+        # Only the tube's floor gives its crossing a length; without it the
+        # ray would collapse at t0 forever.  The scan is blinded, as in
+        # test_collapse_is_located_and_crossed, so that the crossing is the
+        # ray's only detour
+        t0 = 1e10
         calls = []
         real_segment = continuation._integrate_segment
 
-        def segment(*args, **kwargs):
-            calls.append(args[1])
+        def blind(y, t_from, t_to, tol, collect=None, on_step=None):
+            calls.append(t_from)
             assert len(calls) < 50
-            return real_segment(*args, **kwargs)
+            return real_segment(y, t_from, t_to, tol, collect=collect)
 
-        monkeypatch.setattr(continuation, "_integrate_segment", segment)
-        ray = _probe_ray(germ(1e6, 1, 1e12, 0.5), 0.0, 5.0, 64, 1e-9)
-        assert ray.status == "Obstructed"
-        assert abs(ray.obstructions[0] - 1e-6) < 1e-12
+        monkeypatch.setattr(continuation, "_integrate_segment", blind)
+        ray = _probe_ray(germ(1e6, 1, 1e12, 0.5, t0), 0.0, 5.0, 64, 1e-9)
+        assert ray.status == "Obstructed" and ray.obstructions == (t0 + 1e-6,)
+        # the ray, its crossing from t0, the rest of the ray
+        assert calls[:2] == [t0, t0] and len(calls) == 3
 
     def test_newton_refuses_a_step_beyond_its_estimate(self, monkeypatch):
         # on ray 20 of this germ (draw 6, counting from 0, of

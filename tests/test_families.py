@@ -243,13 +243,61 @@ class TestGenericChain:
 
     def test_on_axis_germ_is_anchored_off_the_axis(self):
         g = germ(0, 1, 1, 1)
-        s = solve(g)  # the chain is anchored a mini-step along the geodesic
+        s = solve(g)  # the chain is anchored one Taylor step along the geodesic
         (u, v), (du, dv) = s.position_velocity(g.t0 + 1e-3)
         ref = taylor_step(g.state(), 1e-3, order=8)
         assert abs(u - ref[0]) < 1e-9 and abs(v - ref[1]) < 1e-9
 
+    @pytest.mark.parametrize(
+        "state",
+        [(0, 1, 1, 1), (1, 0, 0.5, 2), (0, 1.3 - 0.2j, 0.7, 1.1j), (1, -1, 1, 2), (2j, -2j, 1, 0.3)],
+    )
+    def test_reanchored_germ_agrees_with_continuation(self, state):
+        # an on-axis or beta = -alpha germ is anchored one step along its
+        # geodesic, the longest whose tail stays at rounding (0.08 to 0.35
+        # here): the chain then agrees with continue_path to rounding.
+        # Anchored 1e-3 along by an order-8 step, the three on-axis germs
+        # were up to 3.3e-13, 6.6e-13 and 5.3e-13 off
+        g = germ(*state)
+        s = solve(g)
+        for t in (0.3, 0.2 + 0.2j, 0.1 - 0.25j, 0.4j):
+            pt, (du, dv) = sample(s, t)
+            want = continue_path(g, PathPolyline((g.t0, t)), 1e-12).endpoint
+            for got, ref in zip((pt.u, pt.v, du, dv), (want.u, want.v, want.du, want.dv)):
+                assert abs(got - ref) <= 1e-14 * (1 + abs(ref))
+
+    def test_on_axis_germ_against_mpmath(self):
+        # a 30-digit reference of (0, 1, 1, 1) at t = 0.3: 3.0e-16 off
+        # (3.3e-13 anchored 1e-3 along by an order-8 step)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            def rhs(t, w):
+                u, v, p, q = w
+                f = u * u + v * v
+                return [p, q, 2 * u * p * p / f, 2 * v * q * q / f]
+
+            ref = [complex(c) for c in mp.odefun(rhs, 0, [0, 1, 1, 1])(mp.mpf(3) / 10)]
+        pt, (du, dv) = sample(solve(germ(0, 1, 1, 1)), 0.3)
+        for got, want in zip((pt.u, pt.v, du, dv), ref):
+            assert abs(got - want) <= 1e-15 * (1 + abs(want))
+
+    def test_reanchored_germs_are_solved_on_a_seeded_sweep(self):
+        # germs on either axis and on beta = -alpha, at the scale of the
+        # acceptance draws: none is refused, and each agrees with
+        # continue_path (worst 2.8e-15; 3.7e-13 anchored 1e-3 along)
+        r = random.Random(2024)
+        for k in range(30):
+            a, x, y = (rand_complex(r) for _ in range(3))
+            g = germ(*((0, a, x, y), (a, 0, x, y), (a, -a, x, y))[k % 3])
+            s = solve(g)
+            t = cmath.rect(r.uniform(0.05, 0.6), r.uniform(0, 2 * math.pi))
+            pt, (du, dv) = sample(s, t)
+            want = continue_path(g, PathPolyline((g.t0, t)), 1e-12).endpoint
+            for got, ref in zip((pt.u, pt.v, du, dv), (want.u, want.v, want.du, want.dv)):
+                assert abs(got - ref) <= 1e-14 * (1 + abs(ref)), (g, t)
+
     def test_germ_within_rounding_of_the_axis_is_refused(self):
-        # u' = 1e-40 leaves u below rounding after the mini-step: the
+        # u' = 1e-40 leaves u below rounding after the anchor step: the
         # anchor Y0 = i is a root of 1 + Y^2, a zero of u.  The chain
         # refuses the germ by the root test it applies at every t; anchored
         # there, every sample would raise PoleError, though u is regular

@@ -3,12 +3,16 @@
 import cmath
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliftonpohl.acceptance import rand_complex
 from cliftonpohl.errors import PoleError, SingularPathError
+from cliftonpohl.families import solve
+from cliftonpohl.manifold import germ
 from cliftonpohl.special import (
     EllipticTriple,
     elliptic_F,
@@ -109,6 +113,36 @@ class TestJacobi:
                 for g, r in zip(got, ref):
                     assert abs(g - r) <= 1e-13 * abs(r)
         assert _landen_ladder.cache_info().hits >= hits + 5 * len(zs)
+
+    def test_landen_stop_keeps_the_kernel_at_rounding(self):
+        # at points drawn as criterion 7 draws them, against a 30-digit
+        # reference: 2.4e-15 at most with the ladder stopped below
+        # LANDEN_TOL = 1e-8; stopped below 1e-6, five of these 100 points
+        # are off by 1.7e-14 to 1.3e-13
+        mpmath = pytest.importorskip("mpmath")
+        r = random.Random(7)
+        checked = 0
+        while checked < 100:
+            z, m = rand_complex(r, 0.0, 2.0), rand_complex(r, 0.0, 2.0)
+            got = _jacobi_raw(z, m)
+            if max(map(abs, got)) > 5.0:
+                continue  # too near a lattice pole, as criterion 7 skips it
+            checked += 1
+            with mpmath.workdps(30):
+                ref = [complex(mpmath.ellipfun(k, z, m=m)) for k in ("sn", "cn", "dn")]
+            for g, v in zip(got, ref):
+                assert abs(g - v) <= 1e-14 * (1 + abs(v)), (z, m)
+
+    def test_landen_ladder_length_over_the_sample_pool(self, monkeypatch):
+        # the work of every generic sample: the Landen steps of its m,
+        # summed over the 25 germs of the benchmark's sample pool.  83 at
+        # LANDEN_TOL = 1e-8; 101 at 1e-12, where one more step buys nothing
+        # that the test above can see
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from inputs import draw_pool
+
+        ms = [solve(germ(*state)).m for state in draw_pool()["germs"]]
+        assert sum(len(_landen_ladder(m)[0]) for m in ms) <= 83
 
     @pytest.mark.parametrize("m", [0, 1, 1.32 + 0.61j, -0.8 + 0.2j], ids=["0", "1", "bench", "complex"])
     def test_ladder_passed_in_changes_no_bit(self, m, seed):
