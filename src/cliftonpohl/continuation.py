@@ -395,8 +395,8 @@ def _walk_localize(
     ``est`` is (offset from t, spread), read off the series of the step
     that stopped at t.  Newton on the inverted state integrates to
     t + off, steps by the smaller of -w/w' and -z/z', and stops below
-    1e-13 (1 + |t|) within 8 steps; a step longer than the first offset
-    finds no pole of u or v.
+    1e-8 (1 + |t|), past which its next step is below the resolution of t,
+    within 8 steps; a step longer than the first offset finds no pole.
     """
     off, spread = est
     if spread <= SETTLED_SPREAD:
@@ -415,7 +415,7 @@ def _walk_localize(
         off = min((-w / dw if dw else math.inf, -z / dz if dz else math.inf), key=abs)
         if not abs(off) <= reach:
             return None
-        if abs(off) < 1e-13 * (1.0 + abs(t)):
+        if abs(off) < 1e-8 * (1.0 + abs(t)):
             return _located(t, (off, 0.0))
     return None
 

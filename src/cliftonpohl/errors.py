@@ -39,8 +39,8 @@ class DegenerateGermError(CliftonPohlError):
 
 class ChartDegeneracyError(CliftonPohlError):
     """Evaluation would cross u = 0 or v = 0 where the log chart breaks, or
-    the chain's anchor at t0 is within rounding of u = 0 or v = 0, or its
-    curve point there is inconsistent (as near beta = +-alpha)."""
+    the chain's anchor, at t0 and one step along, is within rounding of
+    u = 0 or v = 0 or off its curve (as near beta = +-alpha)."""
 
 
 class DegenerateCoefficientsError(CliftonPohlError):

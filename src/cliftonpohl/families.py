@@ -37,7 +37,7 @@ The final integration back to (u, v) uses
 whose square-root branch is pinned automatically by the germ through
 phi'(t0) = x/alpha - y/beta.  Their integral is taken a 16-node panel at a
 time, with the sampler's constants and the Landen ladder looked up once.
-A germ on an axis or on beta = -alpha is anchored one Taylor step along.
+A germ whose anchor fails its checks at t0 is anchored one Taylor step along.
 """
 
 from __future__ import annotations
@@ -435,38 +435,36 @@ GeodesicSampler = (
 def _generic_from_state(
     state: State, t0: complex, fi: FirstIntegrals
 ) -> GenericEllipticSampler:
-    """The chain through ``state`` at t0, whose first integrals are ``fi``."""
-    a, b = state[0], state[1]
-    if a == 0 or b == 0 or abs(a + b) <= 1e-12 * (abs(a) + abs(b)):
-        # the log chart breaks on an axis, and psi = tanh(phi/2) has a
-        # pole on the line beta = -alpha: anchor the chain one Taylor step
-        # along, the longest whose tail stays at rounding (2^-52 relative
-        # to 1 + |constant term|); the sampler still covers t0.  A and B
-        # are first integrals, so the step leaves them as they are
-        jet = _jet(ORDER)
-        U, V, dU, dV = jet.series(state)
-        h = jet.length(U, V, dU, dV, 2.0**-52)
-        state, t0 = jet.advance(U, V, dU, dV, h), t0 + h
-    a, b, x, y = state
+    """The chain through ``state`` at t0, whose first integrals are ``fi``, anchored
+    where its curve point (Y, dY/dTheta) passes two checks: Y is no root of
+    1 + Y^2 (as in ``_rates``), and the point is on the curve to 1e-8 (a NaN or
+    an ArithmeticError fails the check it meets).  Failing at t0 (as near an axis
+    or beta = -alpha), it is anchored one Taylor step along, the longest whose
+    tail stays at 2^-52 relative to 1 + |constant term|, which keeps A and B."""
     co = psi_coefficients(fi)
-    A, B = fi.A, fi.B
-    P, R = co.prefactor, co.ratio
-    m = -R
-    D = 1j * P
-    psi0 = (a - b) / (a + b)  # tanh(log(a/b)/2), branch-free
-    phid0 = x / a - y / b
-    psid0 = 0.5 * phid0 * (1.0 - psi0 * psi0)
-    Y0 = -1j * psi0
-    Yp0 = psid0 / (1j * D)
-    # as in _rates; a NaN anchor (its step unbounded, all tail terms 0) fails too
-    if not abs(1.0 + Y0 * Y0) * POLE_THRESHOLD >= 4.0 * max(1.0, abs(Y0 * Y0)):
-        raise ChartDegeneracyError("chain anchor at a zero of u or v")
-    defect = abs(Yp0 * Yp0 - (1.0 - Y0 * Y0) * (1.0 - m * Y0 * Y0))
-    if defect > 1e-8 * (1.0 + abs(Yp0) ** 2):
-        raise ChartDegeneracyError("inconsistent elliptic curve point for this germ")
-    return GenericEllipticSampler(
-        A, B, m, D, Y0, Yp0, cmath.log(a), cmath.log(b), t0
-    )
+    m, D = -co.ratio, 1j * co.prefactor
+    for step in (False, True):
+        if step:
+            jet = _jet(ORDER)
+            U, V, dU, dV = jet.series(state)
+            h = jet.length(U, V, dU, dV, 2.0**-52)
+            state, t0 = jet.advance(U, V, dU, dV, h), t0 + h
+        a, b, x, y = state
+        why = "chain anchor at a zero of u or v"
+        try:
+            psi0 = (a - b) / (a + b)  # tanh(log(a/b)/2), branch-free
+            Y0 = -1j * psi0
+            if abs(1.0 + Y0 * Y0) * POLE_THRESHOLD >= 4.0 * max(1.0, abs(Y0 * Y0)):
+                why = "inconsistent elliptic curve point for this germ"
+                Yp0 = 0.5 * (x / a - y / b) * (1.0 - psi0 * psi0) / (1j * D)
+                defect = abs(Yp0 * Yp0 - (1.0 - Y0 * Y0) * (1.0 - m * Y0 * Y0))
+                if defect <= 1e-8 * (1.0 + abs(Yp0) ** 2):
+                    break
+        except ArithmeticError:
+            pass
+    else:
+        raise ChartDegeneracyError(why)
+    return GenericEllipticSampler(fi.A, fi.B, m, D, Y0, Yp0, cmath.log(a), cmath.log(b), t0)
 
 
 def solve(g: GeodesicGerm) -> GeodesicSampler:

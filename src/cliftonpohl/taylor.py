@@ -49,8 +49,8 @@ Two consumers of the order-``ORDER`` jet:
   chart (1/u, 1/v) polishes either where it has not converged; no stop
   re-expands its state, and ``nearest_singularity`` serves callers that
   hold a state but no series;
-* ``families``, which anchors the chain of a germ on an axis or on
-  beta = -alpha one step along, the longest at a tail of 2^-52.
+* ``families``, which anchors the chain one step along, the longest at
+  a tail of 2^-52, where its anchor at t0 fails (near an axis or beta = -alpha).
 """
 
 from __future__ import annotations

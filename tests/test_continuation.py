@@ -877,7 +877,7 @@ class TestInvertedChart:
         # above SETTLED_SPREAD, 2e-9 off its pole; Newton in the chart
         # (1/u, 1/v) puts it 6.4e-15 from the root of 1 + Y^2 that the
         # closed form gives.  Newton converges quadratically and its first
-        # step lands within 1e-8 here, so its stop, 1e-13 (1 + |t|), is
+        # step lands within 1e-8 here, so its stop, 1e-8 (1 + |t|), is
         # not what this pins: stops up to 1e-4 give the same point
         r = random.Random(77)
         g = [random_generic_germ(r) for _ in range(6)][5]
@@ -898,6 +898,34 @@ class TestInvertedChart:
             root -= (1 + Y * Y) / (2 * Y * Yp * s.D)
         assert spread > SETTLED_SPREAD and abs(t + off - root) > 1e-9
         assert abs(p - root) < 1e-12
+
+    def test_a_walk_stops_once_its_newton_step_is_below_1e_8(self, monkeypatch):
+        # a tripwire on the walk of the halt above: its first Newton step
+        # is below 1e-8 (1 + |t|), so it integrates one segment; a stop at
+        # 1e-13 (1 + |t|) would integrate a second that moves no point.
+        # test_crossing_that_stops_past_its_pole_resumes[4] pins the stop
+        # from below
+        r = random.Random(77)
+        g = [random_generic_germ(r) for _ in range(6)][5]
+        segments, walking = [], [False]
+        real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
+
+        def segment(*args, **kwargs):
+            if walking[0]:
+                segments.append(args[1:3])
+            return real_segment(*args, **kwargs)
+
+        def walk(*args):
+            walking[0] = True
+            try:
+                return real_walk(*args)
+            finally:
+                walking[0] = False
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        monkeypatch.setattr(continuation, "_walk_localize", walk)
+        _probe_ray(g, 2 * math.pi * 17 / 64, 5.0, 64, 1e-9)
+        assert len(segments) == 1
 
     def test_collapse_is_located_and_crossed(self, monkeypatch):
         # with no scan, each segment of the ray halts on its own settle
@@ -1097,6 +1125,16 @@ class TestConeTouch:
             rep = completeness_probe(g, 5.0, n_rays, 1e-9)
             assert all(abs(p - touch) >= 0.5 for p in rep.obstructions), n_rays
             assert all(r.status != "Blocked" for r in rep.per_ray), n_rays
+
+    def test_segment_that_starts_on_the_cone_stops_at_its_start(self):
+        # u^2 + v^2 = 0 at t = 0: no series can be built, so the segment
+        # stops there, obstructed, on its own state and the estimate (0, 0),
+        # and _expanded hands the bare state on
+        y = (1, 1j, 1, 1)
+        res = _integrate_segment(y, 0, 1, 1e-10)
+        assert (res.status, res.t, res.y, res.est) == ("obstructed", 0, y, (0j, 0.0))
+        assert type(res.est[0]) is complex and type(res.est[1]) is float
+        assert continuation._expanded(y) is y
 
 
 class TestLoopMonodromy:

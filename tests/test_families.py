@@ -80,6 +80,37 @@ class TestNull:
             sample(s, math.pi / 2)
         assert abs(err.value.location - math.pi / 2) < 1e-9
 
+    def test_tangent_pole_is_refused_above_pole_threshold(self):
+        # u = tan t: |u'| = 1/cos^2 t is 2.5e11 at pi/2 - 2e-6, below
+        # special.POLE_THRESHOLD (1e12), and 4e12 at pi/2 - 5e-7, above it
+        s = solve(germ(0, 1, 1, 0))
+        _, (du, _) = sample(s, math.pi / 2 - 2e-6)
+        assert abs(du - 2.5e11) < 1e-3 * 2.5e11
+        with pytest.raises(PoleError):
+            sample(s, math.pi / 2 - 5e-7)
+
+    def test_tangent_poles_within_a_disk(self):
+        # u = tan t: the poles pi/2 + n pi, exactly as the closed form gives them
+        s = solve(germ(0, 1, 1, 0))
+        assert s.poles_within(0, 5) == [-3 * math.pi / 2, -math.pi / 2, math.pi / 2, 3 * math.pi / 2]
+
+    def test_tangent_poles_of_a_complex_germ_off_t0(self):
+        # k tan(a t + b) with complex a, about a center far off t0: the
+        # poles (pi/2 + n pi - b)/a within the radius (n = 5 ... 9),
+        # enumerated over every n that can reach the disk
+        s = solve(germ(0.3 + 0.2j, 1.1 - 0.4j, 0.9 + 0.7j, 0, t0=0.5 - 0.2j))
+        assert s.family == "NullTan" and s.a.imag != 0
+        center, radius = 13 - 20j, 7.0
+        want = [(math.pi / 2 + n * math.pi - s.b) / s.a for n in range(-200, 201)]
+        want = sorted((p for p in want if abs(p - center) <= radius), key=lambda p: (p.real, p.imag))
+        assert len(want) >= 4 and s.poles_within(center, radius) == want
+
+    def test_rational_and_exponential_poles_within_a_disk(self):
+        # u = 1/(1 - t): one pole, at t = 1; an exponential germ has none
+        s = solve(germ(1, 0, 1, 0))
+        assert s.poles_within(0, 3) == [1] and s.poles_within(0, 0.5) == []
+        assert solve(germ(1, 1, 0.5, 0.5)).poles_within(0, 10) == []
+
 
 class TestExponential:
     def test_diagonal(self):
@@ -114,12 +145,12 @@ class TestExponential:
         assert eq1_residual(s, 0.4) < 1e-8
 
 
-def route_error(g, t):
-    """``sample(solve(g), t)`` against ``continue_path`` at tol 1e-12: the
+def route_error(g, t, tol=1e-12):
+    """``sample(solve(g), t)`` against ``continue_path`` at ``tol``: the
     largest difference in (u, v, u', v'), relative to the largest component
     of the numeric state.  A typed refusal of ``solve`` or ``sample`` propagates."""
     pt, (du, dv) = sample(solve(g), t)
-    trace = continue_path(g, PathPolyline((g.t0, t)), 1e-12)
+    trace = continue_path(g, PathPolyline((g.t0, t)), tol)
     assert trace.completed
     e = trace.endpoint
     ref = (e.u, e.v, e.du, e.dv)
@@ -146,7 +177,8 @@ class TestProportional:
     @pytest.mark.parametrize("sign", [1, -1], ids=["beta=alpha", "beta=-alpha"])
     def test_near_the_diagonal_no_wrong_value(self, sign):
         # beta = sign (1 + eps) alpha: the chain refuses from about 1e-12 to
-        # 1e-4 (to 1e-2 for beta = -alpha) where its curve point degenerates
+        # 1e-4 off either diagonal, where its curve point degenerates at t0
+        # and one step along
         for k in range(1, 17):
             for d in (1, 1j):
                 for a, x in ((1, 0.8), (0.6 + 0.9j, -0.7 + 0.4j)):
@@ -178,6 +210,27 @@ class TestPsiCoefficients:
     def test_degenerate_boundary(self):
         with pytest.raises(DegenerateCoefficientsError):
             psi_coefficients(FirstIntegrals(0.5, 2))
+
+    def test_degenerate_band_is_about_1e_14(self):
+        # y solves a^2 y^2 + (2ab - c F) x y + b^2 x^2 = 0, c = 2 (1 + eps),
+        # F = a^2 + b^2, so that A B^2 = c: the germ with A B^2/2 - 1 about
+        # 1e-13 is outside psi_coefficients' band and is solved (8.7e-12
+        # off), the one at about 1.3e-15 is inside it; a band of 1e-12 would
+        # refuse the first, one of 1e-16 would solve the second
+        def band_germ(eps, a=1, b=2, x=0.5):
+            c, F = 2 * (1 + eps), a * a + b * b
+            p, q = (2 * a * b - c * F) * x, b * b * x * x
+            return germ(a, b, x, (-p + cmath.sqrt(p * p - 4 * a * a * q)) / (2 * a * a))
+
+        def gap(g):
+            fi = first_integrals(g)
+            return abs(fi.A * fi.B * fi.B / 2 - 1)
+
+        near, inside = band_germ(1e-13), band_germ(1.3e-15)
+        assert 0.9e-13 < gap(near) < 1.1e-13 and 1e-15 < gap(inside) < 2e-15
+        assert route_error(near, 0.2 + 0.2j) <= 1e-10
+        with pytest.raises(DegenerateCoefficientsError):
+            solve(inside)
 
     def test_simple_values(self):
         co = psi_coefficients(FirstIntegrals(1, 2))
@@ -309,6 +362,76 @@ class TestGenericChain:
         s = solve(g)
         assert germ_match_defect(s, g) < 1e-9
         assert eq1_residual(s, 0.2 + 0.1j) < 1e-8
+
+    @pytest.mark.parametrize("rho", [1e-10, 1e-12])
+    def test_near_axis_germ_is_anchored_one_step_along(self, rho):
+        # |alpha| = rho |beta|, or the same with u and v swapped: at t0 the
+        # curve point fails its defect check, so the chain is anchored one
+        # step along, as on the axis itself
+        r = random.Random(round(-math.log10(rho)))
+        worst = 0.0
+        for k in range(10):
+            b, x, y = (rand_complex(r) for _ in range(3))
+            a = rho * b * cmath.exp(1j * r.uniform(0, 2 * math.pi))
+            g = germ(*((a, b, x, y) if k % 2 else (b, a, y, x)))
+            for t in (0.3, 0.2 + 0.2j, 0.1 - 0.25j, 0.4j):
+                worst = max(worst, route_error(g, t, 1e-13))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-14])
+    def test_anti_diagonal_band_germ_is_anchored_at_t0(self, eps):
+        # beta = -alpha (1 + eps w), |w| = 1: the anchor at t0 passes both
+        # checks, so the chain is anchored there and not one step along
+        r = random.Random(round(-math.log10(eps)))
+        worst = 0.0
+        for _ in range(10):
+            a, x, y = (rand_complex(r) for _ in range(3))
+            w = cmath.exp(1j * r.uniform(0, 2 * math.pi))
+            g = germ(a, -a * (1 + eps * w), x, y)
+            assert solve(g).t0 == g.t0
+            for t in (0.3, 0.2 + 0.2j, 0.1 - 0.25j, 0.4j):
+                worst = max(worst, route_error(g, t))
+        assert worst <= 3e-14
+
+    def test_proportional_germ_off_the_anti_diagonal_is_anchored_one_step_along(self):
+        # beta = -(1 + 1e-2 w) alpha, y = beta x / alpha: the curve point at
+        # t0 is off the curve, the one a step along is not
+        r = random.Random(2)
+        for _ in range(10):
+            a, x = rand_complex(r), rand_complex(r)
+            q = -(1 + 1e-2 * cmath.exp(1j * r.uniform(0, 2 * math.pi)))
+            g = germ(a, q * a, x, q * x)
+            t = cmath.rect(r.uniform(0.05, 0.5), r.uniform(0, 2 * math.pi))
+            assert route_error(g, t) <= 1e-11
+
+    def test_germ_at_the_edge_of_the_double_range_is_solved(self):
+        # alpha = 1e-300: the curve point at t0 has lost every digit, the
+        # one a step along has not
+        g = germ(1e-300, 1, 0.8, 1.3 + 0.1j)
+        assert route_error(g, 0.3 + 0.2j) <= 1e-13
+
+    def test_anchor_sweep_raises_nothing_untyped(self):
+        # axis, near-axis, beta ~ -alpha, proportional and generic germs,
+        # and beta = -alpha within 1e-100 and 1e-170: where the anchor's
+        # arithmetic overflows, its check fails and the step decides.  The
+        # count of solved germs keeps the sweep from passing by refusals
+        r = random.Random(24)
+        states = [(1 + 1e-100j, -1, 0.8, 1.3 + 0.1j), (1 + 1e-170j, -1, 0.8, 1.3 + 0.1j)]
+        for k in range(60):
+            a, b, x, y = (rand_complex(r) for _ in range(4))
+            w = 10.0 ** -r.uniform(0, 300)
+            states += [(0, b, x, y), (w * b, b, x, y), (a, -a * (1 + w), x, y),
+                       (a, -(1 + w) * a, x, -(1 + w) * x), (a, b, x, y)]
+        solved = 0
+        for state in states:
+            try:
+                s = solve(germ(*state))
+                solved += 1
+                for t in (0.3, -0.2 + 0.25j):
+                    sample(s, t)
+            except CliftonPohlError:
+                pass
+        assert solved >= len(states) // 2
 
     def test_degenerate_quartic_locus_is_not_the_class_boundary(self):
         # A B^2 = 2 with cosh(phi0) != 1: classified Generic, yet the
