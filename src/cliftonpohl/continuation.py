@@ -98,8 +98,8 @@ State = tuple[complex, complex, complex, complex]
 #: u^2 + v^2 = 0 exceeds tol.
 TAIL_FACTOR = 1e-4
 
-#: Cluster width for probe obstruction estimates.
-CLUSTER_TOL = 1e-4
+#: Cluster width for probe obstruction estimates, relative to the radius.
+CLUSTER_TOL = 2e-5
 
 #: A probe walk settles at once on an estimate whose relative spread is
 #: at most this: its ratios have converged to rounding, so walking closer
@@ -299,7 +299,7 @@ def _integrate_segment(
 
     With no ``on_step``, it halts after a step whose estimate has settled
     (spread at most ``SETTLED_SPREAD``) on a point ahead: projection in
-    (0, |t_to - t|], lateral offset at most max(|offset| spread, 1e-12).
+    (0, |t_to - t|], lateral offset at most |offset| ``SETTLED_SPREAD``.
     The estimate runs only where the last raw coefficient ratio of u or v
     (one division) already puts a singular point there, within
     ``SPREAD_FLOOR`` of its distance.
@@ -330,7 +330,7 @@ def _integrate_segment(
             return None
         off, spread = est[0] - x, est[1]
         w = off / e
-        if 0.0 < w.real <= rest and abs(w.imag) <= max(abs(off) * spread, 1e-12):
+        if 0.0 < w.real <= rest and abs(w.imag) <= abs(off) * SETTLED_SPREAD:
             return off, spread
         return None
 
@@ -548,7 +548,7 @@ def completeness_probe(
             r = _probe_ray(g, angle, radius, n_rays, tol, start)
         per_ray.append(r)
         allpts.extend(r.obstructions)
-    centers = _cluster(allpts, CLUSTER_TOL)
+    centers = _cluster(allpts, CLUSTER_TOL * radius)
     min_sep = min(
         (abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]), default=0.0
     )

@@ -101,37 +101,31 @@ def _gl_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
-def _gl_pair(f, a: complex, b: complex, n: int = 16) -> tuple[complex, complex]:
-    """Integrate over [a, b] a C -> C^2 function f, which takes the panel's
-    nodes and yields their values in order: none past a blow-up is evaluated."""
-    nodes, weights = _gl_rule(n)
+def _gl_pair(f, a: complex, b: complex) -> tuple[complex, complex]:
+    """Integrate over [a, b] by the 16-point rule a C -> C^2 function f, which
+    takes the panel's nodes and yields their values in order."""
+    nodes, weights = _gl_rule(16)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    points = [mid + half * x for x in nodes]
     s1 = 0j
     s2 = 0j
-    for t, w, (f1, f2) in zip(points, weights, f(points)):
-        if abs(f1) > POLE_THRESHOLD or abs(f2) > POLE_THRESHOLD:
-            raise PoleError("integrand blows up on the evaluation path", location=t)
+    for w, (f1, f2) in zip(weights, f([mid + half * x for x in nodes])):
         s1 += w * f1
         s2 += w * f2
     return half * s1, half * s2
 
 
-def adaptive_segment_integral(
-    f, a: complex, b: complex, tol: float = QUAD_TOL, depth: int = 48
-) -> tuple[complex, complex]:
+def adaptive_segment_integral(f, a: complex, b: complex) -> tuple[complex, complex]:
     """Adaptive bisection of a 16-point Gauss-Legendre pair rule.
 
-    A panel is bisected until its two halves agree with it to ``tol``;
+    A panel is bisected until its two halves agree with it to ``QUAD_TOL``;
     each half then serves as the whole of its own bisection, so no panel
     is evaluated twice.  Work is bounded: at most ``MAX_PANELS`` calls of
-    the 16-point rule, else ``ConvergenceError`` at the panel that
-    stalled, and at most ``depth`` bisections, else ``PoleError``.
+    the 16-point rule, else ``ConvergenceError`` at the panel that stalled.
     """
     panels = 1
 
-    def bisect(a: complex, b: complex, whole, depth: int) -> tuple[complex, complex]:
+    def bisect(a: complex, b: complex, whole) -> tuple[complex, complex]:
         nonlocal panels
         mid = 0.5 * (a + b)
         if panels + 2 > MAX_PANELS:
@@ -143,15 +137,13 @@ def adaptive_segment_integral(
         right = _gl_pair(f, mid, b)
         fine = (left[0] + right[0], left[1] + right[1])
         err = max(abs(fine[0] - whole[0]), abs(fine[1] - whole[1]))
-        if err <= tol * (1.0 + abs(fine[0]) + abs(fine[1])):
+        if err <= QUAD_TOL * (1.0 + abs(fine[0]) + abs(fine[1])):
             return fine
-        if depth <= 0:
-            raise PoleError("quadrature failed to converge on the path", location=mid)
-        l = bisect(a, mid, left, depth - 1)
-        r = bisect(mid, b, right, depth - 1)
+        l = bisect(a, mid, left)
+        r = bisect(mid, b, right)
         return l[0] + r[0], l[1] + r[1]
 
-    return bisect(a, b, _gl_pair(f, a, b), depth)
+    return bisect(a, b, _gl_pair(f, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +193,16 @@ class _NullSampler:
 
 
 class NullRationalSampler(_NullSampler):
-    """Null geodesic with zero constant coordinate: m(t) = 1/(C - B t)."""
+    """Null geodesic with zero constant coordinate: m(t) = 1/(C - B t), refused
+    within (2/``POLE_THRESHOLD``)^(1/3) of the germ's own distance |t0 - C/B|."""
 
     family = "NullRational"
 
-    def __init__(self, moving: str, B: complex, C: complex):
+    def __init__(self, moving: str, B: complex, C: complex, t0: complex):
         super().__init__(moving, 0j)
         self.B = B
         self.C = C
+        self.t0 = t0
 
     @property
     def pole(self) -> complex:
@@ -216,7 +210,7 @@ class NullRationalSampler(_NullSampler):
 
     def _moving_value(self, t: complex) -> tuple[complex, complex, complex]:
         d = self.C - self.B * t
-        if abs(d) ** 3 * POLE_THRESHOLD < 2.0 * abs(self.B) ** 2 or abs(d) == 0.0:
+        if abs(d) ** 3 * POLE_THRESHOLD < 2.0 * abs(self.C - self.B * self.t0) ** 3:
             raise PoleError("sampler evaluated at its pole", location=self.pole)
         w = 1.0 / d
         return w, self.B * w * w, 2.0 * self.B * self.B * w * w * w
@@ -227,7 +221,8 @@ class NullRationalSampler(_NullSampler):
 
 
 class NullTanSampler(_NullSampler):
-    """Null geodesic with constant coordinate k != 0: m(t) = k tan(a t + b)."""
+    """Null geodesic with constant coordinate k != 0: m(t) = k tan(a t + b),
+    refused where sec^2(a t + b) exceeds ``POLE_THRESHOLD``."""
 
     family = "NullTan"
 
@@ -239,7 +234,7 @@ class NullTanSampler(_NullSampler):
     def _moving_value(self, t: complex) -> tuple[complex, complex, complex]:
         th = self.a * t + self.b
         c = cmath.cos(th)
-        if abs(c) ** 2 * POLE_THRESHOLD < abs(self.k * self.a):
+        if abs(c) ** 2 * POLE_THRESHOLD < 1.0:
             raise PoleError(
                 "sampler evaluated at a tangent pole", location=self.nearest_pole(t)
             )
@@ -480,7 +475,7 @@ def solve(g: GeodesicGerm) -> GeodesicSampler:
             moving, k, w0, dw0 = "u", b, a, x
         if k == 0:
             B = dw0 / (w0 * w0)
-            return NullRationalSampler(moving, B, 1.0 / w0 + B * g.t0)
+            return NullRationalSampler(moving, B, 1.0 / w0 + B * g.t0, g.t0)
         aa = k * dw0 / (k * k + w0 * w0)  # nonzero: the germ is in the domain
         return NullTanSampler(moving, k, aa, cmath.atan(w0 / k) - aa * g.t0)
     if c.tag is GeodesicClass.EXPONENTIAL:

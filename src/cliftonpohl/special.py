@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, PoleError, SingularPathError
 
-#: Magnitudes above this are treated as "at a pole".
+#: A dimensionless bound: a ratio (|sn|, a tangent's sec^2) above it is "at a pole".
 POLE_THRESHOLD = 1e12
 
 #: Landen recursion stops once |m_n| drops below this.  The bottom step
@@ -68,7 +68,7 @@ def _landen_ladder(m: complex):
     the periods.  At m = 0, K' is infinite and the lattice is all zeros,
     so nothing is reduced.  At m = 1 it is (): sn = tanh, cn = dn = sech.
     """
-    if abs(m - 1.0) < 1e-15:
+    if m == 1:
         return ()
     lattice = (0j, 0j, 0j, 0j)
     if m != 0:

@@ -96,10 +96,20 @@ class TestExitCodes:
                 "--germ", '{"alpha":[true,false],"beta":[0,0],"x":[1,0],"y":[0,0]}',
                 "--path", "[[0,0],[1,0]]",
             ],
+            ["shoot", "--germ", "[1,0,1,0]", "--path", "[[0,0],[1,0]]"],
+            [
+                "shoot",
+                "--germ", '{"alpha":[1,0],"beta":[0,0],"x":[0,0],"y":[0,0]}',
+                "--path", "[[0,0],[1,0]]",
+            ],
+            ["shoot", "--germ", RATIONAL, "--path", '{"to":[1,0]}'],
             ["probe", "--germ", RATIONAL, "--radius", "nan"],
             ["probe", "--germ", RATIONAL, "--radius", "inf"],
         ],
-        ids=["nan-waypoint", "bool-waypoint", "bool-germ", "nan-radius", "inf-radius"],
+        ids=[
+            "nan-waypoint", "bool-waypoint", "bool-germ", "array-germ", "zero-velocity-germ",
+            "object-path", "nan-radius", "inf-radius",
+        ],
     )
     def test_bad_value_is_2_with_nothing_written(self, tmp_path, capsys, argv):
         out = tmp_path / "o.json"

@@ -389,6 +389,16 @@ class TestObstructionLocalization:
         want = 1 / (1 - end)
         assert abs(tr.endpoint.u - want) <= 1e-9 * (1 + abs(want))
 
+    def test_sped_up_shot_beside_its_pole_completes(self):
+        # u = 1/(1 - 2^34 t) along a line that passes 1e-3 of its own time
+        # 2^-34 beside the pole: no settle rule may read 1e-12 as a width
+        k = 34
+        end = 2.0 ** (1 - k) + 0.002j * 2.0**-k
+        tr = continue_path(germ(1, 0, 2.0**k, 0), PathPolyline((0, end)))
+        assert tr.status == "Completed"
+        want = 1 / (1 - 2.0**k * tr.endpoint.t)
+        assert abs(tr.endpoint.u - want) <= 1e-12 * (1 + abs(want))
+
     @pytest.mark.parametrize(
         "state, pole", _POLES_WITHIN_4, ids=[f"{s[0]}-{p:.2f}" for s, p in _POLES_WITHIN_4]
     )
@@ -613,6 +623,18 @@ class TestProbe:
                         assert _walk_localize(t, y, 1e-9, est) is not None, (g, t)
         assert seen >= 400
 
+    def test_sped_up_probe_reports_the_scaled_poles(self):
+        # velocity times 2^17, radius 5 2^-17: the 10 points of the unscaled
+        # probe times 2^-17; with an absolute cluster width the report
+        # averaged them into one point
+        k = 17
+        base = completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 64)
+        rep = completeness_probe(germ(1.3, -0.7, 0.9 * 2.0**k, 1.1 * 2.0**k), 5.0 * 2.0**-k, 64)
+        assert len(rep.obstructions) == len(base.obstructions) == 10
+        assert all(r.status != "Blocked" for r in rep.per_ray)
+        for p in rep.obstructions:
+            assert min(abs(p - q * 2.0**-k) for q in base.obstructions) <= 1e-12 * 2.0**-k
+
     def test_dense_lattice_halts_settle_once(self, ray_log):
         # on rays 30 and 31 of the dense germ the halt states see two
         # comparable poles, so nearest_singularity of the halt state alone
@@ -630,7 +652,7 @@ class TestProbe:
             # a candidate within its own uncertainty of a point the ray
             # already found is suppressed, not walked to a second time
             assert all(
-                abs(p - q) >= CLUSTER_TOL for i, p in enumerate(settled) for q in settled[:i]
+                abs(p - q) >= CLUSTER_TOL * 5.0 for i, p in enumerate(settled) for q in settled[:i]
             ), (g, k)
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
@@ -993,11 +1015,11 @@ class TestInvertedChart:
         counts, forward = [], []
         real_ray = continuation._probe_ray
 
-        def ray(g, *args):
+        def ray(g, angle, radius, *args):
             ray_log.settled.clear()
             ray_log.crossings.clear()
-            r = real_ray(g, *args)
-            points = _cluster(ray_log.settled, CLUSTER_TOL)
+            r = real_ray(g, angle, radius, *args)
+            points = _cluster(ray_log.settled, CLUSTER_TOL * radius)
             counts.append((len(ray_log.crossings), len(points)))
             forward.extend(abs(b - g.t0) > abs(a - g.t0) for a, b in ray_log.crossings)
             return r

@@ -23,7 +23,7 @@ from cliftonpohl.families import (
     sample,
     solve,
 )
-from cliftonpohl.manifold import FirstIntegrals, first_integrals, geodesic_rhs, germ
+from cliftonpohl.manifold import FirstIntegrals, dilate, first_integrals, geodesic_rhs, germ
 from cliftonpohl.special import POLE_THRESHOLD, _jacobi_raw
 from cliftonpohl.taylor import taylor_step
 
@@ -105,11 +105,63 @@ class TestNull:
         want = sorted((p for p in want if abs(p - center) <= radius), key=lambda p: (p.real, p.imag))
         assert len(want) >= 4 and s.poles_within(center, radius) == want
 
+    @pytest.mark.parametrize(
+        "state, t0, pole",
+        [((1, 0, 1, 0), 0, 1), ((1, 0, 2.0**20, 0), 0, 2.0**-20), ((0, 0.5, 0, 2), 0.3, 0.55)],
+        ids=["unit", "sped-up", "off-t0"],
+    )
+    def test_rational_pole_is_refused_relative_to_the_germs_distance(self, state, t0, pole):
+        # 1/(C - B t) is refused within (2/POLE_THRESHOLD)^(1/3) = 1.26e-4
+        # of the germ's own distance |t0 - pole|, and not outside it
+        s = solve(germ(*state, t0=t0))
+        near = (2.0 / POLE_THRESHOLD) ** (1.0 / 3.0) * abs(t0 - pole)
+        for side in (1, -1, 1j):
+            sample(s, pole + 1.01 * near * side)
+            with pytest.raises(PoleError) as err:
+                sample(s, pole + 0.99 * near * side)
+            assert abs(err.value.location - pole) <= 1e-15 * abs(pole)
+        with pytest.raises(PoleError):
+            sample(s, s.pole)
+
     def test_rational_and_exponential_poles_within_a_disk(self):
         # u = 1/(1 - t): one pole, at t = 1; an exponential germ has none
         s = solve(germ(1, 0, 1, 0))
         assert s.poles_within(0, 3) == [1] and s.poles_within(0, 0.5) == []
         assert solve(germ(1, 1, 0.5, 0.5)).poles_within(0, 10) == []
+
+
+# germs of the four samplers, each sped up by 2^k below
+SCALED_GERMS = [(1, 0, 1, 0), (0, 1, 1, 0), (1, 2, 1, 1), (1.3, -0.7, 0.9, 1.1)]
+SCALED_TARGETS = [0.3, 0.2 + 0.2j, -0.25j, 0.5 - 0.1j, 1.2 + 0.4j, -0.6 + 0.9j]
+
+
+class TestTimeScale:
+    """t -> lambda t maps geodesics to geodesics and (u, v) -> c (u, v) is an
+    isometry: no refusal may read a unit of time or of u."""
+
+    @pytest.mark.parametrize("k", [-20, 20, 40, 45])
+    @pytest.mark.parametrize("state", SCALED_GERMS, ids=["rational", "tan", "generic", "spread"])
+    def test_sped_up_germ_samples_as_the_unscaled_one(self, state, k):
+        # velocity times 2^k, sampled at t 2^-k: the unscaled sample with
+        # its velocity times 2^k; bit for bit where every constant of the
+        # sampler scales by a power of 2
+        a, b, x, y = state
+        s, fast = solve(germ(*state)), solve(germ(a, b, x * 2.0**k, y * 2.0**k))
+        rel = 0.0 if state != SCALED_GERMS[-1] else 1e-14
+        for t in SCALED_TARGETS:
+            pt, (du, dv) = sample(s, t)
+            want = (pt.u, pt.v, du * 2.0**k, dv * 2.0**k)
+            pt, (du, dv) = sample(fast, t * 2.0**-k)
+            for got, w in zip((pt.u, pt.v, du, dv), want):
+                assert abs(got - w) <= rel * abs(w)
+
+    def test_dilated_tangent_germ_samples_scale(self):
+        # (u, v) -> 2^40 (u, v): u = 2^40 tan t, which the sampler refused
+        # everywhere when its rule read |k a| as a rate
+        s, big = solve(germ(0, 1, 1, 0)), solve(dilate(germ(0, 1, 1, 0), 40))
+        for t in SCALED_TARGETS:
+            (pt, vel), (bpt, bvel) = sample(s, t), sample(big, t)
+            assert (bpt.u, bpt.v, *bvel) == tuple(2.0**40 * c for c in (pt.u, pt.v, *vel))
 
 
 class TestExponential:
@@ -557,7 +609,7 @@ def contour_residues(s, p, rho=0.05, n=64):
     return ru / n, rv / n
 
 
-def reference_quadrature(f, a, b, tol=families.QUAD_TOL, depth=48):
+def reference_quadrature(f, a, b):
     """Bisection that evaluates every panel afresh, with no budget."""
     whole = families._gl_pair(f, a, b)
     mid = 0.5 * (a + b)
@@ -565,12 +617,10 @@ def reference_quadrature(f, a, b, tol=families.QUAD_TOL, depth=48):
     right = families._gl_pair(f, mid, b)
     fine = (left[0] + right[0], left[1] + right[1])
     err = max(abs(fine[0] - whole[0]), abs(fine[1] - whole[1]))
-    if err <= tol * (1.0 + abs(fine[0]) + abs(fine[1])):
+    if err <= families.QUAD_TOL * (1.0 + abs(fine[0]) + abs(fine[1])):
         return fine
-    if depth <= 0:
-        raise PoleError("quadrature failed to converge on the path", location=mid)
-    l = reference_quadrature(f, a, mid, tol, depth - 1)
-    r = reference_quadrature(f, mid, b, tol, depth - 1)
+    l = reference_quadrature(f, a, mid)
+    r = reference_quadrature(f, mid, b)
     return l[0] + r[0], l[1] + r[1]
 
 
@@ -583,8 +633,6 @@ def pointwise_panel(s, a, b):
     s1 = s2 = 0j
     for x, w in zip(nodes, weights):
         _, _, f1, f2, _, _ = s._chain(mid + half * x)
-        if abs(f1) > POLE_THRESHOLD or abs(f2) > POLE_THRESHOLD:
-            raise PoleError("integrand blows up on the evaluation path", location=mid + half * x)
         s1 += w * f1
         s2 += w * f2
     return half * s1, half * s2

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ class TestDomain:
     def test_excluded_lines(self):
         assert not in_domain(1, 1j)
         assert not in_domain(2, -2j)
+        assert not in_domain(0, 0)  # on both lines
 
     def test_point_constructor_rejects(self):
         with pytest.raises(OutOfDomainError):
@@ -71,6 +73,11 @@ class TestMetric:
 
     def test_diagonal(self):
         assert abs(metric_eval(Point(1, 1), (1, 1), (1, 1)) - 0.5) < 1e-15
+
+    def test_off_the_domain(self):
+        # a point record that skipped Point's own check, on u^2 + v^2 = 0
+        with pytest.raises(OutOfDomainError):
+            metric_eval(SimpleNamespace(u=1, v=1j), (1, 0), (0, 1))
 
     @given(nonzero, nonzero, nonzero, nonzero, nonzero, nonzero)
     @settings(max_examples=60, deadline=None)

@@ -114,6 +114,22 @@ class TestJacobi:
                     assert abs(g - r) <= 1e-13 * abs(r)
         assert _landen_ladder.cache_info().hits >= hits + 5 * len(zs)
 
+    @pytest.mark.parametrize("eps", [2.0**-52, 1e-15, 1e-14, 1e-13])
+    def test_parameter_next_to_1_needs_no_band(self, eps):
+        # only m == 1 takes the tanh branch; at m = 1 + eps e^(i phi) the
+        # Landen ladder stays at rounding against a 30-digit reference
+        # (1.6e-15 at most)
+        mpmath = pytest.importorskip("mpmath")
+        zs = (0.1 + 0.05j, 0.7 - 0.3j, -0.4 + 0.9j, 1.2 + 0.2j, -0.9 - 0.6j)
+        for k in range(5):
+            m = 1 + eps * cmath.exp(2j * math.pi * k / 5)
+            assert m != 1 and _landen_ladder(m) != ()
+            for z in zs:
+                with mpmath.workdps(30):
+                    ref = [complex(mpmath.ellipfun(q, z, m=m)) for q in ("sn", "cn", "dn")]
+                for g, r in zip(_jacobi_raw(z, m), ref):
+                    assert abs(g - r) <= 1e-14 * abs(r), (m, z)
+
     def test_landen_stop_keeps_the_kernel_at_rounding(self):
         # at points drawn as criterion 7 draws them, against a 30-digit
         # reference: 2.4e-15 at most with the ladder stopped below
