@@ -98,9 +98,6 @@ State = tuple[complex, complex, complex, complex]
 #: u^2 + v^2 = 0 exceeds tol.
 TAIL_FACTOR = 1e-4
 
-#: Cluster width for probe obstruction estimates, relative to the radius.
-CLUSTER_TOL = 2e-5
-
 #: A probe walk settles at once on an estimate whose relative spread is
 #: at most this: its ratios have converged to rounding, so walking closer
 #: cannot sharpen the location.  Settling below a spread of 0.05 instead
@@ -111,7 +108,8 @@ SETTLED_SPREAD = 1e-12
 #: TUBE_WIDTH * |t - t0| * sin(pi/n) + TUBE_FLOOR * radius about t, and
 #: crosses a collapse by that width.  The first term is 0.8 of the gap to
 #: the neighbouring rays, so neighbouring tubes overlap; the floor lets a
-#: ray that collapses at t0, next to a pole, cross forward.
+#: ray that collapses at t0, next to a pole, cross forward.  No ray tells
+#: apart points closer than the floor: the probe clusters at that width.
 TUBE_WIDTH = 1.6
 TUBE_FLOOR = 5e-3
 
@@ -357,7 +355,7 @@ def continue_path(
     state.  The trace reports that stop's estimate.
     """
     _check_tol(tol)
-    if abs(path.waypoints[0] - g.t0) > 1e-12 * (1.0 + abs(g.t0)):
+    if path.waypoints[0] != g.t0:
         raise ValueError("path must start at the germ's base time")
     trace = ContinuationTrace(g, path.waypoints, tol)
     y = g.state()
@@ -548,7 +546,7 @@ def completeness_probe(
             r = _probe_ray(g, angle, radius, n_rays, tol, start)
         per_ray.append(r)
         allpts.extend(r.obstructions)
-    centers = _cluster(allpts, CLUSTER_TOL * radius)
+    centers = _cluster(allpts, TUBE_FLOOR * radius)
     min_sep = min(
         (abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]), default=0.0
     )
@@ -574,7 +572,8 @@ def loop_monodromy(
     length h moves to the point of the circle at chord h, at most half a
     turn on, so every point of the arc it covers lies in the disc where
     its series holds: no singularity can hide between a chord and the
-    arc.  The last step lands on the basepoint.
+    arc.  The last step lands on the basepoint.  The branch has changed
+    where the state comes back more than tol off, relative to 1 + |y|.
     """
     _check_tol(tol)
     _check_radius(loop_radius)
@@ -598,4 +597,4 @@ def loop_monodromy(
         return LoopResult("Obstructed", y0, None, False, math.inf)
     y = arc.y
     mismatch = max(abs(y[q] - y0[q]) / (1.0 + abs(y0[q])) for q in range(4))
-    return LoopResult("Completed", y0, y, mismatch > 10.0 * tol, mismatch)
+    return LoopResult("Completed", y0, y, mismatch > tol, mismatch)

@@ -29,7 +29,8 @@ parameter m = -R, so w is a Jacobi sn in Theta = Theta0 + D (t - t0)
 with D^2 = -P^2.  Rather than inverting sn for Theta0 (whose defining
 integral may cross a branch cut), the sampler stores the curve point
 (Y, Y') = (w, dw/dTheta) at t0 and propagates it with the sn addition
-law, which only ever needs the product cn*dn, never cn and dn alone.
+law as a complete pair of forms (DLMF 22.8): where one is 0/0 the other
+is not, and both need only the product cn*dn, never cn and dn alone.
 The final integration back to (u, v) uses
 
     omega' = A B cosh(phi) + phi'/2,   eta' = A B cosh(phi) - phi'/2,
@@ -251,19 +252,15 @@ class NullTanSampler(_NullSampler):
         return (math.pi / 2.0 + n * math.pi - self.b) / self.a
 
     def poles_within(self, center: complex, radius: float) -> list[complex]:
-        out = []
-        n = 0
-        while True:
-            hits = [
-                (math.pi / 2.0 + s * n * math.pi - self.b) / self.a
-                for s in ((1,) if n == 0 else (1, -1))
-            ]
-            keep = [p for p in hits if abs(p - center) <= radius]
-            if not keep and n > 2 + abs(self.a) * (radius + abs(center - self.b / self.a)):
-                break
-            out.extend(keep)
-            n += 1
-        return sorted(set(out), key=lambda p: (p.real, p.imag))
+        # (pi/2 + n pi - b)/a is in the disc only if |n pi - w| <= radius |a|:
+        # n is in an interval, widened by one at each end against rounding
+        w = self.a * center + self.b - math.pi / 2.0
+        reach = radius * abs(self.a)
+        lo = math.floor((w.real - reach) / math.pi) - 1
+        hi = math.ceil((w.real + reach) / math.pi) + 1
+        hits = {(math.pi / 2.0 + n * math.pi - self.b) / self.a for n in range(lo, hi + 1)}
+        inside = [p for p in hits if abs(p - center) <= radius]
+        return sorted(inside, key=lambda p: (p.real, p.imag))
 
 
 class ExponentialSampler:
@@ -290,6 +287,11 @@ class ExponentialSampler:
         return []
 
 
+def _at_chain_root(YY: complex) -> bool:
+    """Whether Y is a root of 1 + Y^2 relative to max(1, |Y^2|), given YY = Y^2."""
+    return abs(1.0 + YY) * POLE_THRESHOLD < max(1.0, abs(YY))
+
+
 class GenericEllipticSampler:
     """The full log / artanh / elliptic chain for a generic germ."""
 
@@ -314,23 +316,28 @@ class GenericEllipticSampler:
 
     def _curve(self, points):
         """The curve point (Y, dY/dTheta) at each of ``points``, in order, by
-        the addition law; constants and the Landen ladder are looked up once."""
+        the addition law; constants and the Landen ladder are looked up once.
+        Of its two forms (DLMF 22.8), with denominators Q = 1 - m s1^2 s2^2 and
+        R = s1 p2 - s2 p1 (p = cn dn), the one with the larger is taken: each
+        is 0/0 only where the other is not.  Both vanish only at a pole of Y,
+        where u = -v, a regular point the chain cannot represent."""
         m, D, t0, s1, p1 = self.m, self.D, self.t0, self.Y0, self.Yp0
-        s1sq, mc1sq, d1sq = s1 * s1, m * (1.0 - s1 * s1), 1.0 - m * s1 * s1
+        s1sq, c1sq, d1sq = s1 * s1, 1.0 - s1 * s1, 1.0 - m * s1 * s1
         ladder = _landen_ladder(m)
         for t in points:
             s2, c2, d2 = _jacobi_raw(D * (t - t0), m, ladder)
-            p2 = c2 * d2
-            s1s2 = s1sq * s2 * s2
-            Q = 1.0 - m * s1s2
-            if abs(Q) == 0.0:
-                raise PoleError("elliptic argument hit a lattice pole", location=t)
-            Y = (s1 * p2 + s2 * p1) / Q
-            Yp = (
-                p1 * p2 * (1.0 + m * s1s2)
-                - s1 * s2 * (mc1sq * c2 * c2 + d1sq * d2 * d2)
-            ) / (Q * Q)
-            yield Y, Yp
+            p2, s2sq = c2 * d2, s2 * s2
+            s1s2 = s1sq * s2sq
+            Q, R = 1.0 - m * s1s2, s1 * p2 - s2 * p1
+            if abs(R) > abs(Q):
+                Y, den = (s1sq - s2sq) / R, R * R
+                Yp = p1 * p2 * (s1sq + s2sq) - s1 * s2 * (c1sq * d2 * d2 + d1sq * c2 * c2)
+            elif Q:
+                Y, den = (s1 * p2 + s2 * p1) / Q, Q * Q
+                Yp = p1 * p2 * (1.0 + m * s1s2) - s1 * s2 * (m * c1sq * c2 * c2 + d1sq * d2 * d2)
+            else:
+                raise PoleError("the curve point has a pole here, where u = -v", location=t)
+            yield Y, Yp / den
 
     def curve_point(self, t: complex) -> tuple[complex, complex]:
         return next(self._curve((t,)))
@@ -357,12 +364,12 @@ class GenericEllipticSampler:
         AB, D, D2j = self.A * self.B, self.D, 2j * self.D
         for t, (Y, Yp) in zip(points, curve):
             YY = Y * Y
-            one = 1.0 + YY
-            if abs(one) * POLE_THRESHOLD < 4.0 * max(1.0, abs(YY)):
+            if _at_chain_root(YY):
                 r, h = AB / (Y * D * Yp), 0.5j / Y
                 if min((r + h).real, (r - h).real) < -0.25:
                     raise PoleError("chain root: pole of u or v", location=t)
                 raise ChartDegeneracyError("chain root: zero of u or v", location=t)
+            one = 1.0 + YY
             yield (1.0 - YY) / one, D2j * Yp / one
 
     def _chain(self, t: complex) -> tuple[complex, complex, complex, complex, complex, complex]:
@@ -449,7 +456,7 @@ def _generic_from_state(
         try:
             psi0 = (a - b) / (a + b)  # tanh(log(a/b)/2), branch-free
             Y0 = -1j * psi0
-            if abs(1.0 + Y0 * Y0) * POLE_THRESHOLD >= 4.0 * max(1.0, abs(Y0 * Y0)):
+            if not _at_chain_root(Y0 * Y0):
                 why = "inconsistent elliptic curve point for this germ"
                 Yp0 = 0.5 * (x / a - y / b) * (1.0 - psi0 * psi0) / (1j * D)
                 defect = abs(Yp0 * Yp0 - (1.0 - Y0 * Y0) * (1.0 - m * Y0 * Y0))

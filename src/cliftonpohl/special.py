@@ -8,10 +8,10 @@ principal values mid-path.
 Branch conventions
 ------------------
 * Square roots are ``cmath.sqrt`` (cut along the negative real axis).
-* Jacobi functions are evaluated by a descending Landen recursion whose
-  parameters come from the arithmetic-geometric mean; this is uniformly
-  valid for complex parameter m without case analysis, and it preserves
-  the algebraic identities sn^2+cn^2 = 1, dn^2+m*sn^2 = 1 to rounding.
+* Jacobi functions are evaluated by a descending Landen recursion, which
+  takes one step at least for every m other than 0 and 1 (else a small m
+  loses the pole at iK'); so it is valid for complex m without case
+  analysis, and it preserves sn^2+cn^2 = 1, dn^2+m*sn^2 = 1 to rounding.
   The argument is first reduced modulo the periods 2K and 2iK', whose
   values come from ``carlson_rf`` on the same principal branch.
 """
@@ -28,8 +28,9 @@ from .errors import ConvergenceError, PoleError, SingularPathError
 #: A dimensionless bound: a ratio (|sn|, a tangent's sec^2) above it is "at a pole".
 POLE_THRESHOLD = 1e12
 
-#: Landen recursion stops once |m_n| drops below this.  The bottom step
-#: drops an O(m_n^2) term, which stays below rounding on a reduced argument.
+#: Landen recursion stops once |m_n| drops below this, after one step at
+#: least.  The bottom step drops an O(m_n^2) term, which stays below
+#: rounding on a reduced argument.
 LANDEN_TOL = 1e-8
 
 
@@ -76,9 +77,9 @@ def _landen_ladder(m: complex):
         det = P.real * Q.imag - P.imag * Q.real
         lattice = (P, Q, -Q.conjugate() / det, P.conjugate() / det)
     scale, shrink = [], 1.0
-    while abs(m) >= LANDEN_TOL:
+    while m != 0 and (abs(m) >= LANDEN_TOL or not scale):
         kp = cmath.sqrt(1.0 - m)
-        k1 = (1.0 - kp) / (1.0 + kp)
+        k1 = m / ((1.0 + kp) * (1.0 + kp))
         scale.append(k1)
         shrink /= 1.0 + k1
         m = k1 * k1
@@ -96,9 +97,9 @@ def _jacobi_raw(z: complex, m: complex, ladder=None) -> tuple[complex, complex, 
     half-period translations (DLMF 22.4(iii)) an odd p negates sn and cn,
     an odd q negates cn and dn.
 
-    Descending Landen: with k' = sqrt(1-m) and k1 = (1-k')/(1+k'), the
-    parameter m1 = k1^2 shrinks quadratically, the argument scales by
-    1/(1+k1), and the values lift through
+    Descending Landen: with k' = sqrt(1-m) and k1 = (1-k')/(1+k'), computed
+    as m/(1+k')^2, the parameter m1 = k1^2 shrinks quadratically, the
+    argument scales by 1/(1+k1), and the values lift through
 
         sn(z,m) = (1+k1) s / (1 + k1 s^2)
         cn(z,m) = c d / (1 + k1 s^2)
@@ -140,11 +141,15 @@ def jacobi_elliptic(z: complex, m: complex) -> EllipticTriple:
     """Jacobi sn, cn, dn of argument z with parameter m (both complex).
 
     Analytic in both arguments away from the lattice poles; proximity to
-    a pole is detected by a magnitude threshold and raised as PoleError.
+    a pole is detected by a magnitude threshold, or by the kernel's
+    division by zero on one, and raised as PoleError.
     """
     z, m = complex(z), complex(m)
     require_finite(z, m)
-    s, c, d = _jacobi_raw(z, m)
+    try:
+        s, c, d = _jacobi_raw(z, m)
+    except ZeroDivisionError:
+        raise PoleError("jacobi argument on a lattice pole", location=z) from None
     if max(abs(s), abs(c), abs(d)) > POLE_THRESHOLD:
         raise PoleError("jacobi values exceed pole threshold", location=z)
     return EllipticTriple(s, c, d)
@@ -193,17 +198,6 @@ def carlson_rf(x: complex, y: complex, z: complex) -> complex:
     return series / cmath.sqrt(A)
 
 
-def dist_to_segment(p: complex, a: complex, b: complex) -> float:
-    """Distance from p to the closed segment [a, b] of the complex plane."""
-    ab = b - a
-    L2 = abs(ab) ** 2
-    if L2 == 0.0:
-        return abs(p - a)
-    s = ((p - a) * ab.conjugate()).real / L2
-    s = min(1.0, max(0.0, s))
-    return abs(p - (a + s * ab))
-
-
 def elliptic_F(z: complex, m: complex) -> complex:
     """Incomplete elliptic integral of the first kind (sn form).
 
@@ -211,19 +205,17 @@ def elliptic_F(z: complex, m: complex) -> complex:
     segment, computed through Carlson's R_F:  F = z * R_F(1-z^2, 1-m z^2, 1).
     Inverse of sn near the origin: sn(F(z, m), m) = z.
 
-    Raises SingularPathError when the default segment [0, z] passes
-    through a branch point of the integrand (t = +/-1, +/-1/sqrt(m)).
+    Raises SingularPathError when the segment [0, z] passes through a branch
+    point +/-w of the integrand (w = 1, 1/sqrt(m)), that is, where w/z is real
+    and in [-1, 1].  F is continuous up to the segment from either side (the
+    two limits differ), so a z off it, however close, is taken.
     """
     z, m = complex(z), complex(m)
     require_finite(z, m)
     if z == 0:
         return 0.0 + 0.0j
-    branch_points = [1.0 + 0j, -1.0 + 0j]
-    if m != 0:
-        r = 1.0 / cmath.sqrt(m)
-        branch_points += [r, -r]
-    near = 1e-12 * (1.0 + abs(z))
-    if any(dist_to_segment(w, 0j, z) < near for w in branch_points):
+    branch_points = (1.0, 1.0 / cmath.sqrt(m)) if m != 0 else (1.0,)
+    if any((w / z).imag == 0.0 and abs(w / z) <= 1.0 for w in branch_points):
         raise SingularPathError(
             f"integration path 0 -> {z!r} passes through a branch point"
         )

@@ -10,8 +10,8 @@ import pytest
 from cliftonpohl import continuation
 from cliftonpohl.acceptance import _DISCRETENESS_GERMS, random_generic_germ
 from cliftonpohl.continuation import (
-    CLUSTER_TOL,
     SETTLED_SPREAD,
+    TUBE_FLOOR,
     PathPolyline,
     _cluster,
     _integrate_segment,
@@ -48,6 +48,13 @@ class TestPathValidation:
     def test_path_must_start_at_t0(self):
         with pytest.raises(ValueError):
             continue_path(germ(1, 0, 1, 0), PathPolyline((0.5, 2)))
+
+    def test_path_must_start_exactly_at_t0(self):
+        # 5e-13 is 0.55 units of the own time of u = 1/(1 - 2^40 t): a
+        # path that far off t0 was taken as starting there, and completed
+        # with u(end) = 0.953 where u = 2
+        with pytest.raises(ValueError):
+            continue_path(germ(1, 0, 2.0**40, 0), PathPolyline((5e-13, 2.0**-41)))
 
     def test_tol_range(self):
         with pytest.raises(ValueError):
@@ -581,6 +588,24 @@ class TestProbe:
             assert min(abs(p - q) for q in expected) < 1e-4
         assert abs(rep.min_separation - math.pi) < 1e-3
 
+    def test_dense_tangent_germ_reports_every_pole(self):
+        # k tan(a t + b) with |a| = 11.2: its 36 poles within 5 lie 0.28
+        # apart at least, and the probe clusters at TUBE_FLOOR * radius,
+        # 0.025, so it reports each of them.  Off the pole line the state
+        # drifts onto another null solution (ROADMAP item 7): 286 points
+        # in all and 20 Blocked rays; 367 points at a cluster width of 1e-4
+        g = germ(
+            0.06739555708342478 - 1.0719587266288828j,
+            -1.1343426328497264 - 0.03959481498269791j,
+            -1.4009448062848855 + 0.5218579541416204j,
+            0,
+        )
+        poles = solve(g).poles_within(g.t0, 5.0)
+        rep = completeness_probe(g, 5.0, 64, 1e-9)
+        assert len(poles) == 36
+        assert all(min(abs(p - q) for q in rep.obstructions) < 1e-9 for p in poles)
+        assert len(rep.obstructions) <= 286
+
     def test_entire_family_clean(self):
         rep = completeness_probe(germ(1, 1, 1, 1), 6.0, 16, 1e-9)
         assert rep.obstructions == ()
@@ -652,7 +677,7 @@ class TestProbe:
             # a candidate within its own uncertainty of a point the ray
             # already found is suppressed, not walked to a second time
             assert all(
-                abs(p - q) >= CLUSTER_TOL * 5.0 for i, p in enumerate(settled) for q in settled[:i]
+                abs(p - q) >= TUBE_FLOOR * 5.0 for i, p in enumerate(settled) for q in settled[:i]
             ), (g, k)
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
@@ -1019,7 +1044,7 @@ class TestInvertedChart:
             ray_log.settled.clear()
             ray_log.crossings.clear()
             r = real_ray(g, angle, radius, *args)
-            points = _cluster(ray_log.settled, CLUSTER_TOL * radius)
+            points = _cluster(ray_log.settled, TUBE_FLOOR * radius)
             counts.append((len(ray_log.crossings), len(points)))
             forward.extend(abs(b - g.t0) > abs(a - g.t0) for a, b in ray_log.crossings)
             return r

@@ -19,13 +19,75 @@ from cliftonpohl.families import (
     MAX_PANELS,
     ExponentialSampler,
     GenericEllipticSampler,
+    NullTanSampler,
     psi_coefficients,
     sample,
     solve,
 )
 from cliftonpohl.manifold import FirstIntegrals, dilate, first_integrals, geodesic_rhs, germ
-from cliftonpohl.special import POLE_THRESHOLD, _jacobi_raw
+from cliftonpohl.special import POLE_THRESHOLD, _jacobi_raw, _landen_ladder, elliptic_F
 from cliftonpohl.taylor import taylor_step
+
+
+def loop_tangent_poles(s, center, radius):
+    """The poles of k tan(a t + b) within ``radius`` of ``center`` by an open
+    loop over n = 0, +-1, +-2, ..., stopped past a bound on n; kept as the
+    reference of ``NullTanSampler.poles_within``."""
+    out = []
+    n = 0
+    while True:
+        hits = [(math.pi / 2.0 + sg * n * math.pi - s.b) / s.a for sg in ((1,) if n == 0 else (1, -1))]
+        keep = [p for p in hits if abs(p - center) <= radius]
+        if not keep and n > 2 + abs(s.a) * (radius + abs(center - s.b / s.a)):
+            break
+        out.extend(keep)
+        n += 1
+    return sorted(set(out), key=lambda p: (p.real, p.imag))
+
+
+def mpmath_states(state, times):
+    """(u, v, u', v') of the germ ``state`` at t0 = 0 at each of the real
+    ``times``, by a 30-digit ``mpmath.odefun``."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        def rhs(t, w):
+            u, v, p, q = w
+            f = u * u + v * v
+            return [p, q, 2 * u * p * p / f, 2 * v * q * q / f]
+
+        f = mp.odefun(rhs, 0, list(state))
+        return [[complex(c) for c in f(mp.mpf(t))] for t in times]
+
+
+def law_zero_over_zero_points(s, reach):
+    """The times within ``reach`` of the chain's anchor where the first form
+    of the addition law, (s1 p2 + s2 p1)/(1 - m s1^2 s2^2), is 0/0.
+
+    Its denominator vanishes where sn(v)^2 = 1/(m s1^2), v = D (t - t0): at
+    +-v0 plus the periods 2K and 2iK', with v0 found by Newton from
+    ``elliptic_F``.  Of those, the 0/0 points are where the numerator
+    vanishes too; at the others Y has a pole."""
+    m, D, s1, p1 = s.m, s.D, s.Y0, s.Yp0
+    P, Q, W1, W2 = _landen_ladder(m)[3]
+    z = 1 / cmath.sqrt(m * s1 * s1)
+    v0 = elliptic_F(z, m)
+    for _ in range(50):
+        sn, cn, dn = _jacobi_raw(v0, m)
+        v0 -= (sn - z) / (cn * dn)
+    assert abs(_jacobi_raw(v0, m)[0] - z) <= 1e-12 * abs(z)
+    n = math.ceil(reach * abs(D) * max(abs(W1), abs(W2))) + 2
+    out = []
+    for v in (v0, -v0):
+        for p in range(-n, n + 1):
+            for q in range(-n, n + 1):
+                w = v + p * P + q * Q
+                if abs(w / D) > reach:
+                    continue
+                s2, c2, d2 = _jacobi_raw(w, m)
+                numerator, size = s1 * c2 * d2 + s2 * p1, abs(s1 * c2 * d2) + abs(s2 * p1)
+                if abs(numerator) <= 1e-6 * size:
+                    out.append(s.t0 + w / D)
+    return out
 
 
 def eq1_residual(s, t):
@@ -104,6 +166,17 @@ class TestNull:
         want = [(math.pi / 2 + n * math.pi - s.b) / s.a for n in range(-200, 201)]
         want = sorted((p for p in want if abs(p - center) <= radius), key=lambda p: (p.real, p.imag))
         assert len(want) >= 4 and s.poles_within(center, radius) == want
+
+    def test_tangent_poles_equal_the_open_loops_on_a_seeded_sweep(self):
+        # the closed-form range of n gives, list for list, what the open
+        # loop over n = 0, +-1, +-2, ... with its stop rule gave
+        r = random.Random(26)
+        for _ in range(2000):
+            a = rand_complex(r, 0.05, 12.0)
+            s = NullTanSampler("u", rand_complex(r), a, rand_complex(r, 0.0, 20.0))
+            center = rand_complex(r, 0.0, 30.0)
+            radius = r.uniform(0.01, 8.0)
+            assert s.poles_within(center, radius) == loop_tangent_poles(s, center, radius)
 
     @pytest.mark.parametrize(
         "state, t0, pole",
@@ -374,17 +447,60 @@ class TestGenericChain:
     def test_on_axis_germ_against_mpmath(self):
         # a 30-digit reference of (0, 1, 1, 1) at t = 0.3: 3.0e-16 off
         # (3.3e-13 anchored 1e-3 along by an order-8 step)
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            def rhs(t, w):
-                u, v, p, q = w
-                f = u * u + v * v
-                return [p, q, 2 * u * p * p / f, 2 * v * q * q / f]
-
-            ref = [complex(c) for c in mp.odefun(rhs, 0, [0, 1, 1, 1])(mp.mpf(3) / 10)]
+        (ref,) = mpmath_states((0, 1, 1, 1), [0.3])
         pt, (du, dv) = sample(solve(germ(0, 1, 1, 1)), 0.3)
         for got, want in zip((pt.u, pt.v, du, dv), ref):
             assert abs(got - want) <= 1e-15 * (1 + abs(want))
+
+    def test_law_at_its_zero_over_zero_point_against_mpmath(self):
+        # the criterion-8 germ has a 0/0 of the law's first form on the
+        # real axis, the mirror about the anchor of a pole of Y: the law's
+        # second form is exact there (4.8e-16 measured).  The first form
+        # alone divided by zero at it, and was 7.9e3, 0.33 and 6.1e-5 off
+        # in velocity 1e-10, 1e-8 and 1e-6 away
+        state, p = (1.3, -0.7, 0.9, 1.1), 0.29280769009232127
+        s = solve(germ(*state))
+        times = [p + d for d in (0.0, 1e-10, -1e-10, 1e-8, 1e-6, -1e-6, 1e-4)]
+        for t, ref in zip(times, mpmath_states(state, times)):
+            pt, (du, dv) = sample(s, t)
+            for got, want in zip((pt.u, pt.v, du, dv), ref):
+                assert abs(got - want) <= 1e-12 * (1 + abs(want)), t
+
+    def test_anti_diagonal_germ_at_twice_its_anchor_step(self):
+        # beta = -alpha is anchored one step h along, which puts the law's
+        # first-form 0/0 at 2h; the first form alone was 1.2e15 off there
+        state = (1, -1, 1, 0.5)
+        s = solve(germ(*state))
+        h = s.t0.real
+        times = [2 * h, 2 * h + 1e-9, 2 * h - 1e-6]
+        for t, ref in zip(times, mpmath_states(state, times)):
+            pt, (du, dv) = sample(s, t)
+            for got, want in zip((pt.u, pt.v, du, dv), ref):
+                assert abs(got - want) <= 1e-12 * (1 + abs(want)), t
+
+    def test_zero_over_zero_points_on_a_seeded_sweep(self, seed):
+        # every 0/0 point of the law's first form within 3.5 of the anchor,
+        # on the criterion-8 germ and 15 random germs, and 1e-10 ... 1e-6
+        # from each, against continue_path at tol 1e-13: all 632 targets at
+        # seed 0 are within 8.1e-12, none refused.  The first form alone
+        # had 628 of them off by more than 1e-9, and refused 4
+        r = random.Random(5 + seed)
+        germs = [germ(1.3, -0.7, 0.9, 1.1)] + [random_generic_germ(r) for _ in range(15)]
+        checked = 0
+        for g in germs:
+            s = solve(g)
+            for p in law_zero_over_zero_points(s, 3.5):
+                for d in (0.0, 1e-10, 1e-8, 1e-6):
+                    t = p + d
+                    trace = continue_path(g, PathPolyline((g.t0, t)), 1e-13)
+                    if not trace.completed:
+                        continue  # the straight path runs into a pole
+                    checked += 1
+                    e = trace.endpoint
+                    pt, (du, dv) = sample(s, t)
+                    for got, want in zip((pt.u, pt.v, du, dv), (e.u, e.v, e.du, e.dv)):
+                        assert abs(got - want) <= 1e-9 * (1 + abs(want)), (g, t)
+        assert checked >= 400
 
     def test_reanchored_germs_are_solved_on_a_seeded_sweep(self):
         # germs on either axis and on beta = -alpha, at the scale of the
@@ -498,6 +614,16 @@ class TestGenericChain:
         assert classify(g).tag is GeodesicClass.GENERIC
         with pytest.raises(DegenerateCoefficientsError):
             solve(g)
+
+    def test_pole_of_the_curve_point_is_refused_by_type(self):
+        # both forms of the law divide by exactly 0 only at a pole of Y;
+        # at m = 1 the kernel is tanh and sech, and tanh(40) = 1 in
+        # doubles, so Y0 = 1 and Yp0 = sech(40)^2 put both there at t = 40
+        c = 1 / cmath.cosh(40)
+        s = GenericEllipticSampler(1, 1, 1, 1, 1, c * c, 0, 0, 0)
+        with pytest.raises(PoleError, match="u = -v") as err:
+            s.curve_point(40)
+        assert err.value.location == 40
 
     def test_obstruction_is_pole_of_artanh_argument(self):
         # the chain's own singular set: psi = +-1; refine the root of
@@ -639,17 +765,23 @@ def pointwise_panel(s, a, b):
 
 
 def scalar_curve_point(s, t):
-    """The addition law at one point, in the association order whose bits
-    the sampler keeps (1 - m s1 s1, not 1 - m (s1 s1))."""
+    """The addition law's pair at one point, the form with the larger
+    denominator, in the association order whose bits the sampler keeps
+    (1 - m (s1 s1)(s2 s2), not 1 - m s1 s1 s2 s2)."""
     m, s1, p1 = s.m, s.Y0, s.Yp0
     s2, c2, d2 = _jacobi_raw(s.D * (t - s.t0), m)
     p2 = c2 * d2
-    s1s2 = s1 * s1 * s2 * s2
+    s1s2 = (s1 * s1) * (s2 * s2)
     Q = 1.0 - m * s1s2
+    R = s1 * p2 - s2 * p1
     c1sq = 1.0 - s1 * s1
     d1sq = 1.0 - m * s1 * s1
-    Y = (s1 * p2 + s2 * p1) / Q
-    Yp = (p1 * p2 * (1.0 + m * s1s2) - s1 * s2 * (m * c1sq * c2 * c2 + d1sq * d2 * d2)) / (Q * Q)
+    if abs(R) > abs(Q):
+        Y = (s1 * s1 - s2 * s2) / R
+        Yp = (p1 * p2 * (s1 * s1 + s2 * s2) - s1 * s2 * (c1sq * d2 * d2 + d1sq * c2 * c2)) / (R * R)
+    else:
+        Y = (s1 * p2 + s2 * p1) / Q
+        Yp = (p1 * p2 * (1.0 + m * s1s2) - s1 * s2 * (m * c1sq * c2 * c2 + d1sq * d2 * d2)) / (Q * Q)
     return Y, Yp
 
 

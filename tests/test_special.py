@@ -130,6 +130,25 @@ class TestJacobi:
                 for g, r in zip(_jacobi_raw(z, m), ref):
                     assert abs(g - r) <= 1e-14 * abs(r), (m, z)
 
+    @pytest.mark.parametrize("m", [5e-9, -2.5e-9, 1e-9 + 1e-9j, 1e-3])
+    def test_small_parameter_against_mpmath(self, m):
+        # arguments over the cell |Re z| <= 2K, |Im z| <= 0.49 2K', up to
+        # next to the pole at iK': at most 1.8e-15 relative to 1 + |value|.
+        # With no Landen step below LANDEN_TOL the kernel had no pole at
+        # iK' (0.27 off at m = 5e-9), and k1 = (1 - k')/(1 + k') cancelled
+        # (2.4e-13 off at m = 1e-3)
+        mpmath = pytest.importorskip("mpmath")
+        from cliftonpohl.special import carlson_rf
+
+        K, Kp = carlson_rf(0, 1 - m, 1), carlson_rf(0, m, 1)
+        r = random.Random(9)
+        for _ in range(40):
+            z = r.uniform(-1, 1) * 2 * K + r.uniform(-0.49, 0.49) * 2j * Kp
+            with mpmath.workdps(30):
+                ref = [complex(mpmath.ellipfun(k, z, m=m)) for k in ("sn", "cn", "dn")]
+            for g, v in zip(_jacobi_raw(z, m), ref):
+                assert abs(g - v) <= 1e-14 * (1 + abs(v)), (z, m)
+
     def test_landen_stop_keeps_the_kernel_at_rounding(self):
         # at points drawn as criterion 7 draws them, against a 30-digit
         # reference: 2.4e-15 at most with the ladder stopped below
@@ -246,3 +265,13 @@ class TestEllipticF:
             elliptic_F(1.5, 0.25)  # branch point t = 1 on the segment
         with pytest.raises(SingularPathError):
             elliptic_F(2.5, 0.25)  # also t = 1/sqrt(m) = 2
+        with pytest.raises(SingularPathError):
+            elliptic_F(1.0, 0.25)  # the segment ends on t = 1
+
+    @pytest.mark.parametrize("z", [1.5 + 1e-13j, 1.5 - 1e-13j, 2.5 + 1e-15j])
+    def test_segment_beside_a_branch_point_is_taken(self, z):
+        # F is continuous up to the cut from either side, so only a
+        # segment through a branch point is refused, however close another
+        # passes: here sn(F) = z to 4.6e-16
+        s, _, _ = _jacobi_raw(elliptic_F(z, 0.25), 0.25)
+        assert abs(s - z) <= 1e-14
