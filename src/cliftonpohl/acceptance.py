@@ -126,8 +126,25 @@ _FAMILY_EXEMPLARS = {
 }
 
 
+def equation_residual(s, t: complex) -> float:
+    """How far a sampler's own output at t is from a geodesic: the worst of
+    |du/dt - u'| and |du'/dt - u''| and their v twins, each relative to
+    1 + |d/dt|, with u'' from ``geodesic_rhs``.  d/dt is Cauchy's integral
+    over ``position_velocity``: the 16-point trapezoid rule on |z - t| = r,
+    which converges geometrically (Trefethen & Weideman, SIAM Rev. 2014),
+    with r = min(1, |w/w'|, |w'/w''|)/10 over the coordinates w."""
+    (u, v), (du, dv) = s.position_velocity(t)
+    want = (du, dv) + geodesic_rhs((u, v, du, dv))[2:]
+    r = 0.1 * min([1.0] + [abs(w / dw) for w, dw in zip((u, v, du, dv), want) if dw])
+    nodes = [cmath.exp(2j * math.pi * k / 16) for k in range(16)]
+    values = [sum(s.position_velocity(t + r * e), ()) for e in nodes]
+    got = [sum(f[i] / e for f, e in zip(values, nodes)) / (16 * r) for i in range(4)]
+    return max(abs(g - w) / (1 + abs(g)) for g, w in zip(got, want))
+
+
 def criterion_2() -> CriterionResult:
-    """Geodesic-equation residual of every family sampler."""
+    """``equation_residual`` of every family sampler at 100 random targets:
+    u' is du/dt, and du'/dt solves the geodesic equation."""
     t0 = time.perf_counter()
     r = rng(2)
     worst = 0.0
@@ -140,13 +157,11 @@ def criterion_2() -> CriterionResult:
             t = g.t0 + rand_complex(r, 0.05, 1.0)
             try:
                 (u, v), (du, dv) = s.position_velocity(t)
-                ddu, ddv = s.acceleration(t)
+                res = equation_residual(s, t)
             except CliftonPohlError:
                 continue
             if max(abs(u), abs(v), abs(du), abs(dv)) > 1e6:
                 continue
-            _, _, ru, rv = geodesic_rhs((u, v, du, dv))
-            res = max(abs(ddu - ru) / (1 + abs(ddu)), abs(ddv - rv) / (1 + abs(ddv)))
             worst = max(worst, res)
             ok = ok and res < 1e-8
             count += 1

@@ -183,14 +183,10 @@ class _NullSampler:
         self.k = k
 
     def position_velocity(self, t: complex):
-        w, dw, _ = self._moving_value(t)
+        w, dw = self._moving_value(t)
         if self.moving == "u":
             return (w, self.k), (dw, 0j)
         return (self.k, w), (0j, dw)
-
-    def acceleration(self, t: complex):
-        _, _, ddw = self._moving_value(t)
-        return (ddw, 0j) if self.moving == "u" else (0j, ddw)
 
 
 class NullRationalSampler(_NullSampler):
@@ -209,12 +205,12 @@ class NullRationalSampler(_NullSampler):
     def pole(self) -> complex:
         return self.C / self.B
 
-    def _moving_value(self, t: complex) -> tuple[complex, complex, complex]:
+    def _moving_value(self, t: complex) -> tuple[complex, complex]:
         d = self.C - self.B * t
         if abs(d) ** 3 * POLE_THRESHOLD < 2.0 * abs(self.C - self.B * self.t0) ** 3:
             raise PoleError("sampler evaluated at its pole", location=self.pole)
         w = 1.0 / d
-        return w, self.B * w * w, 2.0 * self.B * self.B * w * w * w
+        return w, self.B * w * w
 
     def poles_within(self, center: complex, radius: float) -> list[complex]:
         p = self.pole
@@ -232,19 +228,14 @@ class NullTanSampler(_NullSampler):
         self.a = a
         self.b = b
 
-    def _moving_value(self, t: complex) -> tuple[complex, complex, complex]:
+    def _moving_value(self, t: complex) -> tuple[complex, complex]:
         th = self.a * t + self.b
         c = cmath.cos(th)
         if abs(c) ** 2 * POLE_THRESHOLD < 1.0:
             raise PoleError(
                 "sampler evaluated at a tangent pole", location=self.nearest_pole(t)
             )
-        s = cmath.sin(th)
-        sec2 = 1.0 / (c * c)
-        w = self.k * s / c
-        dw = self.k * self.a * sec2
-        ddw = 2.0 * self.k * self.a * self.a * sec2 * s / c
-        return w, dw, ddw
+        return self.k * cmath.sin(th) / c, self.k * self.a * (1.0 / (c * c))
 
     def nearest_pole(self, t: complex) -> complex:
         th = self.a * t + self.b
@@ -278,10 +269,6 @@ class ExponentialSampler:
         e = cmath.exp(self.b * (t - self.t0))
         u, v = self.alpha * e, self.beta * e
         return (u, v), (self.b * u, self.b * v)
-
-    def acceleration(self, t: complex):
-        e = cmath.exp(self.b * (t - self.t0))
-        return (self.b * self.b * self.alpha * e, self.b * self.b * self.beta * e)
 
     def poles_within(self, center: complex, radius: float) -> list[complex]:
         return []
@@ -320,32 +307,32 @@ class GenericEllipticSampler:
         Of its two forms (DLMF 22.8), with denominators Q = 1 - m s1^2 s2^2 and
         R = s1 p2 - s2 p1 (p = cn dn), the one with the larger is taken: each
         is 0/0 only where the other is not.  Both vanish only at a pole of Y,
-        where u = -v, a regular point the chain cannot represent."""
+        where u = -v, a regular point the chain cannot represent; so is a
+        curve point past the double range (an overflow, or a NaN)."""
         m, D, t0, s1, p1 = self.m, self.D, self.t0, self.Y0, self.Yp0
         s1sq, c1sq, d1sq = s1 * s1, 1.0 - s1 * s1, 1.0 - m * s1 * s1
         ladder = _landen_ladder(m)
         for t in points:
-            s2, c2, d2 = _jacobi_raw(D * (t - t0), m, ladder)
-            p2, s2sq = c2 * d2, s2 * s2
-            s1s2 = s1sq * s2sq
-            Q, R = 1.0 - m * s1s2, s1 * p2 - s2 * p1
-            if abs(R) > abs(Q):
-                Y, den = (s1sq - s2sq) / R, R * R
-                Yp = p1 * p2 * (s1sq + s2sq) - s1 * s2 * (c1sq * d2 * d2 + d1sq * c2 * c2)
-            elif Q:
-                Y, den = (s1 * p2 + s2 * p1) / Q, Q * Q
-                Yp = p1 * p2 * (1.0 + m * s1s2) - s1 * s2 * (m * c1sq * c2 * c2 + d1sq * d2 * d2)
-            else:
+            try:
+                s2, c2, d2 = _jacobi_raw(D * (t - t0), m, ladder)
+                p2, s2sq = c2 * d2, s2 * s2
+                s1s2 = s1sq * s2sq
+                Q, R = 1.0 - m * s1s2, s1 * p2 - s2 * p1
+                if abs(R) > abs(Q):
+                    Y, den = (s1sq - s2sq) / R, R * R
+                    Yp = p1 * p2 * (s1sq + s2sq) - s1 * s2 * (c1sq * d2 * d2 + d1sq * c2 * c2)
+                else:
+                    Y, den = (s1 * p2 + s2 * p1) / Q, Q * Q
+                    Yp = p1 * p2 * (1.0 + m * s1s2) - s1 * s2 * (m * c1sq * c2 * c2 + d1sq * d2 * d2)
+                Yp /= den
+            except (OverflowError, ZeroDivisionError):
+                Y = Yp = cmath.nan
+            if not (cmath.isfinite(Y) and cmath.isfinite(Yp)):
                 raise PoleError("the curve point has a pole here, where u = -v", location=t)
-            yield Y, Yp / den
+            yield Y, Yp
 
     def curve_point(self, t: complex) -> tuple[complex, complex]:
         return next(self._curve((t,)))
-
-    def psi(self, t: complex) -> tuple[complex, complex]:
-        """(psi, dpsi/dt)."""
-        Y, Yp = self.curve_point(t)
-        return 1j * Y, 1j * self.D * Yp
 
     def _rates(self, points, curve):
         """cosh(phi) and phi' at each of ``points``, in order, from the
@@ -372,16 +359,15 @@ class GenericEllipticSampler:
             one = 1.0 + YY
             yield (1.0 - YY) / one, D2j * Yp / one
 
-    def _chain(self, t: complex) -> tuple[complex, complex, complex, complex, complex, complex]:
-        """Y, dY/dTheta, cosh(phi), phi', omega', eta' at t (see ``_rates``)."""
-        Y, Yp = self.curve_point(t)
-        ch, phid = next(self._rates((t,), ((Y, Yp),)))
+    def _chain(self, t: complex) -> tuple[complex, complex, complex, complex]:
+        """cosh(phi), phi', omega', eta' at t (see ``_rates``)."""
+        ch, phid = next(self._rates((t,), self._curve((t,))))
         ab = self.A * self.B * ch
-        return Y, Yp, ch, phid, ab + 0.5 * phid, ab - 0.5 * phid
+        return ch, phid, ab + 0.5 * phid, ab - 0.5 * phid
 
     def log_rates(self, t: complex) -> tuple[complex, complex]:
         """(omega', eta') = (u'/u, v'/v)."""
-        _, _, _, _, od, ed = self._chain(t)
+        _, _, od, ed = self._chain(t)
         return od, ed
 
     def _omega_eta(self, t: complex) -> tuple[complex, complex]:
@@ -389,36 +375,21 @@ class GenericEllipticSampler:
         ab = self.A * self.B * ic
         return self.omega0 + ab + 0.5 * iphi, self.eta0 + ab - 0.5 * iphi
 
-    def _motion(self, t: complex):
-        """The chain at t, then (u, v) and (u', v') integrated from t0.
+    def position_velocity(self, t: complex):
+        """(u, v), (u', v') at t: (omega', eta') from the chain at t, then
+        (omega, eta) integrated from t0 along the segment.
 
         The chain is evaluated at t first, so a chain root is refused
         before any quadrature (0 panels); any other call spends at most
-        ``MAX_PANELS`` panels.
+        ``MAX_PANELS`` panels.  A u or v past the double range is a PoleError.
         """
-        chain = self._chain(t)
+        _, _, od, ed = self._chain(t)
         om, et = self._omega_eta(t)
-        u, v = cmath.exp(om), cmath.exp(et)
-        return chain, u, v
-
-    def position_velocity(self, t: complex):
-        """(u, v), (u', v') at t, integrated from t0 along the segment."""
-        (_, _, _, _, od, ed), u, v = self._motion(t)
+        try:
+            u, v = cmath.exp(om), cmath.exp(et)
+        except OverflowError:
+            raise PoleError("u or v is beyond the double range here", location=t) from None
         return (u, v), (od * u, ed * v)
-
-    def acceleration(self, t: complex):
-        """(u'', v'') at t from one chain evaluation and one quadrature."""
-        (Y, Yp, _, _, od, ed), u, v = self._motion(t)
-        m, D = self.m, self.D
-        one = 1.0 + Y * Y
-        Ydot = D * Yp
-        Ypdot = D * (-Y * (1.0 + m - 2.0 * m * Y * Y))
-        ch_dot = -4.0 * Y * Ydot / (one * one)
-        phid_dot = 2j * D * (Ypdot * one - 2.0 * Y * Ydot * Yp) / (one * one)
-        ab_dot = self.A * self.B * ch_dot
-        om_dd = ab_dot + 0.5 * phid_dot
-        et_dd = ab_dot - 0.5 * phid_dot
-        return (u * (om_dd + od * od), v * (et_dd + ed * ed))
 
     def poles_within(self, center: complex, radius: float) -> list[complex]:
         # not known in closed form cheaply; probing handles the generic family

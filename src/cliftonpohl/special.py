@@ -67,7 +67,8 @@ def _landen_ladder(m: complex):
     argument's total scale 1/prod(1 + k1), and the period lattice
     (2K, 2iK', W1, W2), where z = Im(z W1) 2K + Im(z W2) 2iK' writes z in
     the periods.  At m = 0, K' is infinite and the lattice is all zeros,
-    so nothing is reduced.  At m = 1 it is (): sn = tanh, cn = dn = sech.
+    so nothing is reduced.  At m = 1 it is (): sn = tanh, cn = dn = sech,
+    and where cosh overflows, sech is 0 to double precision.
     """
     if m == 1:
         return ()
@@ -112,7 +113,10 @@ def _jacobi_raw(z: complex, m: complex, ladder=None) -> tuple[complex, complex, 
         ladder = _landen_ladder(m)
     if not ladder:
         s = cmath.tanh(z)
-        c = 1.0 / cmath.cosh(z)
+        try:
+            c = 1.0 / cmath.cosh(z)
+        except OverflowError:
+            c = 0j
         return s, c, c
 
     scale, m, shrink, (P, Q, W1, W2) = ladder
@@ -141,8 +145,9 @@ def jacobi_elliptic(z: complex, m: complex) -> EllipticTriple:
     """Jacobi sn, cn, dn of argument z with parameter m (both complex).
 
     Analytic in both arguments away from the lattice poles; proximity to
-    a pole is detected by a magnitude threshold, or by the kernel's
-    division by zero on one, and raised as PoleError.
+    a pole is detected by a magnitude threshold (which the NaN of the
+    kernel's 0 * inf fails), or by the kernel's division by zero or
+    overflow, and raised as PoleError.
     """
     z, m = complex(z), complex(m)
     require_finite(z, m)
@@ -150,7 +155,9 @@ def jacobi_elliptic(z: complex, m: complex) -> EllipticTriple:
         s, c, d = _jacobi_raw(z, m)
     except ZeroDivisionError:
         raise PoleError("jacobi argument on a lattice pole", location=z) from None
-    if max(abs(s), abs(c), abs(d)) > POLE_THRESHOLD:
+    except OverflowError:
+        raise PoleError("jacobi values overflow", location=z) from None
+    if not all(abs(w) <= POLE_THRESHOLD for w in (s, c, d)):
         raise PoleError("jacobi values exceed pole threshold", location=z)
     return EllipticTriple(s, c, d)
 

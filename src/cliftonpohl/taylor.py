@@ -267,12 +267,6 @@ def _estimate_source(n: int) -> str:
     return _def("estimate(U, V)", body)
 
 
-def taylor_step(state: State, h: complex, order: int) -> State:
-    """Advance a geodesic state by h with a single series evaluation."""
-    jet = _jet(order)
-    return jet.advance(*jet.series(state), h)
-
-
 def nearest_singularity(state: State) -> tuple[complex, float] | None:
     """Estimated offset of the closest solution singularity, or None.
 

@@ -332,6 +332,27 @@ class TestSerialization:
         assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
 
 
+class TestStdout:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "--germ", GENERIC], 0),
+            (["probe", "--germ", '{"alpha":[0,0],"beta":[1,0],"x":[1,0],"y":[0,0]}',
+              "--radius", "5"], 0),
+            (["shoot", "--germ", RATIONAL, "--path", "[[0,0],[2,0]]"], 3),
+            (["shoot", "--germ", RATIONAL, "--path", "[[0,0],[0.5,0.5],[2,0]]"], 0),
+        ],
+        ids=["classify", "probe", "shoot-halt", "shoot-detour"],
+    )
+    def test_stdout_equals_the_out_file(self, tmp_path, capsysbinary, argv, code):
+        # the README's examples; without --out the record goes to stdout
+        out = tmp_path / "o.json"
+        assert run(argv + ["--out", str(out)]) == code
+        assert capsysbinary.readouterr().out == b""
+        assert run(argv) == code
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 class TestCsv:
     def test_columns_and_rows(self, tmp_path):
         out = tmp_path / "t.json"

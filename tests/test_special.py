@@ -76,6 +76,23 @@ class TestJacobi:
         with pytest.raises(PoleError):
             jacobi_elliptic(1j * kprime, 0.5)
 
+    @pytest.mark.parametrize("y", [60, 354, 356, 500, 709, 711, 1000])
+    def test_overflow_at_m0_is_a_pole(self, y):
+        # cos(0.3 + iy) exceeds the threshold above y = 28.3.  From y = 356
+        # the bottom Landen step's 0.25 m (z1 - s c) is 0 * inf, a NaN the
+        # threshold test must not pass; from y = 711 sin overflows
+        with pytest.raises(PoleError) as err:
+            jacobi_elliptic(0.3 + y * 1j, 0)
+        assert err.value.location == 0.3 + y * 1j
+
+    @pytest.mark.parametrize("z", [711, -711, 711 + 0.3j, -800 - 2j, 1e300])
+    def test_hyperbolic_limit_past_the_double_range(self, z):
+        # at m = 1, sech(z) = 1/cosh(z) is below the double range where cosh
+        # overflows: the triple is (+-1, 0, 0) to double precision
+        sign = 1 if z.real > 0 else -1
+        assert _jacobi_raw(z, 1) == (sign, 0, 0)
+        assert jacobi_elliptic(z, 1) == EllipticTriple(sign, 0j, 0j)
+
     def test_reciprocal_parameter_on_cut(self):
         # m > 1 sits on the classical branch cut; the Landen chain must
         # still match sn(u, m) = sn(u sqrt(m), 1/m)/sqrt(m)
