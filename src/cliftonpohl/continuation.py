@@ -43,31 +43,36 @@ the shot halts of the tests and perfbench, |offset| spread stays below
 *data* (a trace status with an estimated singular time), never as an
 exception.
 
-The completeness probe shoots straight rays and reads every step's own
+The completeness probe shoots straight rays, and each step of a ray runs
+in the chart its own state picks (``_flips``): in (1/u, 1/v), an
+isometry of 2 du dv / (u^2 + v^2) in which the same integrator runs and
+a simple pole of u or v is a regular zero, where the coordinate nearest
+its own zero or pole is large, |c^2/(u^2 + v^2)| > 1/2, so that the
+point is a pole; in (u, v) elsewhere.  A swap ends a segment at its last
+accepted state, so it costs no series build; a fan builds the series of
+its germ's state once, in the chart that state picks, for the first
+step of every ray.  In (u, v) a ray reads every step's own
 nearest-singularity estimate; there is no second estimator on the ray.
 A step runs that estimate only where the last raw coefficient ratio of
 u or v (one division per list) puts a singular point within
-``SCAN_REACH`` tube widths of it, about one step in six on the
-benchmark's probe germs, and a fan builds the series of its germ's
-state once, for the first step of every ray.
-When a step's estimate lands inside the ray's capture tube, and not
-within its own uncertainty of a point the ray already has, the ray
-halts.  An estimate whose relative spread is at most ``SETTLED_SPREAD``
-has converged to rounding and settles where it is; any other is
-polished by Newton in the chart (1/u, 1/v), an isometry of
-2 du dv / (u^2 + v^2) in which the same integrator runs and a simple
-pole of u or v is a regular zero.  A collapse is located from its own
-estimate the same way.  A pole ahead of the halt is crossed by one
-segment in that chart along the ray, to the halt's mirror point past
-the pole's projection; a collapse, by one tube width.  A crossing that
-stops past the pole has met a zero of u or v (it halts where its
-settle rule finds one ahead), regular in (u, v), and the ray resumes
-there; one that stops short of the pole leaves the ray Blocked.  A ray
-thus crosses each pole it records at most once.  A state with u or v
-exactly 0 (v = 0 on a null geodesic whose u has one pole) has no image
-there, and its ray ends at the pole.  A candidate that does not settle
-is suppressed unreported: cone touches u^2 + v^2 = 0, where high-order
-coefficients are rounding noise, and estimates that average two poles.
+``SCAN_REACH`` tube widths of it.  When the estimate lands inside the
+ray's capture tube, and not within its own uncertainty of a point the
+ray already has, the ray halts.  An estimate whose relative spread is at
+most ``SETTLED_SPREAD`` has converged to rounding and settles where it
+is; any other is polished by Newton in (1/u, 1/v) (``_walk_localize``).
+In (1/u, 1/v) a ray reads the zeros of w = 1/u and z = 1/v off every
+step's own series, by Halley's method from the state's own Halley step,
+and the walk locates each zero in the tube; the ray steps on through
+it, with no segment of its own.  A zero within the step settles where it
+is; one past it is uncertain by the series' omitted tail, and where that
+tail diverges the next step runs in (u, v), whose scan sees the pole.  A
+collapse in one chart sends the next step to the other, and a ray is
+Blocked only where neither steps: the other chart collapses at the same
+point.  A state with u or v exactly 0 (v = 0 on a null geodesic whose u
+has one pole) has no image in (1/u, 1/v), and its ray ends where it
+collapses, at the pole.  A candidate that does not settle is suppressed
+unreported: cone touches u^2 + v^2 = 0, where high-order coefficients
+are rounding noise, and estimates that average two poles.
 
 The geodesic system is autonomous with real coefficients, so for a germ
 whose state (u, v, u', v') is real, Schwarz reflection gives
@@ -104,12 +109,12 @@ TAIL_FACTOR = 1e-4
 #: misplaces tan-family and dense-lattice poles by up to 2e-3.
 SETTLED_SPREAD = 1e-12
 
-#: A probe ray halts on estimates within its capture tube, of width
-#: TUBE_WIDTH * |t - t0| * sin(pi/n) + TUBE_FLOOR * radius about t, and
-#: crosses a collapse by that width.  The first term is 0.8 of the gap to
-#: the neighbouring rays, so neighbouring tubes overlap; the floor lets a
-#: ray that collapses at t0, next to a pole, cross forward.  No ray tells
-#: apart points closer than the floor: the probe clusters at that width.
+#: A probe ray halts on estimates, and reads zeros, within its capture
+#: tube, of width TUBE_WIDTH * |t - t0| * sin(pi/n) + TUBE_FLOOR * radius
+#: about t.  The first term is 0.8 of the gap to the neighbouring rays, so
+#: neighbouring tubes overlap; the floor gives the tube a width at t0.  No
+#: ray tells apart points closer than the floor: the probe clusters at
+#: that width.
 TUBE_WIDTH = 1.6
 TUBE_FLOOR = 5e-3
 
@@ -424,6 +429,74 @@ def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
     return t + off, abs(off) * max(spread, SPREAD_FLOOR)
 
 
+def _flips(y: State, inverted: bool) -> bool:
+    """Whether the next step from y, a state in (1/u, 1/v) if ``inverted``
+    and in (u, v) if not, runs in the other chart.
+
+    Of the two coordinates, c is the one with the larger |c'/c| (the
+    nearest to its own zero or pole).  The step runs in (1/u, 1/v) where
+    |c^2/(u^2 + v^2)|, read in (u, v), exceeds 1/2: along a geodesic
+    c c''/c'^2 = 2 c^2/(u^2 + v^2), the inversion maps that value x to
+    2 - x, and 1/2 is where the two charts agree.  Only products and
+    moduli are compared, so the choice does not change under
+    (u, v) -> 2^k (u, v) or t -> 2^k t.  A state with u or v exactly 0
+    has no image in (1/u, 1/v) and stays in (u, v).
+    """
+    a, b, da, db = y
+    if not (a and b):
+        return False
+    c, o = (a, b) if abs(da * b) >= abs(db * a) else (b, a)
+    # in (1/u, 1/v), u^2/(u^2 + v^2) = (1/v)^2/((1/u)^2 + (1/v)^2)
+    s = o if inverted else c
+    return (2.0 * abs(s * s) > abs(c * c + o * o)) != inverted
+
+
+#: A probe ray's segment halts with this estimate where the next step
+#: runs in the other chart.
+_SWAP = (0j, 0.0)
+
+
+def _series_zero(C: list[complex], s: complex, x: complex) -> tuple[complex, float] | None:
+    """A zero of the polynomial sum C[k] s^k, as (s, spread), else None.
+
+    C is the series of a step of offset x from its start, and s an offset
+    from that start.  Halley's method runs from s and stops after a step
+    below 1e-8 |x|, within 8 steps.  Within the step, |s| <= |x|, the
+    polynomial holds to the step's tail, and the zero has spread 0.  Past
+    it, the zero is uncertain by the omitted tail over the slope, the tail
+    summed as a geometric series at the largest ratio of the last six
+    coefficients (those the estimate reads); where that series diverges,
+    the step's series does not reach the zero.
+    """
+    for _ in range(8):
+        p, dp, d2 = C[-1], 0j, 0j
+        for c in C[-2::-1]:
+            d2 = d2 * s + dp
+            dp = dp * s + p
+            p = p * s + c
+        den = dp * dp - 0.5 * p * d2
+        if not den:
+            return None
+        d = p * dp / den
+        s -= d
+        if abs(d) < 1e-8 * abs(x):
+            break
+    else:
+        return None
+    if abs(s) <= abs(x):
+        return s, 0.0
+    last = [abs(c) for c in C[-6:]]
+    if not (all(last[:-1]) and dp):
+        return None
+    rho = abs(s) * max(b / a for a, b in zip(last, last[1:]))
+    if not rho < 1.0:
+        return None
+    try:
+        return s, last[-1] * abs(s) ** (len(C) - 1) * rho / (1.0 - rho) / abs(dp * s)
+    except OverflowError:
+        return None
+
+
 def _probe_ray(
     g: GeodesicGerm,
     angle: float,
@@ -432,73 +505,129 @@ def _probe_ray(
     tol: float,
     start: State | None = None,
 ) -> RayResult:
-    """One ray of the fan; ``start`` is g's state, possibly ``_expanded``."""
+    """One ray of the fan; ``start`` is g's state in the chart ``_flips``
+    picks for it, possibly ``_expanded``."""
     t0 = g.t0
     e = cmath.exp(1j * angle)
     ray_end = t0 + radius * e
-    y: State = g.state() if start is None else start
+    inverted = _flips(g.state(), False)
+    if start is None:
+        start = _invert(g.state()) if inverted else g.state()
+    y: State = start
     t_cur = t0
     found: list[tuple[complex, float]] = []
-    # scan candidates that did not settle: suppressed, never reported
+    # scan estimates and series zeros whose walks did not settle:
+    # suppressed, never reported.  Kept apart, since a pole whose scan
+    # estimate did not settle is read as a zero once the ray is near it
     unsettled: list[tuple[complex, float]] = []
+    unreached: list[tuple[complex, float]] = []
     sin_gap = math.sin(math.pi / n_rays)
     status = "Completed"
+    # (t, y) at the start and at the end of the latest step
+    path = [(t0, y)]
+    # set where the series of w and z does not reach a zero in the tube:
+    # the next step, in (u, v), scans before it may swap back
+    look = [False]
+
+    def keep(t: complex, w: State) -> None:
+        path[:] = path[-1], (t, w)
 
     def width(t: complex) -> float:
         return TUBE_WIDTH * abs(t - t0) * sin_gap + TUBE_FLOOR * radius
 
-    def suppressed(cand: complex, rc: float) -> bool:
-        return any(abs(cand - p) < max(r, rc) for pts in (found, unsettled) for p, r in pts)
+    def suppressed(cand: complex, rc: float, missed: list[tuple[complex, float]]) -> bool:
+        return any(abs(cand - p) < max(r, rc) for pts in (found, missed) for p, r in pts)
 
     estimate = _jet(ORDER).estimate
 
     def scan(t: complex, U, V, x: complex) -> tuple[complex, float] | None:
+        # in (u, v): swap charts where the state picks (1/u, 1/v) for the
+        # next step; else halt on an estimate in the tube
         tube = width(t)
         near = SCAN_REACH * tube
+        swap = _SWAP if _flips(path[-1][1], False) else None
+        if swap and not look[0]:
+            return swap
+        look[0] = False
         # the last raw ratio of u or v, as an offset from t, must come
         # near the tube before the estimate runs; NaN and inf fail
         for c in (U, V):
             if c[-1] and abs(c[-2] / c[-1] - x) <= near:
                 break
         else:
-            return None
+            return swap
         est = estimate(U, V)
         if est is None:
-            return None
+            return swap
         est = (est[0] - x, est[1])
-        if abs(est[0]) >= tube or suppressed(*_located(t, est)):
-            return None
+        if abs(est[0]) >= tube or suppressed(*_located(t, est), unsettled):
+            return swap
         return est
 
+    def off_step(s: complex, x: complex) -> float:
+        # distance of t - x + s from the step's segment [t - x, t]
+        q = s / x
+        return abs(x) * (abs(q.imag) if 0.0 <= q.real <= 1.0 else abs(q - (q.real > 1.0)))
+
+    def zeros(t: complex, W, Z, x: complex) -> tuple[complex, float] | None:
+        # in (1/u, 1/v) a pole of u or v is a zero of w = 1/u or z = 1/v:
+        # each zero in the tube is read off the step's own series and
+        # located by the walk, and the ray steps on through it
+        (t_s, y_s), (_, y) = path
+        if _flips(y, True):
+            return _SWAP
+        swap = None
+        tube = width(t)
+        for C, c, o, dc in ((W, y[0], y[1], y[2]), (Z, y[1], y[0], y[3])):
+            oo = o * o
+            if not (dc and oo):  # a constant coordinate has no zero
+                continue
+            # Halley's first step from t, exact where c is a Moebius map
+            # of t: along a geodesic c c''/c'^2 = 2 c^2/(c^2 + o^2)
+            s = x - c / dc * (c * c + oo) / oo
+            if not off_step(s, x) < tube:  # NaN fails
+                continue
+            est = _series_zero(C, s, x)
+            if est is None:  # the series does not reach it
+                swap = look[0] = _SWAP
+                continue
+            cand, rc = _located(t_s, est)
+            if not off_step(est[0], x) < tube or suppressed(cand, rc, unreached):
+                continue
+            loc = _walk_localize(t_s, _invert(y_s), tol, est)
+            if loc is None:
+                unreached.append((cand, rc))
+            else:
+                found.append(loc)
+        return swap
+
+    collapsed = None  # where the latest collapse stopped
     while t_cur != ray_end:
-        res = _integrate_segment(y, t_cur, ray_end, tol, on_step=scan)
+        path[:] = [(t_cur, y)]
+        res = _integrate_segment(y, t_cur, ray_end, tol, keep, zeros if inverted else scan)
         if res.status == "done":
             break
-
-        t_cur, y = res.t, res.y
-        halted = res.status == "halted"
-        loc = _walk_localize(t_cur, y, tol, res.est)
-        if halted and loc is None:  # not settled: no obstruction, no second halt here
-            unsettled.append(_located(t_cur, res.est))
+        if res.status == "halted" and res.est is not _SWAP:  # the scan's halt
+            t_cur, y = res.t, res.y
+            loc = _walk_localize(t_cur, y, tol, res.est)
+            if loc is None:  # not settled: no obstruction, no second halt here
+                unsettled.append(_located(t_cur, res.est))
+            else:
+                found.append(loc)
             continue
-        t_star, rad = loc or _located(t_cur, res.est)  # a collapse the walk cannot locate
-        found.append((t_star, rad))
-
-        # along the ray in the chart (1/u, 1/v): past a halt's pole to the
-        # halt's mirror point, past a collapse by one tube width
-        reach = 2.0 * ((t_star - t_cur) / e).real if halted else width(t_cur)
-        t_to = t_cur + reach * e if reach < abs(ray_end - t_cur) else ray_end
-        if reach <= 0 or t_to == t_cur:
-            continue  # the pole is not ahead: resume straight
-        if y[0] == 0 or y[1] == 0:  # u or v vanishes identically: a single pole
-            break
-        seg = _integrate_segment(_invert(y), t_cur, t_to, tol)
-        # a crossing that stops past its start and its pole has met a zero
-        # of u or v, regular in (u, v): the ray resumes there
-        if seg.status != "done" and (seg.t == t_cur or ((seg.t - t_star) / e).real <= 0):
-            status = "Blocked"
-            break
-        t_cur, y = seg.t, _invert(seg.y)
+        if res.status == "obstructed":
+            # a collapse: the next step runs in the other chart, unless the
+            # state has no image there (u or v is 0: its ray ends at the
+            # pole) or the other chart has just collapsed here too
+            if not (res.y[0] and res.y[1]):
+                if not suppressed(*_located(res.t, res.est), unsettled):
+                    found.append(_located(res.t, res.est))
+                break
+            if res.t == collapsed:
+                status = "Blocked"
+                break
+            collapsed = res.t
+        t_cur, y, inverted = res.t, _invert(res.y), not inverted
 
     kept = tuple(p for p, _ in found if abs(p - t0) <= radius)
     ray_status = status if status == "Blocked" else ("Obstructed" if kept else "Completed")
@@ -531,7 +660,9 @@ def completeness_probe(
     _check_radius(radius)
     if isinstance(n_rays, bool) or not isinstance(n_rays, int) or n_rays < 4:
         raise ValueError("n_rays must be an integer of at least 4")
-    start = _expanded(g.state())  # every ray's first step reads this one series
+    y0 = g.state()
+    # every ray's first step reads this one series, in the chart y0 picks
+    start = _expanded(_invert(y0) if _flips(y0, False) else y0)
     real = all(z.imag == 0.0 for z in start)
     axis = 2.0 * g.t0.imag
     per_ray: list[RayResult] = []

@@ -52,6 +52,7 @@ from .errors import (
     ChartDegeneracyError,
     ConvergenceError,
     DegenerateCoefficientsError,
+    OutOfDomainError,
     PoleError,
 )
 from .manifold import (
@@ -189,6 +190,10 @@ class _NullSampler:
         return (self.k, w), (0j, dw)
 
 
+#: (2/POLE_THRESHOLD)^(1/3), the null rational sampler's refusal ratio.
+_CUBE_ROOT = (2.0 / POLE_THRESHOLD) ** (1.0 / 3.0)
+
+
 class NullRationalSampler(_NullSampler):
     """Null geodesic with zero constant coordinate: m(t) = 1/(C - B t), refused
     within (2/``POLE_THRESHOLD``)^(1/3) of the germ's own distance |t0 - C/B|."""
@@ -207,7 +212,8 @@ class NullRationalSampler(_NullSampler):
 
     def _moving_value(self, t: complex) -> tuple[complex, complex]:
         d = self.C - self.B * t
-        if abs(d) ** 3 * POLE_THRESHOLD < 2.0 * abs(self.C - self.B * self.t0) ** 3:
+        # |d|^3 POLE_THRESHOLD < 2 |d0|^3, with no cube to overflow
+        if abs(d) < _CUBE_ROOT * abs(self.C - self.B * self.t0):
             raise PoleError("sampler evaluated at its pole", location=self.pole)
         w = 1.0 / d
         return w, self.B * w * w
@@ -229,13 +235,14 @@ class NullTanSampler(_NullSampler):
         self.b = b
 
     def _moving_value(self, t: complex) -> tuple[complex, complex]:
-        th = self.a * t + self.b
-        c = cmath.cos(th)
-        if abs(c) ** 2 * POLE_THRESHOLD < 1.0:
+        # tan stays finite off the real line, where sin and cos overflow
+        tan = cmath.tan(self.a * t + self.b)
+        sec2 = 1.0 + tan * tan
+        if abs(sec2) > POLE_THRESHOLD:
             raise PoleError(
                 "sampler evaluated at a tangent pole", location=self.nearest_pole(t)
             )
-        return self.k * cmath.sin(th) / c, self.k * self.a * (1.0 / (c * c))
+        return self.k * tan, self.k * self.a * sec2
 
     def nearest_pole(self, t: complex) -> complex:
         th = self.a * t + self.b
@@ -255,7 +262,8 @@ class NullTanSampler(_NullSampler):
 
 
 class ExponentialSampler:
-    """(alpha e^{b(t-t0)}, beta e^{b(t-t0)}); entire, no obstructions."""
+    """(alpha e^{b(t-t0)}, beta e^{b(t-t0)}); entire, no obstructions.  Where
+    e^{b(t-t0)} is past the double range it raises OutOfDomainError."""
 
     family = "Exponential"
 
@@ -266,7 +274,10 @@ class ExponentialSampler:
         self.t0 = t0
 
     def position_velocity(self, t: complex):
-        e = cmath.exp(self.b * (t - self.t0))
+        try:
+            e = cmath.exp(self.b * (t - self.t0))
+        except OverflowError:
+            raise OutOfDomainError("u and v are beyond the double range here") from None
         u, v = self.alpha * e, self.beta * e
         return (u, v), (self.b * u, self.b * v)
 

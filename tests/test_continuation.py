@@ -500,21 +500,14 @@ def shifted_estimate(U, V, x):
 
 @pytest.fixture(scope="module")
 def scan_halt_walks():
-    """Every walk of a 64-ray probe of the criterion-8 germs that starts
-    from a scan halt: ((t, y, est) per walk, series built inside it)."""
-    halts, builds, walking, stop = [], [], [False], [None]
-    real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
+    """Every walk of a 64-ray probe of the criterion-8 germs, from a scan
+    halt or from a zero read off a step's series in (1/u, 1/v): ((t, y,
+    est) per walk, series built inside it)."""
+    halts, builds, walking = [], [], [False]
+    real_walk = continuation._walk_localize
     jet = _jet(ORDER)
 
-    def segment(*args, **kwargs):
-        res = real_segment(*args, **kwargs)
-        if not walking[0]:
-            stop[0] = res.status
-        return res
-
     def walk(t, y, tol, est):
-        if stop[0] != "halted":  # a collapse, not a scan halt
-            return real_walk(t, y, tol, est)
         halts.append((t, y, est))
         builds.append(0)
         walking[0] = True
@@ -532,7 +525,6 @@ def scan_halt_walks():
         return g
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(continuation, "_integrate_segment", segment)
         mp.setattr(continuation, "_walk_localize", walk)
         # every segment builds its series with the jet it binds
         mp.setattr(jet, "series", counted(jet.series))
@@ -610,8 +602,9 @@ class TestProbe:
         # k tan(a t + b) with |a| = 11.2: its 36 poles within 5 lie 0.28
         # apart at least, and the probe clusters at TUBE_FLOOR * radius,
         # 0.025, so it reports each of them.  Off the pole line the state
-        # drifts onto another null solution (ROADMAP item 7): 286 points
-        # in all and 20 Blocked rays; 367 points at a cluster width of 1e-4
+        # drifts onto another null solution (ROADMAP item 7): 240 points
+        # in all and 16 Blocked rays (286 and 20 with every step in (u, v)
+        # but the crossings; 367 points at a cluster width of 1e-4)
         g = germ(
             0.06739555708342478 - 1.0719587266288828j,
             -1.1343426328497264 - 0.03959481498269791j,
@@ -622,7 +615,7 @@ class TestProbe:
         rep = completeness_probe(g, 5.0, 64, 1e-9)
         assert len(poles) == 36
         assert all(min(abs(p - q) for q in rep.obstructions) < 1e-9 for p in poles)
-        assert len(rep.obstructions) <= 286
+        assert len(rep.obstructions) <= 240
 
     def test_entire_family_clean(self):
         rep = completeness_probe(germ(1, 1, 1, 1), 6.0, 16, 1e-9)
@@ -700,10 +693,9 @@ class TestProbe:
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
         # the scan halts on the estimate each step reads off its own
-        # series, a collapse carries the estimate of the series it could
-        # not step with, and Newton polishes either on the inverted state;
-        # no probe re-expands a state.  The 8- and 16-ray fans each
-        # collapse once
+        # series, a zero is read off the series of its step in
+        # (1/u, 1/v), and Newton polishes either on the inverted state;
+        # no probe re-expands a state
         calls = []
         real_estimate = continuation.nearest_singularity
 
@@ -730,7 +722,8 @@ class TestProbe:
     def test_fan_shares_its_t0_series_and_gates_estimates(self, monkeypatch):
         # a real germ's fan builds the series of its state once, for the
         # first step of all its rays, and the scan runs the estimate on
-        # few of its steps (17% on the benchmark's six probe germs)
+        # few of its steps (17% on the benchmark's six probe germs when
+        # every step ran in (u, v); under 1% since the chart swaps)
         builds = count_builds(monkeypatch)
         steps, estimates = [0], [0]
         real_segment, jet = continuation._integrate_segment, _jet(ORDER)
@@ -850,6 +843,67 @@ class TestProbe:
         assert a.per_ray == b.per_ray
 
 
+# the benchmark's six probe germs: the five of criterion 8 and u = tan t
+_PROBE_PASS = (*_DISCRETENESS_GERMS, germ(0, 1, 1, 0))
+
+
+class TestChartChoice:
+    """A probe ray steps in the chart its own state picks."""
+
+    def test_a_probe_pass_builds_at_most_4000_series(self, monkeypatch):
+        # the six germs at 64 rays, radius 5 and tol 1e-9 build 3754
+        # series; 4994 with every step in (u, v) and a crossing segment in
+        # (1/u, 1/v) past each pole
+        builds = count_builds(monkeypatch)
+        for g in _PROBE_PASS:
+            completeness_probe(g, 5.0, 64, 1e-9)
+        assert len(builds) <= 4000, len(builds)
+
+    def test_without_the_chart_choice_a_pass_builds_more(self, monkeypatch):
+        # with every step in (u, v), and no crossing segment, the rays
+        # step toward each pole until the scan halts, and again past it:
+        # the same pass builds 10500 series
+        monkeypatch.setattr(continuation, "_flips", lambda y, inverted: False)
+        builds = count_builds(monkeypatch)
+        for g in _PROBE_PASS:
+            completeness_probe(g, 5.0, 64, 1e-9)
+        assert len(builds) > 4000, len(builds)
+
+    def test_dense_lattice_reports_every_pole(self):
+        # the dense germ's 334 poles within 5 lie about 0.5 apart, and
+        # next to zeros of u or v: a ray in (1/u, 1/v) beside a pole whose
+        # zero the step's series does not reach takes its next step in
+        # (u, v), where the scan sees the pole.  Stepping on in (1/u, 1/v)
+        # instead, the fan misses the pole at -0.22625 + 4.80983i
+        assert len(completeness_probe(DENSE, 5.0, 64, 1e-9).obstructions) == 334
+
+    @pytest.mark.parametrize("k", [-40, -17, 17, 40])
+    def test_choice_is_unchanged_by_dilation_and_time_scaling(self, monkeypatch, k):
+        # (u, v) -> 2^k (u, v) scales a state in (u, v) by 2^k and one in
+        # (1/u, 1/v) by 2^-k; t -> 2^k t scales its velocity by 2^-k.  The
+        # choice compares products and moduli only, so it does not change,
+        # bit for bit, at any state the rays of these germs meet
+        seen, real_flips = [], continuation._flips
+
+        def flips(y, inverted):
+            seen.append((y, inverted))
+            return real_flips(y, inverted)
+
+        monkeypatch.setattr(continuation, "_flips", flips)
+        for g in (germ(1.3, -0.7, 0.9, 1.1), germ(0, 1, 1, 0)):
+            completeness_probe(g, 5.0, 16, 1e-9)
+        choices = {real_flips(y, inverted) for y, inverted in seen}
+        assert len(seen) > 400 and choices == {False, True}
+        for y, inverted in seen:
+            a, b, da, db = y
+            c = 2.0 ** (-k if inverted else k)
+            dilated = (c * a, c * b, c * da, c * db)
+            sped = (a, b, 2.0**-k * da, 2.0**-k * db)
+            want = real_flips(y, inverted)
+            assert real_flips(dilated, inverted) == want, (y, inverted)
+            assert real_flips(sped, inverted) == want, (y, inverted)
+
+
 class TestInvertedChart:
     def test_invert_is_an_involution(self):
         r = random.Random(5)
@@ -874,58 +928,63 @@ class TestInvertedChart:
     @pytest.mark.parametrize("n", [16, 64])
     def test_single_pole_ends_the_ray(self, n):
         # u = 1/(1 - t) with v = 0 has its one pole at t = 1, but z = 1/v
-        # is infinite: the ray along the real axis ends there as
-        # Obstructed instead of failing to cross
+        # is infinite: the ray along the real axis ends where it
+        # collapses, at the pole, as Obstructed and not Blocked
         rep = completeness_probe(germ(1, 0, 1, 0), 3.0, n, 1e-9)
         assert all(r.status != "Blocked" for r in rep.per_ray)
         assert rep.per_ray[0].status == "Obstructed"
         assert len(rep.obstructions) == 1 and abs(rep.obstructions[0] - 1) < 1e-12
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
-    def test_crossing_that_stops_past_its_pole_resumes(self, n, monkeypatch):
-        # ray pi of this germ crosses the pole at -4.16576 in the chart
-        # (1/u, 1/v) from about -3.1 and halts past it, near -4.45, on its
-        # settled estimate of -4.97864, where 1/v has a pole: a zero of v,
-        # regular in (u, v).  The ray resumes there and completes in at
-        # most 9 segments, instead of ending Blocked
-        calls, halts = [], []
+    def test_ray_passes_its_poles_without_a_crossing(self, n, ray_log, monkeypatch):
+        # ray pi of this germ passes the poles at -1.31283 and -4.16576,
+        # and the zero of v at -4.97864, regular in (u, v), stepping in the
+        # chart each state picks: it locates both poles within 1e-9, once
+        # each, and completes in at most 10 segments, walks included, and
+        # 47 series builds.  A swap ends a segment at no build; with every
+        # step in (u, v) and a crossing past each pole, the ray took 6 to
+        # 8 segments and 44 to 49 builds.  No segment runs outside the
+        # ray's steps and its walks: there is no crossing to stop short
+        calls, charts = [], []
+        builds = count_builds(monkeypatch)
         real_segment = continuation._integrate_segment
 
         def segment(y, t_from, t_to, tol, collect=None, on_step=None):
-            res = real_segment(y, t_from, t_to, tol, collect, on_step)
-            calls.append(res.status)
-            assert len(calls) <= 9
-            if on_step is None and res.status == "halted":
-                halts.append((res.t, res.t + res.est[0]))
-            return res
+            calls.append(t_from)
+            assert len(calls) <= 10
+            if on_step is not None:
+                charts.append(on_step.__name__)
+            return real_segment(y, t_from, t_to, tol, collect, on_step)
 
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
         ray = _probe_ray(germ(1.3, -0.7, 0.9, 1.1), 2.0 * math.pi * (n // 2) / n, 5.0, n, 1e-9)
-        assert len(halts) == 1
-        (t, zero), = halts
-        assert t.real < -4.1657639700167
-        assert abs(zero - -4.9786426233) < 1e-9
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, (-1.3128335656524, -4.1657639700167)):
             assert abs(p - pole) < 1e-9
+        assert len(ray_log.settled) == 2 and ray_log.crossings == []
+        assert len(builds) <= 47
+        # both charts step: the ray swaps into (1/u, 1/v) and back
+        assert "zeros" in charts and charts[-1] == "scan"
 
-    @pytest.mark.parametrize("pole, stop", [(-0.1, 0.0), (0.1, 0.05)], ids=["start", "pole"])
-    def test_a_crossing_that_stops_short_is_blocked(self, monkeypatch, pole, stop):
-        # a faked ray collapses 1 past each start on a pole at offset
-        # pole, and its crossing stops at offset stop: at its own start
-        # (resumed there, the ray would collapse at the same point
-        # forever), or short of the pole it crosses
+    @pytest.mark.parametrize("chart", ["neither", "u-v"])
+    def test_blocked_only_where_neither_chart_steps(self, monkeypatch, chart):
+        # a faked ray collapses at its start in (u, v): the next segment
+        # runs in (1/u, 1/v) from the same point.  Where that collapses at
+        # the same point too, the ray is Blocked after two segments; where
+        # it steps, the ray goes on and completes
         calls = []
 
         def segment(y, t_from, t_to, tol, collect=None, on_step=None):
-            calls.append(t_to)
+            calls.append(on_step.__name__)
             assert len(calls) < 50
-            t = t_from + (1.0 if on_step else stop)
-            return continuation._Segment("obstructed", t, y, (pole, 0.0))
+            if chart == "neither" or on_step.__name__ == "scan":
+                return continuation._Segment("obstructed", t_from, y, (0.1, 0.0))
+            return continuation._Segment("done", t_to, y)
 
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
         ray = _probe_ray(germ(1.3, -0.7, 0.9, 1.1), 0.0, 5.0, 64, 1e-9)
-        assert ray.status == "Blocked" and len(calls) == 2
+        assert calls == ["scan", "zeros"]
+        assert ray.status == ("Blocked" if chart == "neither" else "Completed")
 
     @pytest.mark.parametrize("t, off", [(1.0, 0.7), (1.0, 0.45), (1.0, 0.6 + 0.2j), (1 + 2.5j, 0.6 - 2.4j)])
     def test_newton_lands_on_the_pole(self, t, off):
@@ -938,12 +997,11 @@ class TestInvertedChart:
 
     def test_newton_puts_a_scan_halt_on_its_chain_root(self, monkeypatch):
         # ray 17 of draw 5 (counting from 0) of
-        # random_generic_germ(Random(77)) halts on an estimate of spread
-        # above SETTLED_SPREAD, 2e-9 off its pole; Newton in the chart
-        # (1/u, 1/v) puts it 6.4e-15 from the root of 1 + Y^2 that the
-        # closed form gives.  Newton converges quadratically and its first
-        # step lands within 1e-8 here, so its stop, 1e-8 (1 + |t|), is
-        # not what this pins: stops up to 1e-4 give the same point
+        # random_generic_germ(Random(77)) reads a zero of w = 1/u or
+        # z = 1/v off the series of a step in (1/u, 1/v), past the step:
+        # its spread, 0.035, is above SETTLED_SPREAD, and it lies 1.4e-3
+        # off its pole.  The walk's Newton in that chart puts it 1.4e-14
+        # from the root of 1 + Y^2 that the closed form gives
         r = random.Random(77)
         g = [random_generic_germ(r) for _ in range(6)][5]
         walks, real_walk = [], continuation._walk_localize
@@ -965,11 +1023,11 @@ class TestInvertedChart:
         assert abs(p - root) < 1e-12
 
     def test_a_walk_stops_once_its_newton_step_is_below_1e_8(self, monkeypatch):
-        # a tripwire on the walk of the halt above: its first Newton step
-        # is below 1e-8 (1 + |t|), so it integrates one segment; a stop at
-        # 1e-13 (1 + |t|) would integrate a second that moves no point.
-        # test_crossing_that_stops_past_its_pole_resumes[4] pins the stop
-        # from below
+        # a tripwire on the walk of the zero above: it integrates to the
+        # zero's estimate, and its first Newton step from there is below
+        # 1e-8 (1 + |t|), so it integrates one more segment and stops; a
+        # stop at 1e-13 (1 + |t|) would integrate a third that moves no
+        # point
         r = random.Random(77)
         g = [random_generic_germ(r) for _ in range(6)][5]
         segments, walking = [], [False]
@@ -990,72 +1048,55 @@ class TestInvertedChart:
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
         monkeypatch.setattr(continuation, "_walk_localize", walk)
         _probe_ray(g, 2 * math.pi * 17 / 64, 5.0, 64, 1e-9)
-        assert len(segments) == 1
+        assert len(segments) == 2
 
-    def test_collapse_is_located_and_crossed(self, monkeypatch):
-        # with no scan, each segment of the ray halts on its own settle
-        # rule, 0.36 and 0.40 before the poles; the walk locates each pole
-        # from the estimate the halt carries, and the ray crosses it.
-        # With the settle rule blinded too, the ray collapses at each pole
-        # and locates the second 1.29e-12 from 3 pi/2
-        real_segment = continuation._integrate_segment
 
-        def blind(y, t_from, t_to, tol, collect=None, on_step=None):
-            return real_segment(y, t_from, t_to, tol, collect=collect)
-
-        monkeypatch.setattr(continuation, "_integrate_segment", blind)
-        ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 16, 1e-9)
-        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
-        for p, pole in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2)):
-            assert abs(p - pole) < 1e-12
-
-    def test_a_collapse_takes_its_measured_steps(self, monkeypatch):
-        # with both stop rules blinded, the ray of
-        # test_collapse_is_located_and_crossed steps into each pole until a
-        # new state is not finite (the first) or a step no longer moves t
-        # (the second).  Each collapse
-        # may take no more steps than it was measured to: a tripwire for a
-        # stall whose steps shrink without ever leaving t where it is
-        real_segment, collapses = continuation._integrate_segment, []
+    def test_a_collapse_is_passed_in_the_other_chart(self, monkeypatch):
+        # with every step's scan blinded, so that no state swaps charts,
+        # the ray of u = tan t steps into each singular point of its chart
+        # until a new state is not finite or a step no longer moves t: the
+        # pole pi/2 in (u, v), the zero pi of u in (1/u, 1/v), the pole
+        # 3 pi/2 in (u, v).  Each collapse sends the next segment to the
+        # other chart, where the point is regular, and the ray completes.
+        # Each collapse may take no more steps than it was measured to: a
+        # tripwire for a stall whose steps shrink without ever leaving t
+        real_segment, segments = continuation._integrate_segment, []
 
         def blind(y, t_from, t_to, tol, collect=None, on_step=None):
-            if on_step is None:  # a crossing
-                return real_segment(y, t_from, t_to, tol, collect=collect)
             steps = []
             res = real_segment(
                 y, t_from, t_to, tol, collect=lambda t, w: steps.append(t), on_step=lambda *a: None
             )
-            collapses.append((res.status, len(steps)))
+            segments.append((res.status, res.t, len(steps)))
             return res
 
         monkeypatch.setattr(continuation, "_integrate_segment", blind)
         ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 16, 1e-9)
-        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
-        for p, pole in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2)):
-            assert abs(p - pole) < 2e-12
-        assert [status for status, _ in collapses] == ["obstructed", "obstructed"]
-        assert all(n <= bound for (_, n), bound in zip(collapses, (194, 196)))
+        assert ray.status == "Completed"
+        assert [status for status, _, _ in segments] == ["obstructed"] * 3 + ["done"]
+        for (_, t, _), point in zip(segments, (math.pi / 2, math.pi, 3 * math.pi / 2, 5.0)):
+            assert abs(t - point) < 1e-9
+        assert all(n <= bound for (_, _, n), bound in zip(segments, (194, 194, 192)))
 
-    def test_crossing_runs_along_the_ray_to_the_mirror_point(self, ray_log):
-        # a halt crosses its pole in the chart (1/u, 1/v) by one segment
-        # along the ray's own line, to the mirror point of the halt past
-        # the pole's projection, or to the ray's end
+    def test_a_ray_passes_each_pole_as_a_zero(self, ray_log):
+        # the ray of u = tan t swaps into (1/u, 1/v) before each pole,
+        # where it is a zero of w = cot t read off a step's series, and
+        # back after it: each pole is located once, within 1e-12, and no
+        # segment runs outside the ray's steps and its walks
         ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 64, 1e-9)
         poles = (math.pi / 2, 3 * math.pi / 2)
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, poles):
             assert abs(p - pole) < 1e-12
-        assert len(ray_log.crossings) == 2
-        for (start, end), pole in zip(ray_log.crossings, poles):
-            assert start.imag == end.imag == 0.0
-            assert start.real < pole < end.real
-            assert end == 5.0 or abs(end - (2.0 * pole - start)) < 1e-12
+        assert len(ray_log.settled) == 2 and ray_log.crossings == []
 
-    def test_a_ray_crosses_at_most_once_per_point(self, ray_log, monkeypatch):
-        # the work bound of a ray: each crossing passes the pole it has
-        # just located, so no ray crosses more often than it locates
-        # points (some beyond its radius, so not reported)
-        counts, forward = [], []
+    def test_a_ray_localizes_each_point_once(self, ray_log, monkeypatch):
+        # the work bound of a ray: a candidate within its own uncertainty
+        # of a point the ray has is not walked to again, so no ray
+        # locates a point twice, on every ray of these germs, the dense
+        # lattice included; and none runs a segment outside its steps and
+        # its walks
+        counts = []
         real_ray = continuation._probe_ray
 
         def ray(g, angle, radius, *args):
@@ -1063,87 +1104,47 @@ class TestInvertedChart:
             ray_log.crossings.clear()
             r = real_ray(g, angle, radius, *args)
             points = _cluster(ray_log.settled, TUBE_FLOOR * radius)
-            counts.append((len(ray_log.crossings), len(points)))
-            forward.extend(abs(b - g.t0) > abs(a - g.t0) for a, b in ray_log.crossings)
+            counts.append((len(ray_log.settled), len(points), len(ray_log.crossings)))
             return r
 
         monkeypatch.setattr(continuation, "_probe_ray", ray)
         for g in (*_DISCRETENESS_GERMS, DENSE):
             completeness_probe(g, 5.0, 64, 1e-9)
-        assert all(c <= n for c, n in counts)
-        assert all(forward)  # a pole behind the halt is not crossed
-        assert max(c for c, _ in counts) <= 11  # the measured maximum
+        assert all(walked == points and crossed == 0 for walked, points, crossed in counts)
+        assert max(points for _, points, _ in counts) <= 12  # the measured maximum
 
-    def test_a_pole_abeam_of_the_halt_is_not_crossed(self, monkeypatch):
-        # a pole whose projection onto the ray rounds to the halt point is
-        # not ahead: the ray resumes straight instead of integrating a
-        # segment of zero length.  u = tan(t / e) has its poles on the ray
-        # along e, where the scan halts
-        angle = 2.0 * math.pi / 64
-        e = cmath.exp(1j * angle)
-        abeam = lambda t, y, tol, est=None: (t + 0.1j * e, 0.0)
-        monkeypatch.setattr(continuation, "_walk_localize", abeam)
-        ray = _probe_ray(germ(0, 1, e.conjugate(), 0), angle, 5.0, 64, 1e-9)
-        assert ray.status == "Obstructed"
-
-    def test_a_collapse_at_the_start_crosses_forward(self, monkeypatch):
+    def test_a_pole_next_to_the_start_is_a_regular_zero(self, monkeypatch):
         # u is about 1/(t0 + 1e-6 - t) near t0 = 1e10, a pole closer to the
-        # start than the resolution of t there (1.9e-6): the ray's first
-        # step (1.6e-7) does not move t, so the ray collapses at t0 itself.
-        # Only the tube's floor gives its crossing a length; without it the
-        # ray would collapse at t0 forever.  The scan is blinded, as in
-        # test_collapse_is_located_and_crossed, so that the crossing is the
-        # ray's only detour
+        # start than the resolution of t there (1.9e-6).  The start state
+        # picks (1/u, 1/v), where the pole is a zero of w = 1/u: the ray's
+        # first step passes it, reads it off its series and locates it at
+        # t0 + 1e-6 exactly; the second step ends the ray.  In (u, v) its
+        # first step would not move t
         t0 = 1e10
         calls = []
         real_segment = continuation._integrate_segment
 
-        def blind(y, t_from, t_to, tol, collect=None, on_step=None):
+        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
             calls.append(t_from)
             assert len(calls) < 50
-            return real_segment(y, t_from, t_to, tol, collect=collect)
-
-        monkeypatch.setattr(continuation, "_integrate_segment", blind)
-        ray = _probe_ray(germ(1e6, 1, 1e12, 0.5, t0), 0.0, 5.0, 64, 1e-9)
-        assert ray.status == "Obstructed" and ray.obstructions == (t0 + 1e-6,)
-        # the ray, its crossing from t0, the rest of the ray
-        assert calls[:2] == [t0, t0] and len(calls) == 3
-
-    def test_newton_refuses_a_step_beyond_its_estimate(self, monkeypatch):
-        # on ray 20 of this germ (draw 6, counting from 0, of
-        # random_generic_germ(Random(77))) the scan halts at
-        # -1.58 + 3.82i on an estimate of spread 0.31 that is no pole;
-        # Newton's first step from it is far longer than the estimate's
-        # offset, and followed, it integrates 317 steps to a point 60 away
-        g = germ(
-            1.3929589336183097 - 0.2294291459868425j,
-            1.226722478422997 - 0.4341141782921781j,
-            0.19972425279927994 + 1.0177502033778525j,
-            -0.07191650597731106 - 0.9640680020236458j,
-        )
-        walking, steps = [False], [0]
-        real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
-
-        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
-            def counted(t, w):
-                steps[0] += walking[0]
-                if collect is not None:
-                    collect(t, w)
-
-            return real_segment(y, t_from, t_to, tol, collect=counted, on_step=on_step)
-
-        def walk(*args):
-            walking[0] = True
-            try:
-                return real_walk(*args)
-            finally:
-                walking[0] = False
+            return real_segment(y, t_from, t_to, tol, collect, on_step)
 
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
-        monkeypatch.setattr(continuation, "_walk_localize", walk)
-        ray = _probe_ray(g, 2.0 * math.pi * 20 / 64, 5.0, 64, 1e-9)
-        assert ray.status == "Completed" and ray.obstructions == ()
-        assert 0 < steps[0] <= 10
+        g = germ(1e6, 1, 1e12, 0.5, t0)
+        assert continuation._flips(g.state(), False)
+        ray = _probe_ray(g, 0.0, 5.0, 64, 1e-9)
+        assert ray.status == "Obstructed" and ray.obstructions == (t0 + 1e-6,)
+        assert calls[0] == t0 and len(calls) == 2
+
+    def test_newton_refuses_a_step_beyond_its_estimate(self):
+        # an estimate 0.2 ahead of t = 1 on u = tan t that is no pole: the
+        # walk integrates to 1.2, where Newton's step to the pole pi/2 is
+        # 0.37, longer than the estimate's offset, so it finds nothing.
+        # Followed, such steps integrated 317 steps to a point 60 away on a
+        # random germ's ray
+        y = _integrate_segment(germ(0, 1, 1, 0).state(), 0j, 1.0, 1e-10).y
+        assert _walk_localize(1.0, y, 1e-9, (0.2, 0.3)) is None
+        assert _walk_localize(1.0, y, 1e-9, (0.4, 0.3))[0] == pytest.approx(math.pi / 2, abs=1e-13)
 
     def test_newton_stops_after_eight_iterations(self, monkeypatch):
         # a Newton step that never shrinks is given up after 8 segments

@@ -14,6 +14,7 @@ from cliftonpohl.errors import (
     ChartDegeneracyError,
     CliftonPohlError,
     DegenerateCoefficientsError,
+    OutOfDomainError,
     PoleError,
 )
 from cliftonpohl.families import (
@@ -195,6 +196,36 @@ class TestNull:
         s = solve(germ(1, 0, 1, 0))
         assert s.poles_within(0, 3) == [1] and s.poles_within(0, 0.5) == []
         assert solve(germ(1, 1, 0.5, 0.5)).poles_within(0, 10) == []
+
+
+class TestHugeTargets:
+    """Elementary samplers far out: the value where it is finite, else a
+    typed refusal, and never an intermediate overflow."""
+
+    @pytest.mark.parametrize("t", [400j, 800j])
+    def test_tangent_far_off_the_real_line(self, t):
+        # u = tan t tends to i off the real line, where sin and cos
+        # overflow; (i, 1) rounds onto the cone, which sample refuses
+        s = solve(germ(0, 1, 1, 0))
+        (u, v), (du, dv) = s.position_velocity(t)
+        assert (u, v, du, dv) == (1j, 1, 0, 0)
+        with pytest.raises(OutOfDomainError):
+            sample(s, t)
+
+    def test_rational_far_along_the_real_line(self):
+        # u = 1/(1 - t) at t = 1e300 is -1e-300; the refusal test cubed
+        # |1 - t| and overflowed
+        pt, (du, dv) = sample(solve(germ(1, 0, 1, 0)), 1e300)
+        assert abs(pt.u - 1 / (1 - 1e300)) <= 1e-15 * abs(pt.u)
+        assert (pt.v, du, dv) == (0, 0, 0)
+
+    def test_exponential_past_the_double_range(self):
+        # u = v = e^t at t = 800 is past the double range
+        s = solve(germ(1, 1, 1, 1))
+        assert isinstance(s, ExponentialSampler)
+        with pytest.raises(OutOfDomainError):
+            sample(s, 800)
+        assert sample(s, 700)[0].u == pytest.approx(math.exp(700), rel=1e-13)
 
 
 # germs of the four samplers, each sped up by 2^k below

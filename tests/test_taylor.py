@@ -293,14 +293,16 @@ def test_ratio_estimate_reads_the_last_five_ratios(monkeypatch):
 
 def test_max_spread_keeps_noisy_estimates_from_halting(monkeypatch):
     # the estimate refuses a ratio sequence whose relative spread exceeds
-    # MAX_SPREAD.  At 64 rays the scans of draws 3, 7 and 9 (counting
-    # from 0) of random_generic_germ(Random(77)) halt 15 times on
+    # MAX_SPREAD.  At 64 rays the scans of draws 13, 15 and 17 (counting
+    # from 0) of random_generic_germ(Random(77)) halt twice on
     # estimates whose walks find nothing.  A jet compiled with a cap of
-    # 0.5 halts on 4 more such estimates (19), every one a walk that
-    # finds nothing, and finds the same points
+    # 0.5 halts on 3 more such estimates (5), every one a walk that
+    # finds nothing, and finds the same points.  (Draws 3, 7 and 9 showed
+    # this while every step ran in (u, v); since the chart swaps, the cap
+    # changes nothing on them)
     r = random.Random(77)
-    draws = [random_generic_germ(r) for _ in range(10)]
-    germs = [draws[i] for i in (3, 7, 9)]
+    draws = [random_generic_germ(r) for _ in range(18)]
+    germs = [draws[i] for i in (13, 15, 17)]
     real_walk = continuation._walk_localize
 
     def probe(jet):
@@ -320,7 +322,7 @@ def test_max_spread_keeps_noisy_estimates_from_halting(monkeypatch):
     missed, reports = probe(_jet(ORDER))
     monkeypatch.setattr(taylor, "MAX_SPREAD", 0.5)
     loose_missed, loose = probe(_jet.__wrapped__(ORDER))
-    assert missed <= 15 and loose_missed > missed, (missed, loose_missed)
+    assert missed <= 2 and loose_missed > missed, (missed, loose_missed)
     for rep, other in zip(reports, loose):
         assert len(rep.obstructions) == len(other.obstructions)
         for p in rep.obstructions:
