@@ -66,9 +66,10 @@ and the walk locates each zero in the tube; the ray steps on through
 it, with no segment of its own.  A zero within the step settles where it
 is; one past it is uncertain by the series' omitted tail, and where that
 tail diverges the next step runs in (u, v), whose scan sees the pole.  A
-collapse in one chart sends the next step to the other, and a ray is
-Blocked only where neither steps: the other chart collapses at the same
-point.  A state with u or v exactly 0 (v = 0 on a null geodesic whose u
+collapse in (u, v) is located, by the walk or where it stopped, so a
+pole the scan missed is still reported.  A collapse in one chart sends
+the next step to the other, and a ray is Blocked only where neither
+steps: the other chart collapses at the same point.  A state with u or v exactly 0 (v = 0 on a null geodesic whose u
 has one pole) has no image in (1/u, 1/v), and its ray ends where it
 collapses, at the pole.  A candidate that does not settle is suppressed
 unreported: cone touches u^2 + v^2 = 0, where high-order coefficients
@@ -616,12 +617,17 @@ def _probe_ray(
                 found.append(loc)
             continue
         if res.status == "obstructed":
-            # a collapse: the next step runs in the other chart, unless the
-            # state has no image there (u or v is 0: its ray ends at the
-            # pole) or the other chart has just collapsed here too
+            # a collapse: one in (u, v) is located, as the walk finds it
+            # or where it stopped, so a pole the scan missed is reported.
+            # The next step runs in the other chart, unless the state has
+            # no image there (u or v is 0: its ray ends at the pole) or
+            # the other chart has just collapsed here too.  That step
+            # starts on the pole, and a zero it reads within the walk's
+            # stop, 1e-8 (1 + |t|), of the located point is that point
+            if not inverted:
+                p, r = _walk_localize(res.t, res.y, tol, res.est) or _located(res.t, res.est)
+                found.append((p, max(r, 1e-8 * (1.0 + abs(p)))))
             if not (res.y[0] and res.y[1]):
-                if not suppressed(*_located(res.t, res.est), unsettled):
-                    found.append(_located(res.t, res.est))
                 break
             if res.t == collapsed:
                 status = "Blocked"

@@ -235,14 +235,21 @@ class NullTanSampler(_NullSampler):
         self.b = b
 
     def _moving_value(self, t: complex) -> tuple[complex, complex]:
+        th = self.a * t + self.b
         # tan stays finite off the real line, where sin and cos overflow
-        tan = cmath.tan(self.a * t + self.b)
-        sec2 = 1.0 + tan * tan
-        if abs(sec2) > POLE_THRESHOLD:
+        tan = cmath.tan(th)
+        try:
+            c = cmath.cos(th)
+        except OverflowError:  # |Im th| > 710: sec^2 = 4 e^(-2 |Im th|) is below the doubles
+            return self.k * tan, 0j
+        m = abs(c)
+        if m * m * POLE_THRESHOLD < 1.0:  # a product, not a power: it may reach inf
             raise PoleError(
                 "sampler evaluated at a tangent pole", location=self.nearest_pole(t)
             )
-        return self.k * tan, self.k * self.a * sec2
+        # 1 + tan^2 would cancel off the real line; 1/c does not overflow
+        sec = 1.0 / c
+        return self.k * tan, self.k * self.a * (sec * sec)
 
     def nearest_pole(self, t: complex) -> complex:
         th = self.a * t + self.b

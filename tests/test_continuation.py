@@ -554,29 +554,16 @@ DRAW_77_16 = germ(
 
 @pytest.fixture
 def ray_log(monkeypatch):
-    """What probe rays do: the locations their walks settle on, and
-    (start, end) of each segment in the chart (1/u, 1/v), the segments
-    that run without a scan outside the walk."""
-    log = SimpleNamespace(settled=[], crossings=[])
-    walking = [False]
-    real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
-
-    def segment(y, t_from, t_to, tol, collect=None, on_step=None):
-        if on_step is None and not walking[0]:
-            log.crossings.append((t_from, t_to))
-        return real_segment(y, t_from, t_to, tol, collect=collect, on_step=on_step)
+    """What probe rays do: the locations their walks settle on."""
+    log = SimpleNamespace(settled=[])
+    real_walk = continuation._walk_localize
 
     def walk(*args):
-        walking[0] = True
-        try:
-            loc = real_walk(*args)
-        finally:
-            walking[0] = False
+        loc = real_walk(*args)
         if loc is not None:
             log.settled.append(loc[0])
         return loc
 
-    monkeypatch.setattr(continuation, "_integrate_segment", segment)
     monkeypatch.setattr(continuation, "_walk_localize", walk)
     return log
 
@@ -602,9 +589,9 @@ class TestProbe:
         # k tan(a t + b) with |a| = 11.2: its 36 poles within 5 lie 0.28
         # apart at least, and the probe clusters at TUBE_FLOOR * radius,
         # 0.025, so it reports each of them.  Off the pole line the state
-        # drifts onto another null solution (ROADMAP item 7): 240 points
+        # drifts onto another null solution (ROADMAP item 7): 252 points
         # in all and 16 Blocked rays (286 and 20 with every step in (u, v)
-        # but the crossings; 367 points at a cluster width of 1e-4)
+        # but the crossings; 365 points at a cluster width of 1e-4)
         g = germ(
             0.06739555708342478 - 1.0719587266288828j,
             -1.1343426328497264 - 0.03959481498269791j,
@@ -615,7 +602,7 @@ class TestProbe:
         rep = completeness_probe(g, 5.0, 64, 1e-9)
         assert len(poles) == 36
         assert all(min(abs(p - q) for q in rep.obstructions) < 1e-9 for p in poles)
-        assert len(rep.obstructions) <= 240
+        assert len(rep.obstructions) <= 252
 
     def test_entire_family_clean(self):
         rep = completeness_probe(germ(1, 1, 1, 1), 6.0, 16, 1e-9)
@@ -943,8 +930,7 @@ class TestInvertedChart:
         # each, and completes in at most 10 segments, walks included, and
         # 47 series builds.  A swap ends a segment at no build; with every
         # step in (u, v) and a crossing past each pole, the ray took 6 to
-        # 8 segments and 44 to 49 builds.  No segment runs outside the
-        # ray's steps and its walks: there is no crossing to stop short
+        # 8 segments and 44 to 49 builds
         calls, charts = [], []
         builds = count_builds(monkeypatch)
         real_segment = continuation._integrate_segment
@@ -961,17 +947,19 @@ class TestInvertedChart:
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, (-1.3128335656524, -4.1657639700167)):
             assert abs(p - pole) < 1e-9
-        assert len(ray_log.settled) == 2 and ray_log.crossings == []
+        assert len(ray_log.settled) == 2
         assert len(builds) <= 47
         # both charts step: the ray swaps into (1/u, 1/v) and back
         assert "zeros" in charts and charts[-1] == "scan"
 
     @pytest.mark.parametrize("chart", ["neither", "u-v"])
     def test_blocked_only_where_neither_chart_steps(self, monkeypatch, chart):
-        # a faked ray collapses at its start in (u, v): the next segment
-        # runs in (1/u, 1/v) from the same point.  Where that collapses at
-        # the same point too, the ray is Blocked after two segments; where
-        # it steps, the ray goes on and completes
+        # a faked ray collapses at its start in (u, v) on a settled
+        # estimate 0.1 ahead: the collapse is located there, and the next
+        # segment runs in (1/u, 1/v) from the same point.  Where that
+        # collapses at the same point too, the ray is Blocked after two
+        # segments; where it steps, the ray goes on.  Either way the ray
+        # reports the point
         calls = []
 
         def segment(y, t_from, t_to, tol, collect=None, on_step=None):
@@ -982,9 +970,11 @@ class TestInvertedChart:
             return continuation._Segment("done", t_to, y)
 
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
-        ray = _probe_ray(germ(1.3, -0.7, 0.9, 1.1), 0.0, 5.0, 64, 1e-9)
+        g = germ(1.3, -0.7, 0.9, 1.1)
+        ray = _probe_ray(g, 0.0, 5.0, 64, 1e-9)
         assert calls == ["scan", "zeros"]
-        assert ray.status == ("Blocked" if chart == "neither" else "Completed")
+        assert ray.status == ("Blocked" if chart == "neither" else "Obstructed")
+        assert ray.obstructions == (g.t0 + 0.1,)
 
     @pytest.mark.parametrize("t, off", [(1.0, 0.7), (1.0, 0.45), (1.0, 0.6 + 0.2j), (1 + 2.5j, 0.6 - 2.4j)])
     def test_newton_lands_on_the_pole(self, t, off):
@@ -1051,18 +1041,58 @@ class TestInvertedChart:
         assert len(segments) == 2
 
 
+    def test_a_collapse_is_located_and_passed_in_the_other_chart(self, ray_log, monkeypatch):
+        # with the scan blinded in (u, v), so that no state there swaps
+        # charts or halts, the ray of u = tan t steps into each pole until
+        # a new state is not finite or a step no longer moves t.  Each
+        # collapse is located, pi/2 within 1e-12 and 3 pi/2 1.7e-12 off,
+        # the accuracy of its state after the first collapse; the next
+        # segment passes the pole in (1/u, 1/v), where the zero it reads
+        # is that point and is not walked to again, and swaps back.  Each
+        # collapse may take no more steps than it was measured to: a
+        # tripwire for a stall whose steps shrink without ever leaving t
+        real_segment, real_flips, segments = continuation._integrate_segment, continuation._flips, []
+
+        def segment(y, t_from, t_to, tol, collect=None, on_step=None):
+            if on_step is None:  # the walk's
+                return real_segment(y, t_from, t_to, tol)
+            steps = []
+
+            def count(t, w):
+                steps.append(t)
+                collect(t, w)
+
+            res = real_segment(y, t_from, t_to, tol, count, on_step)
+            segments.append((res.status, res.t, len(steps)))
+            return res
+
+        monkeypatch.setattr(continuation, "_integrate_segment", segment)
+        monkeypatch.setattr(continuation, "_flips", lambda y, inverted: inverted and real_flips(y, True))
+        monkeypatch.setattr(_jet(ORDER), "estimate", lambda U, V: None)
+        ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 16, 1e-9)
+        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
+        for p, pole, bound in zip(ray.obstructions, (math.pi / 2, 3 * math.pi / 2), (1e-12, 2e-12)):
+            assert abs(p - pole) < bound
+        assert len(ray_log.settled) == 2
+        assert [status for status, _, _ in segments] == ["obstructed", "halted", "obstructed", "done"]
+        assert all(n <= 194 for status, _, n in segments if status == "obstructed")
+
     def test_a_collapse_is_passed_in_the_other_chart(self, monkeypatch):
         # with every step's scan blinded, so that no state swaps charts,
         # the ray of u = tan t steps into each singular point of its chart
         # until a new state is not finite or a step no longer moves t: the
         # pole pi/2 in (u, v), the zero pi of u in (1/u, 1/v), the pole
         # 3 pi/2 in (u, v).  Each collapse sends the next segment to the
-        # other chart, where the point is regular, and the ray completes.
-        # Each collapse may take no more steps than it was measured to: a
-        # tripwire for a stall whose steps shrink without ever leaving t
+        # other chart, where the point is regular.  The ray reports the
+        # two collapses in (u, v), within 1e-12 of where they stopped, and
+        # not pi, a zero of u.  Each collapse may take no more steps than it was measured
+        # to: a tripwire for a stall whose steps shrink without ever
+        # leaving t
         real_segment, segments = continuation._integrate_segment, []
 
         def blind(y, t_from, t_to, tol, collect=None, on_step=None):
+            if on_step is None:  # the walk's
+                return real_segment(y, t_from, t_to, tol)
             steps = []
             res = real_segment(
                 y, t_from, t_to, tol, collect=lambda t, w: steps.append(t), on_step=lambda *a: None
@@ -1072,46 +1102,45 @@ class TestInvertedChart:
 
         monkeypatch.setattr(continuation, "_integrate_segment", blind)
         ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 16, 1e-9)
-        assert ray.status == "Completed"
         assert [status for status, _, _ in segments] == ["obstructed"] * 3 + ["done"]
         for (_, t, _), point in zip(segments, (math.pi / 2, math.pi, 3 * math.pi / 2, 5.0)):
             assert abs(t - point) < 1e-9
         assert all(n <= bound for (_, _, n), bound in zip(segments, (194, 194, 192)))
+        assert ray.status == "Obstructed" and len(ray.obstructions) == 2
+        for p, (_, t, _) in zip(ray.obstructions, segments[::2]):
+            assert abs(p - t) < 1e-12
 
     def test_a_ray_passes_each_pole_as_a_zero(self, ray_log):
         # the ray of u = tan t swaps into (1/u, 1/v) before each pole,
         # where it is a zero of w = cot t read off a step's series, and
-        # back after it: each pole is located once, within 1e-12, and no
-        # segment runs outside the ray's steps and its walks
+        # back after it: each pole is located once, within 1e-12
         ray = _probe_ray(germ(0, 1, 1, 0), 0.0, 5.0, 64, 1e-9)
         poles = (math.pi / 2, 3 * math.pi / 2)
         assert ray.status == "Obstructed" and len(ray.obstructions) == 2
         for p, pole in zip(ray.obstructions, poles):
             assert abs(p - pole) < 1e-12
-        assert len(ray_log.settled) == 2 and ray_log.crossings == []
+        assert len(ray_log.settled) == 2
 
     def test_a_ray_localizes_each_point_once(self, ray_log, monkeypatch):
         # the work bound of a ray: a candidate within its own uncertainty
         # of a point the ray has is not walked to again, so no ray
         # locates a point twice, on every ray of these germs, the dense
-        # lattice included; and none runs a segment outside its steps and
-        # its walks
+        # lattice included
         counts = []
         real_ray = continuation._probe_ray
 
         def ray(g, angle, radius, *args):
             ray_log.settled.clear()
-            ray_log.crossings.clear()
             r = real_ray(g, angle, radius, *args)
             points = _cluster(ray_log.settled, TUBE_FLOOR * radius)
-            counts.append((len(ray_log.settled), len(points), len(ray_log.crossings)))
+            counts.append((len(ray_log.settled), len(points)))
             return r
 
         monkeypatch.setattr(continuation, "_probe_ray", ray)
         for g in (*_DISCRETENESS_GERMS, DENSE):
             completeness_probe(g, 5.0, 64, 1e-9)
-        assert all(walked == points and crossed == 0 for walked, points, crossed in counts)
-        assert max(points for _, points, _ in counts) <= 12  # the measured maximum
+        assert all(walked == points for walked, points in counts)
+        assert max(points for _, points in counts) <= 12  # the measured maximum
 
     def test_a_pole_next_to_the_start_is_a_regular_zero(self, monkeypatch):
         # u is about 1/(t0 + 1e-6 - t) near t0 = 1e10, a pole closer to the

@@ -212,6 +212,15 @@ class TestHugeTargets:
         with pytest.raises(OutOfDomainError):
             sample(s, t)
 
+    @pytest.mark.parametrize("y", [10.0, 15.0, 30.0, 300.0])
+    def test_tangent_velocity_off_the_real_line(self, y):
+        # u' = sec^2 t = 1/cosh^2 y at t = iy, to rounding: 1 + tan^2 t
+        # cancels there, 1.1e-8 off at y = 10 and 1.7e-4 at y = 15
+        s = solve(germ(0, 1, 1, 0))
+        (u, _), (du, _) = s.position_velocity(1j * y)
+        assert abs(u - 1j * math.tanh(y)) <= 1e-15
+        assert abs(du - 1.0 / math.cosh(y) ** 2) <= 1e-14 * abs(du)
+
     def test_rational_far_along_the_real_line(self):
         # u = 1/(1 - t) at t = 1e300 is -1e-300; the refusal test cubed
         # |1 - t| and overflowed
