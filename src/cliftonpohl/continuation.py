@@ -1,86 +1,62 @@
 """Analytic continuation of geodesic germs along paths in complex time.
 
-Continuation integrates the second-order system in (u, v), or in the
-probe also in (1/u, 1/v), never in the log chart, so its degeneracies at
-u = 0 or v = 0 are invisible here; what stops a path is a singular point
-of the solution on it (u and v are meromorphic in t, so a pole) or the
-geodesic running into the excluded cone u^2 + v^2 = 0.
+Continuation integrates the second-order system in (u, v) and in the
+charts (k/u, k/v), never in the log chart, so its degeneracies at u = 0
+or v = 0 are invisible here.  Each (k/u, k/v) is an isometry of
+2 du dv / (u^2 + v^2), so the same integrator runs in it, and a simple
+pole of u or v (u and v are meromorphic in t) is a regular zero there.
 
 The integrator takes fixed-order Taylor steps along the real arclength
-of each polyline segment, or of a circle in ``loop_monodromy``, in one
-step loop.  Each step builds the series of (u, v) and of (u', v')
-once, with the order-``ORDER`` kernel that ``taylor.geodesic_series``
-runs (three Cauchy products per order, from the energy integral
-u'v'/(u^2 + v^2)), and takes the longest step whose
-truncated tail, judged by the last two terms of u, v, u' and v' (Jorba &
-Zou 2005, Exp. Math. 14:99), stays below ``TAIL_FACTOR * tol`` relative
-to 1 + |component|.  ``tol`` thus bounds the local error of every step
-at 1e-4 tol; on the paths of length up to 5 that the tests and
-perfbench check against a 30-digit reference, the endpoint error stays
-below ``tol`` itself.  The series build, the step length, the Horner
-update of the state and the estimate below are straight-line code that
-``taylor`` generates and compiles as one module per order, the jet
-(``taylor._jet``), which each segment binds once; so a step runs no
-loop outside the series build, and a null state (u' or v' zero) builds
-only the moving coordinate's series, at a sixth of the products.
-The same coefficients give the nearest singularity by the ratio test
-(Chang & Corliss 1980), and every stop of a path is read off its step's
-own series.  A straight segment halts where that estimate has settled
-(relative spread at most ``SETTLED_SPREAD``) on a point of its rest
-(``_integrate_segment``'s settle rule, or a probe ray's scan in its
-place); failing that, a path is obstructed where its step collapses,
-that is, no longer moves t (the step rule shrinks the step toward a
-singular point until it falls below the resolution of t), at the start
-of a step whose new state is not finite, or on the cone.  No stop reads
-the size of the state or the length of a step, so a path passes beside
-a pole however closely or faintly.  Every stop of a segment carries one
-estimate, (offset, spread), and nothing re-expands its state: a
-collapse reads it off the series it could not step with, and a halt
-carries the estimate it halted on.  ``continue_path`` reports the
-singular time t + offset with radius max(|offset| spread, 1e-12); on
-the shot halts of the tests and perfbench, |offset| spread stays below
-3.4e-13 and the floor sets the radius.  An obstruction is reported as
-*data* (a trace status with an estimated singular time), never as an
-exception.
+of a polyline segment, or of a circle in ``loop_monodromy``.  Each step
+builds the order-``ORDER`` series of (u, v, u', v') once, with the jet
+``taylor._jet``, and takes the longest step whose tail, judged by the
+last two terms of each list (Jorba & Zou 2005), stays below
+``TAIL_FACTOR * tol`` relative to 1 + |component|: ``tol`` bounds the
+local error of every step at 1e-4 tol, and on the paths that the tests
+and perfbench check against a 30-digit reference, the endpoint error.
 
-The completeness probe shoots straight rays, and each step of a ray runs
-in the chart its own state picks (``_flips``): in (1/u, 1/v), an
-isometry of 2 du dv / (u^2 + v^2) in which the same integrator runs and
-a simple pole of u or v is a regular zero, where the coordinate nearest
-its own zero or pole is large, |c^2/(u^2 + v^2)| > 1/2, so that the
-point is a pole; in (u, v) elsewhere.  A swap ends a segment at its last
-accepted state, so it costs no series build; a fan builds the series of
-its germ's state once, in the chart that state picks, for the first
-step of every ray.  In (u, v) a ray reads every step's own
-nearest-singularity estimate; there is no second estimator on the ray.
-A step runs that estimate only where the last raw coefficient ratio of
-u or v (one division per list) puts a singular point within
-``SCAN_REACH`` tube widths of it.  When the estimate lands inside the
-ray's capture tube, and not within its own uncertainty of a point the
-ray already has, the ray halts.  An estimate whose relative spread is at
-most ``SETTLED_SPREAD`` has converged to rounding and settles where it
-is; any other is polished by Newton in (1/u, 1/v) (``_walk_localize``).
-In (1/u, 1/v) a ray reads the zeros of w = 1/u and z = 1/v off every
-step's own series, by Halley's method from the state's own Halley step,
-and the walk locates each zero in the tube; the ray steps on through
-it, with no segment of its own.  A zero within the step settles where it
-is; one past it is uncertain by the series' omitted tail, and where that
-tail diverges the next step runs in (u, v), whose scan sees the pole.  A
-collapse in (u, v) is located, by the walk or where it stopped, so a
-pole the scan missed is still reported.  A collapse in one chart sends
-the next step to the other, and a ray is Blocked only where neither
-steps: the other chart collapses at the same point.  A state with u or v exactly 0 (v = 0 on a null geodesic whose u
-has one pole) has no image in (1/u, 1/v), and its ray ends where it
-collapses, at the pole.  A candidate that does not settle is suppressed
-unreported: cone touches u^2 + v^2 = 0, where high-order coefficients
-are rounding noise, and estimates that average two poles.
+Shots (``continue_path``) and loops step in the chart their own state
+picks (``_flips``): (k/u, k/v) where the coordinate nearest its own zero
+or pole is large, |c^2/(u^2 + v^2)| > 1/2, so that the point is a pole,
+and (u, v) elsewhere.  k = 2^(e_u + e_v), from the exponents of |u| and
+|v| where a march first enters (k/u, k/v), gives that chart the sizes of
+(v, u), so both judge the tail in like units: a power-of-two dilation
+commutes with the march where every component stays well above 1 in
+size.  Traces and loop states stay in (u, v).  A
+collapse (a step that no longer moves t, as the step rule shrinks it
+toward a singular point, whose new state is not finite, or that starts
+on the cone u^2 + v^2 = 0) sends the next step to the other chart; a
+path is obstructed where both charts collapse at one t, or where a step
+lands exactly on a pole.  A state with u or v exactly 0 (u = 1/(C - B t)
+on a null geodesic whose other coordinate is 0) has no image in
+(k/u, k/v): it halts after a step whose ratio-test estimate of the
+nearest singularity (Chang & Corliss 1980) has settled (relative spread
+at most ``SETTLED_SPREAD``) on a point of its rest.  No stop reads the
+size of the state or of a step, so a path passes beside a pole however
+closely.  Every stop carries one estimate (offset, spread) read off its
+own step's series; ``continue_path`` reports t + offset, with radius
+max(|offset| spread, 1e-12), as data, never as an exception.
 
-The geodesic system is autonomous with real coefficients, so for a germ
-whose state (u, v, u', v') is real, Schwarz reflection gives
-y(t0 + conj(t - t0)) = conj(y(t)): its obstruction set, and the outcome
-of every probe ray, is mirror-symmetric about the line Im t = Im t0.
-The probe of a real germ therefore traces only the rays with angles in
-[0, pi] and mirrors them onto the rest of the fan.
+A completeness probe ray owns its chart, (u, v) or (1/u, 1/v), picked
+by ``_flips`` after every step; a swap ends a segment at no series
+build, and a fan builds its germ's series once.  In (u, v) a ray runs
+each step's estimate where the last raw coefficient ratio of u or v
+puts a singular point within ``SCAN_REACH`` tube widths, and halts where
+it lands in its capture tube, not within its own uncertainty of a point
+the ray has.  An estimate of spread at most ``SETTLED_SPREAD`` settles
+where it is; any other is polished by Newton on 1/u and 1/v
+(``_walk_localize``).  In (1/u, 1/v) a ray reads the zeros of 1/u and
+1/v in its tube off each step's series by Halley's method, walks to
+each, and steps on; where the series does not reach a zero, the next
+step runs in (u, v), whose scan sees the pole.  A collapse in (u, v) is
+located; a ray is Blocked only where the other chart collapses at the
+same point too, and one whose u or v is 0 ends at its pole.  Unsettled
+candidates (cone touches, estimates averaging two poles) go unreported.
+
+The system is autonomous with real coefficients, so for a germ whose
+state is real, y(t0 + conj(t - t0)) = conj(y(t)) (Schwarz reflection):
+its probe traces only the rays with angles in [0, pi] and mirrors them
+about Im t = Im t0 onto the rest of the fan.
 """
 
 from __future__ import annotations
@@ -104,10 +80,10 @@ State = tuple[complex, complex, complex, complex]
 #: u^2 + v^2 = 0 exceeds tol.
 TAIL_FACTOR = 1e-4
 
-#: A probe walk settles at once on an estimate whose relative spread is
-#: at most this: its ratios have converged to rounding, so walking closer
-#: cannot sharpen the location.  Settling below a spread of 0.05 instead
-#: misplaces tan-family and dense-lattice poles by up to 2e-3.
+#: A probe walk, or a segment whose state has no image in (k/u, k/v),
+#: settles at once on an estimate whose relative spread is at most this:
+#: its ratios have converged to rounding.  Settling below a spread of 0.05
+#: instead misplaces tan-family and dense-lattice poles by up to 2e-3.
 SETTLED_SPREAD = 1e-12
 
 #: A probe ray halts on estimates, and reads zeros, within its capture
@@ -224,11 +200,47 @@ class LoopResult:
     mismatch: float
 
 
+def _scale(y: State) -> float:
+    """k = 2^(e_u + e_v), the exponents of |u| and |v| (kept within the
+    doubles): (k/u, k/v) has the magnitudes of (v, u)."""
+    e = math.frexp(abs(y[0]))[1] + math.frexp(abs(y[1]))[1]
+    return math.ldexp(1.0, min(max(e, -1021), 1023))
+
+
+def _invert(y: State, k: float | None = None) -> State:
+    """The state in (k/u, k/v), or the probe's (1/u, 1/v) without k; the map
+    is its own inverse.  With k, w' = -w (u'/u), so no u^2 underflows."""
+    u, v, du, dv = y
+    if k is None:
+        return 1 / u, 1 / v, -du / (u * u), -dv / (v * v)
+    return k / u, k / v, -(k / u) * (du / u), -(k / v) * (dv / v)
+
+
+def _flips(y: State, inverted: bool) -> bool:
+    """Whether the next step from y, a state in (k/u, k/v) if ``inverted``
+    and in (u, v) if not, runs in the other chart.
+
+    Of the two coordinates, c is the one with the larger |c'/c| (the
+    nearest to its own zero or pole).  The step runs in (k/u, k/v) where
+    |c^2/(u^2 + v^2)|, read in (u, v), exceeds 1/2: along a geodesic
+    c c''/c'^2 = 2 c^2/(u^2 + v^2), the inversion maps that value x to
+    2 - x, and 1/2 is where the charts agree.  Only products and moduli
+    are compared, so the choice is the same for every k and under
+    (u, v) -> 2^j (u, v) or t -> 2^j t.  A state with u or v exactly 0
+    has no image in (k/u, k/v) and stays in (u, v)."""
+    a, b, da, db = y
+    if not (a and b):
+        return False
+    c, o = (a, b) if abs(da * b) >= abs(db * a) else (b, a)
+    # in (k/u, k/v), u^2/(u^2 + v^2) = (k/v)^2/((k/u)^2 + (k/v)^2)
+    s = o if inverted else c
+    return (2.0 * abs(s * s) > abs(c * c + o * o)) != inverted
+
+
 class _Expanded(tuple):
-    """A state (u, v, u', v') with its order-``ORDER`` series, ``series``,
-    which the first step of each segment from it reads.  It travels in
-    the place of the state, so ``_integrate_segment`` keeps its signature
-    and any wrapper of it passes the series on."""
+    """A state with its order-``ORDER`` series, ``series``, for the first
+    step of each segment from it; it travels in the place of the state,
+    so any wrapper of ``_integrate_segment`` passes the series on."""
 
 
 def _expanded(y: State) -> State:
@@ -255,59 +267,77 @@ class _Segment:
         self.est = est
 
 
-def _march(y: State, t: complex, place, tol: float, collect, on_step) -> _Segment:
+def _march(y: State, t: complex, place, tol: float, collect, on_step, atlas: bool) -> _Segment:
     """Order-``ORDER`` Taylor steps from t along a segment or arc.
 
-    Step rule and stops as in the module docstring.
+    Step rule, charts and stops as in the module docstring.
     ``place(s, t, h)`` gives the position s + h along the curve, its
-    point, that point - t, and whether it ends the curve; a step whose
-    point is t itself, short of the end, is a collapse.
+    point, that point - t, and whether it ends the curve.
     ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)``
-    may return an estimate (offset from t, spread) to halt on cleanly at
-    the current accepted state, where U and V are the step's series about
-    t - x, or None to go on.  A collapse carries the estimate read off
-    the series it could not step with; one that has none, or stops on
-    the cone before a series is built, carries (0, 0): it stopped on t.
-    The first step of a y made by ``_expanded`` takes the series it carries.
+    may return an estimate (offset from t, spread) to halt on at the
+    accepted state, U and V being the step's series about t - x.  A
+    collapse carries the estimate of the series it could not step with,
+    or (0, 0); a step that lands on a pole, (its offset, 0).  Without
+    ``atlas`` every step runs in y's own chart, the first with the series
+    an ``_expanded`` y carries.  With it, each runs in the chart its state
+    picks, all handed out is in (u, v), and ``on_step`` reads only states
+    with no image in (k/u, k/v).
     """
     jet = _jet(ORDER)
     series, step_length, advance, estimate = jet.series, jet.length, jet.advance, jet.estimate
-    built = getattr(y, "series", None)
+    built = not atlas and getattr(y, "series", None)
+    inverted, swap, w = False, atlas and _flips(y, False), y  # w: y in its chart
     tail = TAIL_FACTOR * tol
     s = 0.0
+    collapsed = k = None
     while True:
-        try:
-            U, V, dU, dV = built or series(y)
+        try:  # an image that leaves the doubles collapses like a step
+            if swap:
+                inverted, k = not inverted, k or _scale(y)
+                w = _invert(y, k) if inverted else y
+            U, V, dU, dV = built or series(w)
             built = None
             h = step_length(U, V, dU, dV, tail)
         except (ZeroDivisionError, OverflowError):  # on the cone; |coefficient| > 1e308
-            return _Segment("obstructed", t, y, (0j, 0.0))
-        s_new, t_new, x, last = place(s, t, h)
-        y_new = advance(U, V, dU, dV, x)
-        # a collapse (the step no longer moves t), or a NaN or an infinity
-        if (t_new == t and not last) or not all(map(cmath.isfinite, y_new)):
-            return _Segment("obstructed", t, y, estimate(U, V) or (0j, 0.0))
-        y, s, t = y_new, s_new, t_new
+            est = (0j, 0.0)
+        else:
+            s_new, t_new, x, last = place(s, t, h)
+            w_new = y_new = advance(U, V, dU, dV, x)
+            # a collapse (the step no longer moves t), or a NaN or an infinity
+            est = None
+            if (t_new == t and not last) or not all(map(cmath.isfinite, w_new)):
+                est = estimate(U, V) or (0j, 0.0)
+            elif inverted:  # a step that lands exactly on a pole has no image
+                y_new = w_new[0] and w_new[1] and _invert(w_new, k)
+                if not (y_new and all(map(cmath.isfinite, y_new))):
+                    return _Segment("obstructed", t, y, (x, 0.0))
+        if est is not None:
+            if not (atlas and y[0] and y[1]) or t == collapsed:
+                return _Segment("obstructed", t, y, est)
+            collapsed, swap = t, True
+            continue
+        w, y, s, t = w_new, y_new, s_new, t_new
         if collect is not None:
             collect(t, y)
         if last:
             return _Segment("done", t, y)
-        if on_step is not None and (est := on_step(t, U, V, x)) is not None:
-            return _Segment("halted", t, y, est)
+        halt = on_step is not None and not (atlas and y[0] and y[1]) and on_step(t, U, V, x)
+        if halt:
+            return _Segment("halted", t, y, halt)
+        swap = atlas and _flips(w, inverted)
 
 
 def _integrate_segment(
     y: State, t_from: complex, t_to: complex, tol: float, collect=None, on_step=None
 ) -> _Segment:
-    """``_march`` along the straight segment t_from -> t_to.
-
-    With no ``on_step``, it halts after a step whose estimate has settled
-    (spread at most ``SETTLED_SPREAD``) on a point ahead: projection in
-    (0, |t_to - t|], lateral offset at most |offset| ``SETTLED_SPREAD``.
-    The estimate runs only where the last raw coefficient ratio of u or v
-    (one division) already puts a singular point there, within
-    ``SPREAD_FLOOR`` of its distance.
-    """
+    """``_march`` along the straight segment t_from -> t_to: in y's own
+    chart given an ``on_step`` (a probe ray owns its chart), else in the
+    chart each state picks, where a state with no image in (k/u, k/v)
+    halts after a step whose estimate has settled (spread at most
+    ``SETTLED_SPREAD``) on a point ahead: projection in (0, |t_to - t|],
+    lateral offset at most |offset| ``SETTLED_SPREAD``.  The estimate runs
+    only where the last raw coefficient ratio of u or v already puts a
+    singular point there, within ``SPREAD_FLOOR`` of its distance."""
     L = abs(t_to - t_from)
     e = (t_to - t_from) / L
     estimate = _jet(ORDER).estimate
@@ -338,7 +368,7 @@ def _integrate_segment(
             return off, spread
         return None
 
-    return _march(y, t_from, place, tol, collect, on_step or settled)
+    return _march(y, t_from, place, tol, collect, on_step or settled, on_step is None)
 
 
 def _check_tol(tol: float) -> None:
@@ -356,9 +386,8 @@ def continue_path(
 ) -> ContinuationTrace:
     """Continue a germ along a polyline; obstruction is a status, not an error.
 
-    Each segment stops where ``_integrate_segment`` stops it: a halt on
-    a settled estimate of a point ahead, a collapse, or a non-finite
-    state.  The trace reports that stop's estimate.
+    Each segment steps in the chart its state picks and stops where
+    ``_integrate_segment`` stops it; the trace reports that stop's estimate.
     """
     _check_tol(tol)
     if path.waypoints[0] != g.t0:
@@ -385,19 +414,13 @@ def continue_path(
 # Completeness probe
 
 
-def _invert(y: State) -> State:
-    """The state in the chart (1/u, 1/v); the map is its own inverse."""
-    u, v, du, dv = y
-    return 1 / u, 1 / v, -du / (u * u), -dv / (v * v)
-
-
 def _walk_localize(
     t: complex, y: State, tol: float, est: tuple[complex, float]
 ) -> tuple[complex, float] | None:
     """(location, radius) of the singularity an estimate made at t points at, else None.
 
     ``est`` is (offset from t, spread), read off the series of the step
-    that stopped at t.  Newton on the inverted state integrates to
+    that stopped at t.  Newton on (w, z) = (1/u, 1/v) integrates to
     t + off, steps by the smaller of -w/w' and -z/z', and stops below
     1e-8 (1 + |t|), past which its next step is below the resolution of t,
     within 8 steps; a step longer than the first offset finds no pole.
@@ -430,30 +453,7 @@ def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
     return t + off, abs(off) * max(spread, SPREAD_FLOOR)
 
 
-def _flips(y: State, inverted: bool) -> bool:
-    """Whether the next step from y, a state in (1/u, 1/v) if ``inverted``
-    and in (u, v) if not, runs in the other chart.
-
-    Of the two coordinates, c is the one with the larger |c'/c| (the
-    nearest to its own zero or pole).  The step runs in (1/u, 1/v) where
-    |c^2/(u^2 + v^2)|, read in (u, v), exceeds 1/2: along a geodesic
-    c c''/c'^2 = 2 c^2/(u^2 + v^2), the inversion maps that value x to
-    2 - x, and 1/2 is where the two charts agree.  Only products and
-    moduli are compared, so the choice does not change under
-    (u, v) -> 2^k (u, v) or t -> 2^k t.  A state with u or v exactly 0
-    has no image in (1/u, 1/v) and stays in (u, v).
-    """
-    a, b, da, db = y
-    if not (a and b):
-        return False
-    c, o = (a, b) if abs(da * b) >= abs(db * a) else (b, a)
-    # in (1/u, 1/v), u^2/(u^2 + v^2) = (1/v)^2/((1/u)^2 + (1/v)^2)
-    s = o if inverted else c
-    return (2.0 * abs(s * s) > abs(c * c + o * o)) != inverted
-
-
-#: A probe ray's segment halts with this estimate where the next step
-#: runs in the other chart.
+#: A probe ray's segment halts on this where its next step swaps charts.
 _SWAP = (0j, 0.0)
 
 
@@ -509,8 +509,7 @@ def _probe_ray(
     """One ray of the fan; ``start`` is g's state in the chart ``_flips``
     picks for it, possibly ``_expanded``."""
     t0 = g.t0
-    e = cmath.exp(1j * angle)
-    ray_end = t0 + radius * e
+    ray_end = t0 + radius * cmath.exp(1j * angle)
     inverted = _flips(g.state(), False)
     if start is None:
         start = _invert(g.state()) if inverted else g.state()
@@ -709,7 +708,8 @@ def loop_monodromy(
     length h moves to the point of the circle at chord h, at most half a
     turn on, so every point of the arc it covers lies in the disc where
     its series holds: no singularity can hide between a chord and the
-    arc.  The last step lands on the basepoint.  The branch has changed
+    arc.  Leg and arc step in the chart each state picks, so they pass
+    poles; the last step lands on the basepoint.  The branch has changed
     where the state comes back more than tol off, relative to 1 + |y|.
     """
     _check_tol(tol)
@@ -729,7 +729,7 @@ def loop_monodromy(
         t_new = center + loop_radius * cmath.exp(1j * a)
         return a, t_new, t_new - t, False
 
-    arc = _march(y0, base, place, tol, None, None)
+    arc = _march(y0, base, place, tol, None, None, True)
     if arc.status != "done":
         return LoopResult("Obstructed", y0, None, False, math.inf)
     y = arc.y

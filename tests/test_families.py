@@ -1,6 +1,7 @@
 """Closed-form samplers: germ matching, residuals, the psi chain."""
 
 import cmath
+import functools
 import math
 import random
 
@@ -13,6 +14,7 @@ from cliftonpohl.continuation import PathPolyline, continue_path
 from cliftonpohl.errors import (
     ChartDegeneracyError,
     CliftonPohlError,
+    ConvergenceError,
     DegenerateCoefficientsError,
     OutOfDomainError,
     PoleError,
@@ -89,6 +91,30 @@ def law_zero_over_zero_points(s, reach):
                 numerator, size = s1 * c2 * d2 + s2 * p1, abs(s1 * c2 * d2) + abs(s2 * p1)
                 if abs(numerator) <= 1e-6 * size:
                     out.append(s.t0 + w / D)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def zero_over_zero_targets(seed, oracle):
+    """(germ, sampler, target, through) at every 0/0 point of the law's
+    first form within 3.5 of the anchor, on the criterion-8 germ and 15
+    random germs, and 1e-10 ... 1e-6 from each.  ``through`` says whether
+    the straight path from t0 passes a pole of u or v: one of the benchmark
+    oracle's poles lies within its MATCH_TOL of the segment.  (The paths
+    that do pass within 1e-41; the next comes 3.1e-4 away at seed 0.)"""
+    r = random.Random(5 + seed)
+    germs = [germ(1.3, -0.7, 0.9, 1.1)] + [random_generic_germ(r) for _ in range(15)]
+    out = []
+    for g in germs:
+        s = solve(g)
+        poles = oracle.obstruction_set(g, 3.6)
+        for p in law_zero_over_zero_points(s, 3.5):
+            for d in (0.0, 1e-10, 1e-8, 1e-6):
+                t = p + d
+                L = t - g.t0
+                q = [(c - g.t0) / L for c in poles]
+                through = any(0 < z.real < 1 and abs(z.imag * L) <= oracle.MATCH_TOL for z in q)
+                out.append((g, s, t, through))
     return out
 
 
@@ -514,29 +540,42 @@ class TestGenericChain:
             for got, want in zip((pt.u, pt.v, du, dv), ref):
                 assert abs(got - want) <= 1e-12 * (1 + abs(want)), t
 
-    def test_zero_over_zero_points_on_a_seeded_sweep(self, seed):
-        # every 0/0 point of the law's first form within 3.5 of the anchor,
-        # on the criterion-8 germ and 15 random germs, and 1e-10 ... 1e-6
-        # from each, against continue_path at tol 1e-13: all 632 targets at
-        # seed 0 are within 8.1e-12, none refused.  The first form alone
-        # had 628 of them off by more than 1e-9, and refused 4
-        r = random.Random(5 + seed)
-        germs = [germ(1.3, -0.7, 0.9, 1.1)] + [random_generic_germ(r) for _ in range(15)]
+    def test_zero_over_zero_points_on_a_seeded_sweep(self, seed, bench_oracle):
+        # every target of ``zero_over_zero_targets`` whose straight path
+        # passes no pole, against continue_path at tol 1e-13: 632, 612 and
+        # 684 targets at seeds 0-2, worst 6.2e-12.  The first form alone
+        # had 628 of them off by more than 1e-9 at seed 0, and refused 4.
+        # Shots pass poles since they change charts; the targets behind one
+        # are test_zero_over_zero_points_behind_a_pole's
         checked = 0
-        for g in germs:
-            s = solve(g)
-            for p in law_zero_over_zero_points(s, 3.5):
-                for d in (0.0, 1e-10, 1e-8, 1e-6):
-                    t = p + d
-                    trace = continue_path(g, PathPolyline((g.t0, t)), 1e-13)
-                    if not trace.completed:
-                        continue  # the straight path runs into a pole
-                    checked += 1
-                    e = trace.endpoint
-                    pt, (du, dv) = sample(s, t)
-                    for got, want in zip((pt.u, pt.v, du, dv), (e.u, e.v, e.du, e.dv)):
-                        assert abs(got - want) <= 1e-9 * (1 + abs(want)), (g, t)
+        for g, s, t, through in zero_over_zero_targets(seed, bench_oracle):
+            if through:
+                continue
+            trace = continue_path(g, PathPolyline((g.t0, t)), 1e-13)
+            assert trace.completed
+            checked += 1
+            e = trace.endpoint
+            pt, (du, dv) = sample(s, t)
+            for got, want in zip((pt.u, pt.v, du, dv), (e.u, e.v, e.du, e.dv)):
+                assert abs(got - want) <= 1e-9 * (1 + abs(want)), (g, t)
         assert checked >= 400
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="ROADMAP item 4: the "
+                       "quadrature does not converge behind a pole, after 2048 panels")
+    def test_zero_over_zero_points_behind_a_pole(self, seed, bench_oracle):
+        # the targets of the sweep above whose straight path passes a pole
+        # (8 at each of seeds 0-2, all on the criterion-8 germ's real
+        # axis): continue_path passes it, and sample must agree
+        targets = zero_over_zero_targets(seed, bench_oracle)
+        behind = [(g, s, t) for g, s, t, through in targets if through]
+        assert behind
+        for g, s, t in behind:
+            trace = continue_path(g, PathPolyline((g.t0, t)), 1e-13)
+            assert trace.completed
+            e = trace.endpoint
+            pt, (du, dv) = sample(s, t)
+            for got, want in zip((pt.u, pt.v, du, dv), (e.u, e.v, e.du, e.dv)):
+                assert abs(got - want) <= 1e-9 * (1 + abs(want)), (g, t)
 
     def test_reanchored_germs_are_solved_on_a_seeded_sweep(self):
         # germs on either axis and on beta = -alpha, at the scale of the
