@@ -39,7 +39,15 @@ max(|offset| spread, 1e-12), as data, never as an exception.
 
 A completeness probe ray owns its chart, (u, v) or (1/u, 1/v), picked
 by ``_flips`` after every step; a swap ends a segment at no series
-build, and a fan builds its germ's series once.  In (u, v) a ray runs
+build.  The step rule has no direction, so a step's series holds its
+tail bound on a whole disc about the step's start, and the fan keeps
+every disc its rays build (``_Discs``).  Each ray steps first from the
+disc of the germ's own series, and on a quiet step (the state's own
+Halley step puts no pole of u or v within ``SCAN_REACH`` tube widths)
+from a disc of the ray traced before it that holds t, to where the ray
+leaves that disc; such a step reads its scan and its zeros off the
+disc's series, and walks from the disc's centre.  Shots, loops and
+walks never borrow.  In (u, v) a ray runs
 each step's estimate where the last raw coefficient ratio of u or v
 puts a singular point within ``SCAN_REACH`` tube widths, and halts where
 it lands in its capture tube, not within its own uncertainty of a point
@@ -70,7 +78,7 @@ from .manifold import GeodesicGerm
 from .special import require_finite
 from .taylor import ORDER, _jet
 # not called here: perfbench's tracer wraps continuation.nearest_singularity
-# by name; ROADMAP items 1 and 9 retire the import with that wrapper
+# by name; ROADMAP items 1 and 12 retire the import with that wrapper
 from .taylor import nearest_singularity  # noqa: F401
 
 State = tuple[complex, complex, complex, complex]
@@ -238,20 +246,95 @@ def _flips(y: State, inverted: bool) -> bool:
 
 
 class _Expanded(tuple):
-    """A state with its order-``ORDER`` series, ``series``, for the first
-    step of each segment from it; it travels in the place of the state,
-    so any wrapper of ``_integrate_segment`` passes the series on."""
+    """A probe ray's state with the series discs its steps may step from,
+    ``discs`` (a ``_Discs``); it travels in the place of the state, so any
+    wrapper of ``_integrate_segment`` passes the discs on."""
 
 
-def _expanded(y: State) -> State:
-    """y carrying its series, or y itself where the series cannot be built."""
-    try:
-        series = _jet(ORDER).series(y)
-    except (ZeroDivisionError, OverflowError):  # each segment from y stops as it would
-        return y
-    seeded = _Expanded(y)
-    seeded.series = series
-    return seeded
+def _quiet(w: State, inverted: bool, near: float) -> bool:
+    """Whether Halley's first step from w toward the zero of 1/u and of 1/v,
+    exact where the coordinate is a Moebius map of t, goes farther than
+    near: u/u' (u^2 + v^2)/u^2 for u in (u, v), -w/w' (w^2 + z^2)/z^2 for
+    w = 1/u in (1/u, 1/v), and the same for v.
+
+    A constant coordinate (a null state) has no such step, and no step
+    from a null state is quiet: off its pole line a null state is within
+    rounding of the cone and drifts onto another null solution (ROADMAP
+    item 8), and a lent disc would carry the neighbour's drift."""
+    a, b, da, db = w
+    if not (da and db):
+        return False
+    f = a * a + b * b
+    if inverted:  # NaN is not quiet
+        return abs(a * f) > near * abs(da * b * b) and abs(b * f) > near * abs(db * a * a)
+    return abs(f) > near * abs(a * da) and abs(f) > near * abs(b * db)
+
+
+class _Discs:
+    """The series discs a probe ray may step from, and those it builds.
+
+    A disc (r, c, w, series, h) is the series of a step about c, w being
+    the state there and r = |c - t0|.  The step rule has no direction, so
+    the series holds its tail bound on all of |t - c| < h.  ``lent`` and
+    ``kept`` hold one list of discs per chart, (u, v) and (1/u, 1/v), each
+    in the order a ray stepped outward: ``lent`` those of the ray traced
+    before, the disc of the fan's first step at t0 first; ``kept`` that
+    disc and the ray's own.  ``step`` is the disc of the latest step: its
+    origin.
+    """
+
+    __slots__ = ("lent", "ahead", "kept", "t0", "e", "width", "inverted", "step")
+
+    def __init__(self, lent: list, t0: complex, e: complex, width, inverted: bool):
+        self.lent, self.t0, self.e, self.width = lent, t0, e, width
+        # per chart, the first lent disc whose centre lies farther out than t
+        self.ahead = [0, 0]
+        self.kept = ([], [])
+        self.kept[inverted].extend(lent[inverted][:1])
+        self.inverted = inverted  # the chart of the segment being marched
+        self.step = None
+
+    def lend(self, t: complex, w: State, s: float, place):
+        """``place``'s step from t to where the ray leaves a lent disc, its
+        offset taken from the disc's centre, else None.
+
+        Of the lent discs in w's chart, the two whose centres lie nearest
+        t's distance from t0, one behind and one ahead, may lend: each where
+        it holds t and the step is quiet (``_quiet`` beyond ``SCAN_REACH``
+        tube widths) or its centre is t, and of those the one whose chord
+        is longest.  A chord that would not move t is refused: the march
+        would read it as a collapse."""
+        discs, i = self.lent[self.inverted], self.ahead[self.inverted]
+        p = abs(t - self.t0)
+        while i < len(discs) and discs[i][0] <= p:
+            i += 1
+        self.ahead[self.inverted] = i
+        quiet = best = None
+        for disc in discs[i - 1 if i else 0 : i + 1]:
+            _, c, _, _, h = disc
+            d = t - c
+            if not abs(d) < h:
+                continue
+            if d:
+                if quiet is None:
+                    quiet = _quiet(w, self.inverted, SCAN_REACH * self.width(t))
+                if not quiet:
+                    continue
+            # t + chord e, on the ray, meets |t - c| = h
+            b = (d * self.e.conjugate()).real
+            q = h * h - abs(d) ** 2
+            root = math.sqrt(b * b + q)
+            chord = q / (root + b) if b > 0.0 else root - b
+            if best is None or chord > best[1]:
+                best = disc, chord
+        if best is None:
+            return None
+        disc, chord = best
+        s_new, t_new, x, last = place(s, t, chord)
+        if t_new == t and not last:
+            return None
+        self.step = disc
+        return s_new, t_new, x + (t - disc[1]), last
 
 
 class _Segment:
@@ -278,14 +361,17 @@ def _march(y: State, t: complex, place, tol: float, collect, on_step, atlas: boo
     accepted state, U and V being the step's series about t - x.  A
     collapse carries the estimate of the series it could not step with,
     or (0, 0); a step that lands on a pole, (its offset, 0).  Without
-    ``atlas`` every step runs in y's own chart, the first with the series
-    an ``_expanded`` y carries.  With it, each runs in the chart its state
-    picks, all handed out is in (u, v), and ``on_step`` reads only states
-    with no image in (k/u, k/v).
+    ``atlas`` every step runs in y's own chart, by the series of a disc
+    that y's ``discs`` lends (``_Discs.lend``) or by its own, which it
+    keeps there once the step is accepted.  With it, each runs in the
+    chart its state picks, all handed out is in (u, v), and ``on_step``
+    reads only states with no image in (k/u, k/v).
     """
     jet = _jet(ORDER)
     series, step_length, advance, estimate = jet.series, jet.length, jet.advance, jet.estimate
-    built = not atlas and getattr(y, "series", None)
+    discs = None if atlas else getattr(y, "discs", None)
+    if discs:  # a disc keeps the bare state, not the carrier of its discs
+        y = tuple(y)
     inverted, swap, w = False, atlas and _flips(y, False), y  # w: y in its chart
     tail = TAIL_FACTOR * tol
     s = 0.0
@@ -295,13 +381,18 @@ def _march(y: State, t: complex, place, tol: float, collect, on_step, atlas: boo
             if swap:
                 inverted, k = not inverted, k or _scale(y)
                 w = _invert(y, k) if inverted else y
-            U, V, dU, dV = built or series(w)
-            built = None
-            h = step_length(U, V, dU, dV, tail)
+            lent = discs and discs.lend(t, w, s, place)
+            if lent:
+                U, V, dU, dV = discs.step[3]
+            else:
+                U, V, dU, dV = built = series(w)
+                h = step_length(U, V, dU, dV, tail)
+                if discs:
+                    discs.step = (abs(t - discs.t0), t, w, built, h)
         except (ZeroDivisionError, OverflowError):  # on the cone; |coefficient| > 1e308
             est = (0j, 0.0)
         else:
-            s_new, t_new, x, last = place(s, t, h)
+            s_new, t_new, x, last = lent or place(s, t, h)
             w_new = y_new = advance(U, V, dU, dV, x)
             # a collapse (the step no longer moves t), or a NaN or an infinity
             est = None
@@ -317,6 +408,8 @@ def _march(y: State, t: complex, place, tol: float, collect, on_step, atlas: boo
             collapsed, swap = t, True
             continue
         w, y, s, t = w_new, y_new, s_new, t_new
+        if discs and not lent:
+            discs.kept[discs.inverted].append(discs.step)
         if collect is not None:
             collect(t, y)
         if last:
@@ -457,6 +550,15 @@ def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
 _SWAP = (0j, 0.0)
 
 
+def _scan_gate(U: list[complex], V: list[complex], x: complex, near: float) -> bool:
+    """Whether the last raw coefficient ratio of U or V, as an offset from
+    the step's end x, lies within near of it; NaN and inf do not."""
+    for c in (U, V):
+        if c[-1] and abs(c[-2] / c[-1] - x) <= near:
+            return True
+    return False
+
+
 def _series_zero(C: list[complex], s: complex, x: complex) -> tuple[complex, float] | None:
     """A zero of the polynomial sum C[k] s^k, as (s, spread), else None.
 
@@ -504,16 +606,17 @@ def _probe_ray(
     radius: float,
     n_rays: int,
     tol: float,
-    start: State | None = None,
+    discs: list[list] | None = None,
 ) -> RayResult:
-    """One ray of the fan; ``start`` is g's state in the chart ``_flips``
-    picks for it, possibly ``_expanded``."""
+    """One ray of the fan, from g's state in the chart ``_flips`` picks for
+    it.  ``discs`` holds, per chart, the series discs (``_Discs``) its
+    steps may step from, the disc of the fan's first step at t0 first;
+    the ray leaves there, for the next ray, that disc and its own."""
     t0 = g.t0
-    ray_end = t0 + radius * cmath.exp(1j * angle)
+    e = cmath.exp(1j * angle)
+    ray_end = t0 + radius * e
     inverted = _flips(g.state(), False)
-    if start is None:
-        start = _invert(g.state()) if inverted else g.state()
-    y: State = start
+    y: State = _invert(g.state()) if inverted else g.state()
     t_cur = t0
     found: list[tuple[complex, float]] = []
     # scan estimates and series zeros whose walks did not settle:
@@ -523,17 +626,19 @@ def _probe_ray(
     unreached: list[tuple[complex, float]] = []
     sin_gap = math.sin(math.pi / n_rays)
     status = "Completed"
-    # (t, y) at the start and at the end of the latest step
-    path = [(t0, y)]
+    # the state at the end of the latest step
+    end = [y]
     # set where the series of w and z does not reach a zero in the tube:
     # the next step, in (u, v), scans before it may swap back
     look = [False]
 
     def keep(t: complex, w: State) -> None:
-        path[:] = path[-1], (t, w)
+        end[0] = w
 
     def width(t: complex) -> float:
         return TUBE_WIDTH * abs(t - t0) * sin_gap + TUBE_FLOOR * radius
+
+    lender = _Discs(discs or ([], []), t0, e, width, inverted)
 
     def suppressed(cand: complex, rc: float, missed: list[tuple[complex, float]]) -> bool:
         return any(abs(cand - p) < max(r, rc) for pts in (found, missed) for p, r in pts)
@@ -544,17 +649,11 @@ def _probe_ray(
         # in (u, v): swap charts where the state picks (1/u, 1/v) for the
         # next step; else halt on an estimate in the tube
         tube = width(t)
-        near = SCAN_REACH * tube
-        swap = _SWAP if _flips(path[-1][1], False) else None
+        swap = _SWAP if _flips(end[0], False) else None
         if swap and not look[0]:
             return swap
         look[0] = False
-        # the last raw ratio of u or v, as an offset from t, must come
-        # near the tube before the estimate runs; NaN and inf fail
-        for c in (U, V):
-            if c[-1] and abs(c[-2] / c[-1] - x) <= near:
-                break
-        else:
+        if not _scan_gate(U, V, x, SCAN_REACH * tube):
             return swap
         est = estimate(U, V)
         if est is None:
@@ -573,7 +672,7 @@ def _probe_ray(
         # in (1/u, 1/v) a pole of u or v is a zero of w = 1/u or z = 1/v:
         # each zero in the tube is read off the step's own series and
         # located by the walk, and the ray steps on through it
-        (t_s, y_s), (_, y) = path
+        y = end[0]
         if _flips(y, True):
             return _SWAP
         swap = None
@@ -591,6 +690,8 @@ def _probe_ray(
             if est is None:  # the series does not reach it
                 swap = look[0] = _SWAP
                 continue
+            # the step's origin: the centre of its disc, and the state there
+            _, t_s, y_s, _, _ = lender.step
             cand, rc = _located(t_s, est)
             if not off_step(est[0], x) < tube or suppressed(cand, rc, unreached):
                 continue
@@ -603,7 +704,9 @@ def _probe_ray(
 
     collapsed = None  # where the latest collapse stopped
     while t_cur != ray_end:
-        path[:] = [(t_cur, y)]
+        end[0], lender.inverted = y, inverted
+        y = _Expanded(y)
+        y.discs = lender
         res = _integrate_segment(y, t_cur, ray_end, tol, keep, zeros if inverted else scan)
         if res.status == "done":
             break
@@ -634,6 +737,8 @@ def _probe_ray(
             collapsed = res.t
         t_cur, y, inverted = res.t, _invert(res.y), not inverted
 
+    if discs is not None:
+        discs[:] = lender.kept
     kept = tuple(p for p, _ in found if abs(p - t0) <= radius)
     ray_status = status if status == "Blocked" else ("Obstructed" if kept else "Completed")
     return RayResult(angle, ray_status, kept)
@@ -665,10 +770,9 @@ def completeness_probe(
     _check_radius(radius)
     if isinstance(n_rays, bool) or not isinstance(n_rays, int) or n_rays < 4:
         raise ValueError("n_rays must be an integer of at least 4")
-    y0 = g.state()
-    # every ray's first step reads this one series, in the chart y0 picks
-    start = _expanded(_invert(y0) if _flips(y0, False) else y0)
-    real = all(z.imag == 0.0 for z in start)
+    # ray 0 keeps the disc of its first step, at t0, for every later ray
+    discs: list[list] = [[], []]
+    real = all(z.imag == 0.0 for z in g.state())
     axis = 2.0 * g.t0.imag
     per_ray: list[RayResult] = []
     allpts: list[complex] = []
@@ -679,7 +783,7 @@ def completeness_probe(
             pts = tuple(complex(p.real, axis - p.imag) for p in src.obstructions)
             r = RayResult(angle, src.status, pts)
         else:
-            r = _probe_ray(g, angle, radius, n_rays, tol, start)
+            r = _probe_ray(g, angle, radius, n_rays, tol, discs)
         per_ray.append(r)
         allpts.extend(r.obstructions)
     centers = _cluster(allpts, TUBE_FLOOR * radius)

@@ -45,11 +45,13 @@ Two consumers of the order-``ORDER`` jet:
   probe's scan halts on that estimate in (u, v), which it runs only where
   the last raw coefficient ratio already points near its ray, reads the
   zeros of 1/u and 1/v off the same coefficients in (1/u, 1/v), and
-  builds the series of the germ's own state once per fan; a collapse
-  carries the estimate of the series it could not step with, and Newton
-  in the chart (1/u, 1/v) polishes an estimate where it has not
-  converged; no stop re-expands its state, and ``nearest_singularity``
-  serves callers that hold a state but no series;
+  builds the series of the germ's own state once per fan, from which
+  every ray steps first, and on quiet steps from the series of the ray
+  traced before; a collapse carries the estimate of the series it could
+  not step with, and Newton in the chart (1/u, 1/v) polishes an
+  estimate where it has not converged; no stop re-expands its state,
+  and ``nearest_singularity`` serves callers that hold a state but no
+  series;
 * ``families``, which anchors the chain one step along, the longest at
   a tail of 2^-52, where its anchor at t0 fails (near an axis or beta = -alpha).
 """
@@ -64,10 +66,10 @@ State = tuple[complex, complex, complex, complex]
 
 #: Taylor order of every integration step and singularity estimate.
 #: Probing the benchmark's six probe germs at 64 rays finds the same
-#: obstructions at orders 16, 20, 24 and 28, with 6179, 3754, 2720 and
-#: 2186 series builds; a build's three products per order grow with the
+#: obstructions at orders 16, 20, 24 and 28, with 5473, 3092, 2077 and
+#: 1584 series builds; a build's three products per order grow with the
 #: square of the order, so orders 20 to 28 cost about the same.  The
-#: worst point lies 2.0e-13, 3.0e-13, 4.6e-13 and 4.5e-13 from the
+#: worst point lies 2.0e-13, 3.0e-13, 4.2e-13 and 4.5e-13 from the
 #: closed-form set: above 20 the probe loses accuracy.
 ORDER = 20
 

@@ -1,6 +1,7 @@
 """Path continuation, obstruction detection, probes, monodromy."""
 
 import cmath
+import gc
 import math
 import random
 from types import SimpleNamespace
@@ -728,17 +729,24 @@ class TestProbe:
         # the scan runs the estimate only where the last raw coefficient
         # ratio of u or v lies within SCAN_REACH tube widths of t; with no
         # gate at all the reports are the same.  At a reach of 1.0 both
-        # reports change
+        # reports change.  The gate is opened alone: SCAN_REACH also
+        # decides which steps are quiet enough to step from a neighbour's
+        # disc, and the fan shares as many series either way
         germs = (DENSE, DRAW_77_16)
+        builds = count_builds(monkeypatch)
         gated = [completeness_probe(g, 5.0, 64, 1e-9) for g in germs]
-        monkeypatch.setattr(continuation, "SCAN_REACH", math.inf)
+        shared = len(builds)
+        monkeypatch.setattr(continuation, "_scan_gate", lambda U, V, x, near: True)
         assert [completeness_probe(g, 5.0, 64, 1e-9) for g in germs] == gated
+        assert len(builds) == 2 * shared
 
     def test_fan_shares_its_t0_series_and_gates_estimates(self, monkeypatch):
         # a real germ's fan builds the series of its state once, for the
         # first step of all its rays, and the scan runs the estimate on
         # few of its steps (17% on the benchmark's six probe germs when
-        # every step ran in (u, v); under 1% since the chart swaps)
+        # every step ran in (u, v); under 1% since the chart swaps).  The
+        # disc at t0 lends whether the step is quiet or not: u = tan t,
+        # whose null states are never quiet, builds it once too
         builds = count_builds(monkeypatch)
         steps, estimates = [0], [0]
         real_segment, jet = continuation._integrate_segment, _jet(ORDER)
@@ -757,21 +765,11 @@ class TestProbe:
 
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
         monkeypatch.setattr(jet, "estimate", counted)
-        for g in _DISCRETENESS_GERMS:
+        for g in (*_DISCRETENESS_GERMS, germ(0, 1, 1, 0)):
             builds.clear()
             completeness_probe(g, 5.0, 64, 1e-9)
             assert builds.count(g.state()) == 1, g
         assert estimates[0] <= steps[0] / 4, (estimates[0], steps[0])
-
-    def test_expanded_state_carries_its_own_series(self):
-        # the fan's shared series is the one each ray would build, and a
-        # state whose series cannot be built travels without one, so each
-        # ray's first step raises and stops as it would
-        y = germ(1.3, -0.7, 0.9, 1.1).state()
-        seeded = continuation._expanded(y)
-        assert seeded == y and repr(seeded.series) == repr(_jet(ORDER).series(y))
-        cone = (1.0, 1j, 0.5, 0.3)
-        assert continuation._expanded(cone) is cone
 
     def test_converged_halt_settles_without_series(self, scan_halt_walks):
         # a halt on an estimate whose ratios have converged to rounding
@@ -795,17 +793,23 @@ class TestProbe:
 
     def test_mirrored_rays_match_direct_rays(self):
         # a real germ's rays above n/2 are mirrored, not traced; tracing
-        # them directly must give the same outcome.  Points agree within
-        # 1e-14 except on ray 9 of (1.3, -0.7, 0.9, 1.1): near |t| = 3.42
-        # it grazes the cone u^2 + v^2 = 0, where high-order coefficients
-        # are rounding noise, so the direct ray and its mirror step
-        # differently, halt 0.012 apart, and settle 1.4e-11 apart, each
-        # within 2e-11 of the pole (a root of 1 + Y^2)
+        # them directly, each after its neighbour as the fan would, must
+        # give the same outcome.  The fan traces ray j after ray j - 1, so
+        # its mirror traces ray k after ray k + 1: from ray 0 (the fan's
+        # own, bit for bit) down to n/2 + 1.  Points agree within 1.3e-13
+        # except on ray 9 of (1.3, -0.7, 0.9, 1.1): near |t| = 3.42 it
+        # grazes the cone u^2 + v^2 = 0, where high-order coefficients are
+        # rounding noise, so the direct ray and its mirror step
+        # differently and settle 4.6e-12 apart.  Traced in the other order,
+        # after ray k - 1, 3 direct rays report a point of a neighbour's
+        # tube that their mirrors, stepping from other discs, do not
         n = 16
         for g in _DISCRETENESS_GERMS:
             rep = completeness_probe(g, 5.0, n, 1e-9)
-            for k in range(n // 2 + 1, n):
-                direct = _probe_ray(g, 2.0 * math.pi * k / n, 5.0, n, 1e-9)
+            discs = [[], []]
+            assert _probe_ray(g, 0.0, 5.0, n, 1e-9, discs) == rep.per_ray[0]
+            for k in range(n - 1, n // 2, -1):
+                direct = _probe_ray(g, 2.0 * math.pi * k / n, 5.0, n, 1e-9, discs)
                 mirrored = rep.per_ray[k]
                 assert mirrored.angle == direct.angle
                 assert mirrored.status == direct.status, (g, k)
@@ -865,19 +869,11 @@ _PROBE_PASS = (*_DISCRETENESS_GERMS, germ(0, 1, 1, 0))
 class TestChartChoice:
     """A probe ray steps in the chart its own state picks."""
 
-    def test_a_probe_pass_builds_at_most_4000_series(self, monkeypatch):
-        # the six germs at 64 rays, radius 5 and tol 1e-9 build 3754
-        # series; 4994 with every step in (u, v) and a crossing segment in
-        # (1/u, 1/v) past each pole
-        builds = count_builds(monkeypatch)
-        for g in _PROBE_PASS:
-            completeness_probe(g, 5.0, 64, 1e-9)
-        assert len(builds) <= 4000, len(builds)
-
     def test_without_the_chart_choice_a_pass_builds_more(self, monkeypatch):
         # with every step in (u, v), and no crossing segment, the rays
         # step toward each pole until the scan halts, and again past it:
-        # the same pass builds 10500 series
+        # the benchmark's probe pass builds 10037 series (10500 before
+        # rays stepped from their neighbour's discs), against 3092
         monkeypatch.setattr(continuation, "_flips", lambda y, inverted: False)
         builds = count_builds(monkeypatch)
         for g in _PROBE_PASS:
@@ -917,6 +913,61 @@ class TestChartChoice:
             want = real_flips(y, inverted)
             assert real_flips(dilated, inverted) == want, (y, inverted)
             assert real_flips(sped, inverted) == want, (y, inverted)
+
+
+class TestSharedDiscs:
+    """A probe ray steps, on quiet steps, from the series discs of the ray
+    traced before it."""
+
+    def test_a_probe_pass_builds_at_most_3200_series(self, monkeypatch, bench_inputs):
+        # the benchmark's six probe germs at its settings build 3092
+        # series: 3754 when only the t0 series was shared, 4994 with every
+        # step in (u, v) and a crossing segment in (1/u, 1/v) past each
+        # pole.  u = tan t (597) shares only its t0 disc: its states are
+        # null, and no step from a null state is quiet
+        builds = count_builds(monkeypatch)
+        for state in bench_inputs.PROBE_GERMS:
+            completeness_probe(
+                germ(*state), bench_inputs.PROBE_RADIUS, bench_inputs.PROBE_RAYS, bench_inputs.PROBE_TOL
+            )
+        assert len(builds) <= 3200, len(builds)
+
+    @pytest.mark.parametrize("over", [2.0**-52, 2.0**-40])
+    def test_a_chord_too_short_to_move_t_is_refused(self, over):
+        # at t = 1000 a lent disc of radius 0.1 (1 + 2^-52) about t - 0.1
+        # leaves the ray 3.5e-17 ahead of t, below the resolution of t, so
+        # it is refused: the step builds its own series and goes on.  Lent,
+        # the chord would not move t, and the march would read it as a
+        # collapse and stop there.  At 0.1 (1 + 2^-40) the chord, 9e-14,
+        # moves t, and the step is lent
+        g = germ(1.3, -0.7, 0.9, 1.1, t0=1000.0)
+        y, jet = g.state(), _jet(ORDER)
+        series = jet.series(y)
+        c = g.t0 - 0.1
+        disc = (0.0, c, y, series, abs(g.t0 - c) * (1.0 + over))
+        discs = continuation._Discs(([disc], []), c, 1.0, lambda t: 0.0, False)
+        start = continuation._Expanded(y)
+        start.discs = discs
+        steps, lent = [], []
+        res = _integrate_segment(
+            start, g.t0, g.t0 + 1.0, 1e-9, collect=lambda t, w: steps.append(t),
+            on_step=lambda t, U, V, x: lent.append(discs.step is disc),
+        )
+        assert res.status == "done" and steps[0] != g.t0
+        assert lent[0] == (over > 2.0**-52) and not any(lent[1:])
+
+    def test_a_fan_leaves_no_cyclic_garbage(self):
+        # each ray's discs are freed by reference counting once the next
+        # ray has stepped from them.  While a disc held the state that
+        # carried it, every ray's discs formed a cycle that only the
+        # collector freed, and the benchmark probe's peak RSS rose 24%
+        gc.collect()
+        gc.disable()
+        try:
+            completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 16, 1e-9)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestInvertedChart:
@@ -1254,13 +1305,11 @@ class TestConeTouch:
 
     def test_segment_that_starts_on_the_cone_stops_at_its_start(self):
         # u^2 + v^2 = 0 at t = 0: no series can be built, so the segment
-        # stops there, obstructed, on its own state and the estimate (0, 0),
-        # and _expanded hands the bare state on
+        # stops there, obstructed, on its own state and the estimate (0, 0)
         y = (1, 1j, 1, 1)
         res = _integrate_segment(y, 0, 1, 1e-10)
         assert (res.status, res.t, res.y, res.est) == ("obstructed", 0, y, (0j, 0.0))
         assert type(res.est[0]) is complex and type(res.est[1]) is float
-        assert continuation._expanded(y) is y
 
 
 class TestLoopMonodromy:
