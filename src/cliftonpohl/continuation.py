@@ -43,23 +43,24 @@ build.  The step rule has no direction, so a step's series holds its
 tail bound on a whole disc about the step's start, and the fan keeps
 every disc its rays build (``_Discs``).  Each ray steps first from the
 disc of the germ's own series, and on a quiet step (the state's own
-Halley step puts no pole of u or v within ``SCAN_REACH`` tube widths)
+Halley step puts no pole of u or v within ``QUIET_REACH`` tube widths)
 from a disc of the ray traced before it that holds t, to where the ray
-leaves that disc; such a step reads its scan and its zeros off the
-disc's series, and walks from the disc's centre.  Shots, loops and
-walks never borrow.  In (u, v) a ray runs
-each step's estimate where the last raw coefficient ratio of u or v
-puts a singular point within ``SCAN_REACH`` tube widths, and halts where
-it lands in its capture tube, not within its own uncertainty of a point
-the ray has.  An estimate of spread at most ``SETTLED_SPREAD`` settles
-where it is; any other is polished by Newton on 1/u and 1/v
-(``_walk_localize``).  In (1/u, 1/v) a ray reads the zeros of 1/u and
-1/v in its tube off each step's series by Halley's method, walks to
-each, and steps on; where the series does not reach a zero, the next
-step runs in (u, v), whose scan sees the pole.  A collapse in (u, v) is
-located; a ray is Blocked only where the other chart collapses at the
-same point too, and one whose u or v is 0 ends at its pole.  Unsettled
-candidates (cone touches, estimates averaging two poles) go unreported.
+leaves that disc; such a step reads its poles off the disc's series,
+and walks from the disc's centre.  Shots, loops and walks never borrow.
+A ray reads poles in (1/u, 1/v) only, where each is a regular zero of
+w = 1/u or z = 1/v; in (u, v) it only steps.  After each step in
+(1/u, 1/v), for w and for z whose Halley step from t lands in the ray's
+capture tube: a zero within the step is read off the step's polynomial
+by Halley's method; one past it, by the ratio test on the series of u
+or v about the step's start, the reciprocal of the step's series, and a
+null state's (which drifts, ROADMAP item 8) by the polynomial again.  A
+point in the tube, not within its own uncertainty of a point the ray
+has, settles where it is if its spread is at most ``SETTLED_SPREAD``,
+and is otherwise polished by Newton on 1/u and 1/v (``_walk_localize``);
+either way the ray steps on.  A collapse in (u, v) is located; a ray is
+Blocked only where the other chart collapses at the same point too, and
+one whose u or v is 0 ends at its pole.  Unsettled candidates (cone
+touches, estimates averaging two poles) go unreported.
 
 The system is autonomous with real coefficients, so for a germ whose
 state is real, y(t0 + conj(t - t0)) = conj(y(t)) (Schwarz reflection):
@@ -94,12 +95,11 @@ TAIL_FACTOR = 1e-4
 #: instead misplaces tan-family and dense-lattice poles by up to 2e-3.
 SETTLED_SPREAD = 1e-12
 
-#: A probe ray halts on estimates, and reads zeros, within its capture
-#: tube, of width TUBE_WIDTH * |t - t0| * sin(pi/n) + TUBE_FLOOR * radius
-#: about t.  The first term is 0.8 of the gap to the neighbouring rays, so
-#: neighbouring tubes overlap; the floor gives the tube a width at t0.  No
-#: ray tells apart points closer than the floor: the probe clusters at
-#: that width.
+#: A probe ray reads poles within its capture tube, of width
+#: TUBE_WIDTH * |t - t0| * sin(pi/n) + TUBE_FLOOR * radius about t.  The
+#: first term is 0.8 of the gap to the neighbouring rays, so neighbouring
+#: tubes overlap; the floor gives the tube a width at t0.  No ray tells
+#: apart points closer than the floor: the probe clusters at that width.
 TUBE_WIDTH = 1.6
 TUBE_FLOOR = 5e-3
 
@@ -107,13 +107,13 @@ TUBE_FLOOR = 5e-3
 #: a candidate that close to a point the ray has is not walked to again.
 SPREAD_FLOOR = 5e-3
 
-#: A probe ray's scan runs the estimate only where the last raw
-#: coefficient ratio of u or v puts a singular point within this many
-#: tube widths of t.  On 62 germs at 64 rays, every scan halt lay within
-#: 1.11 widths of its raw ratio; at a reach of 1.0 the reports of two
-#: dense-lattice germs (the 17th and 25th draws of
-#: ``acceptance.random_generic_germ(Random(77))``) change.
-SCAN_REACH = 2.0
+#: A probe ray steps from a disc of the ray traced before it only where the
+#: state's own Halley step puts no pole of u or v within this many tube
+#: widths of t (``_Discs.lend``).  At 1.0 criterion 8 fails
+#: (``tests/test_acceptance.py::test_criterion_8_discreteness_evidence``):
+#: the 128-ray probe of (1, 2, 1, 1) loses two of its 64-ray probe's six
+#: points.
+QUIET_REACH = 2.0
 
 _TOL_RANGE = (1e-14, 1e-3)
 
@@ -300,7 +300,7 @@ class _Discs:
 
         Of the lent discs in w's chart, the two whose centres lie nearest
         t's distance from t0, one behind and one ahead, may lend: each where
-        it holds t and the step is quiet (``_quiet`` beyond ``SCAN_REACH``
+        it holds t and the step is quiet (``_quiet`` beyond ``QUIET_REACH``
         tube widths) or its centre is t, and of those the one whose chord
         is longest.  A chord that would not move t is refused: the march
         would read it as a collapse."""
@@ -317,7 +317,7 @@ class _Discs:
                 continue
             if d:
                 if quiet is None:
-                    quiet = _quiet(w, self.inverted, SCAN_REACH * self.width(t))
+                    quiet = _quiet(w, self.inverted, QUIET_REACH * self.width(t))
                 if not quiet:
                     continue
             # t + chord e, on the ray, meets |t - c| = h
@@ -512,8 +512,8 @@ def _walk_localize(
 ) -> tuple[complex, float] | None:
     """(location, radius) of the singularity an estimate made at t points at, else None.
 
-    ``est`` is (offset from t, spread), read off the series of the step
-    that stopped at t.  Newton on (w, z) = (1/u, 1/v) integrates to
+    ``est`` is (offset from t, spread), read off the series of a step
+    from t.  Newton on (w, z) = (1/u, 1/v) integrates to
     t + off, steps by the smaller of -w/w' and -z/z', and stops below
     1e-8 (1 + |t|), past which its next step is below the resolution of t,
     within 8 steps; a step longer than the first offset finds no pole.
@@ -550,13 +550,16 @@ def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
 _SWAP = (0j, 0.0)
 
 
-def _scan_gate(U: list[complex], V: list[complex], x: complex, near: float) -> bool:
-    """Whether the last raw coefficient ratio of U or V, as an offset from
-    the step's end x, lies within near of it; NaN and inf do not."""
-    for c in (U, V):
-        if c[-1] and abs(c[-2] / c[-1] - x) <= near:
-            return True
-    return False
+def _reciprocal(C: list[complex]) -> list[complex] | None:
+    """The series of 1/f about the centre of C, the series of f, else None
+    where f is 0 there: r[k] = -(C[1] r[k-1] + ... + C[k] r[0]) / C[0]."""
+    if not C[0]:
+        return None
+    a = 1 / C[0]
+    r = [a]
+    for k in range(1, len(C)):
+        r.append(-a * sum(C[j] * r[k - j] for j in range(1, k + 1)))
+    return r
 
 
 def _series_zero(C: list[complex], s: complex, x: complex) -> tuple[complex, float] | None:
@@ -566,10 +569,11 @@ def _series_zero(C: list[complex], s: complex, x: complex) -> tuple[complex, flo
     from that start.  Halley's method runs from s and stops after a step
     below 1e-8 |x|, within 8 steps.  Within the step, |s| <= |x|, the
     polynomial holds to the step's tail, and the zero has spread 0.  Past
-    it, the zero is uncertain by the omitted tail over the slope, the tail
-    summed as a geometric series at the largest ratio of the last six
-    coefficients (those the estimate reads); where that series diverges,
-    the step's series does not reach the zero.
+    it, which a probe reads so only for a null state, the zero is
+    uncertain by the omitted tail over the slope, the tail summed as a
+    geometric series at the largest ratio of the last six coefficients
+    (those the estimate reads); where that series diverges, the step's
+    series does not reach the zero.
     """
     for _ in range(8):
         p, dp, d2 = C[-1], 0j, 0j
@@ -609,9 +613,11 @@ def _probe_ray(
     discs: list[list] | None = None,
 ) -> RayResult:
     """One ray of the fan, from g's state in the chart ``_flips`` picks for
-    it.  ``discs`` holds, per chart, the series discs (``_Discs``) its
-    steps may step from, the disc of the fan's first step at t0 first;
-    the ray leaves there, for the next ray, that disc and its own."""
+    it, stepping in (u, v) and reading poles in (1/u, 1/v) as the module
+    docstring says.  ``discs`` holds, per chart, the series discs
+    (``_Discs``) its steps may step from, the disc of the fan's first step
+    at t0 first; the ray leaves there, for the next ray, that disc and its
+    own."""
     t0 = g.t0
     e = cmath.exp(1j * angle)
     ray_end = t0 + radius * e
@@ -619,18 +625,12 @@ def _probe_ray(
     y: State = _invert(g.state()) if inverted else g.state()
     t_cur = t0
     found: list[tuple[complex, float]] = []
-    # scan estimates and series zeros whose walks did not settle:
-    # suppressed, never reported.  Kept apart, since a pole whose scan
-    # estimate did not settle is read as a zero once the ray is near it
-    unsettled: list[tuple[complex, float]] = []
+    # candidates whose walks did not settle: suppressed, never reported
     unreached: list[tuple[complex, float]] = []
     sin_gap = math.sin(math.pi / n_rays)
     status = "Completed"
     # the state at the end of the latest step
     end = [y]
-    # set where the series of w and z does not reach a zero in the tube:
-    # the next step, in (u, v), scans before it may swap back
-    look = [False]
 
     def keep(t: complex, w: State) -> None:
         end[0] = w
@@ -640,28 +640,15 @@ def _probe_ray(
 
     lender = _Discs(discs or ([], []), t0, e, width, inverted)
 
-    def suppressed(cand: complex, rc: float, missed: list[tuple[complex, float]]) -> bool:
-        return any(abs(cand - p) < max(r, rc) for pts in (found, missed) for p, r in pts)
+    def suppressed(cand: complex, rc: float) -> bool:
+        return any(abs(cand - p) < max(r, rc) for pts in (found, unreached) for p, r in pts)
 
     estimate = _jet(ORDER).estimate
 
     def scan(t: complex, U, V, x: complex) -> tuple[complex, float] | None:
-        # in (u, v): swap charts where the state picks (1/u, 1/v) for the
-        # next step; else halt on an estimate in the tube
-        tube = width(t)
-        swap = _SWAP if _flips(end[0], False) else None
-        if swap and not look[0]:
-            return swap
-        look[0] = False
-        if not _scan_gate(U, V, x, SCAN_REACH * tube):
-            return swap
-        est = estimate(U, V)
-        if est is None:
-            return swap
-        est = (est[0] - x, est[1])
-        if abs(est[0]) >= tube or suppressed(*_located(t, est), unsettled):
-            return swap
-        return est
+        # in (u, v) a ray only steps, and swaps charts where the state
+        # picks (1/u, 1/v) for the next step
+        return _SWAP if _flips(end[0], False) else None
 
     def off_step(s: complex, x: complex) -> float:
         # distance of t - x + s from the step's segment [t - x, t]
@@ -670,13 +657,13 @@ def _probe_ray(
 
     def zeros(t: complex, W, Z, x: complex) -> tuple[complex, float] | None:
         # in (1/u, 1/v) a pole of u or v is a zero of w = 1/u or z = 1/v:
-        # each zero in the tube is read off the step's own series and
-        # located by the walk, and the ray steps on through it
+        # each zero in the tube is located by the walk, and the ray steps
+        # on through it
         y = end[0]
         if _flips(y, True):
             return _SWAP
-        swap = None
         tube = width(t)
+        null = not (y[2] and y[3])
         for C, c, o, dc in ((W, y[0], y[1], y[2]), (Z, y[1], y[0], y[3])):
             oo = o * o
             if not (dc and oo):  # a constant coordinate has no zero
@@ -686,21 +673,26 @@ def _probe_ray(
             s = x - c / dc * (c * c + oo) / oo
             if not off_step(s, x) < tube:  # NaN fails
                 continue
+            # a zero within the step is read off its polynomial; one past
+            # it, by the ratio test on the series of u or v (a null
+            # state's by the polynomial, since null states drift)
             est = _series_zero(C, s, x)
-            if est is None:  # the series does not reach it
-                swap = look[0] = _SWAP
+            if not (null or (est and not est[1])):
+                R = _reciprocal(C)
+                est = R and estimate(R, R)
+            if est is None:
                 continue
             # the step's origin: the centre of its disc, and the state there
             _, t_s, y_s, _, _ = lender.step
             cand, rc = _located(t_s, est)
-            if not off_step(est[0], x) < tube or suppressed(cand, rc, unreached):
+            if not off_step(est[0], x) < tube or suppressed(cand, rc):
                 continue
             loc = _walk_localize(t_s, _invert(y_s), tol, est)
             if loc is None:
                 unreached.append((cand, rc))
             else:
                 found.append(loc)
-        return swap
+        return None
 
     collapsed = None  # where the latest collapse stopped
     while t_cur != ray_end:
@@ -710,22 +702,14 @@ def _probe_ray(
         res = _integrate_segment(y, t_cur, ray_end, tol, keep, zeros if inverted else scan)
         if res.status == "done":
             break
-        if res.status == "halted" and res.est is not _SWAP:  # the scan's halt
-            t_cur, y = res.t, res.y
-            loc = _walk_localize(t_cur, y, tol, res.est)
-            if loc is None:  # not settled: no obstruction, no second halt here
-                unsettled.append(_located(t_cur, res.est))
-            else:
-                found.append(loc)
-            continue
         if res.status == "obstructed":
             # a collapse: one in (u, v) is located, as the walk finds it
-            # or where it stopped, so a pole the scan missed is reported.
-            # The next step runs in the other chart, unless the state has
-            # no image there (u or v is 0: its ray ends at the pole) or
-            # the other chart has just collapsed here too.  That step
-            # starts on the pole, and a zero it reads within the walk's
-            # stop, 1e-8 (1 + |t|), of the located point is that point
+            # or where it stopped.  The next step runs in the other chart,
+            # unless the state has no image there (u or v is 0: its ray
+            # ends at the pole) or the other chart has just collapsed here
+            # too.  That step starts on the pole, and a zero it reads
+            # within the walk's stop, 1e-8 (1 + |t|), of the located point
+            # is that point
             if not inverted:
                 p, r = _walk_localize(res.t, res.y, tol, res.est) or _located(res.t, res.est)
                 found.append((p, max(r, 1e-8 * (1.0 + abs(p)))))

@@ -42,9 +42,9 @@ Two consumers of the order-``ORDER`` jet:
 * the continuation stepper, which steps with these coefficients and
   reads its nearest-singularity estimate off them (complex ratio test
   with Richardson acceleration, Chang & Corliss 1980): the completeness
-  probe's scan halts on that estimate in (u, v), which it runs only where
-  the last raw coefficient ratio already points near its ray, reads the
-  zeros of 1/u and 1/v off the same coefficients in (1/u, 1/v), and
+  probe reads poles in (1/u, 1/v) only, a zero of 1/u or 1/v within a
+  step off that step's coefficients by Halley's method, and one past it
+  by that estimate on the reciprocal series, that of u or v; it
   builds the series of the germ's own state once per fan, from which
   every ray steps first, and on quiet steps from the series of the ray
   traced before; a collapse carries the estimate of the series it could
@@ -66,10 +66,10 @@ State = tuple[complex, complex, complex, complex]
 
 #: Taylor order of every integration step and singularity estimate.
 #: Probing the benchmark's six probe germs at 64 rays finds the same
-#: obstructions at orders 16, 20, 24 and 28, with 5473, 3092, 2077 and
-#: 1584 series builds; a build's three products per order grow with the
+#: obstructions at orders 16, 20, 24 and 28, with 5444, 3073, 2062 and
+#: 1567 series builds; a build's three products per order grow with the
 #: square of the order, so orders 20 to 28 cost about the same.  The
-#: worst point lies 2.0e-13, 3.0e-13, 4.2e-13 and 4.5e-13 from the
+#: worst point lies 2.0e-13, 3.0e-13, 4.2e-13 and 7.8e-13 from the
 #: closed-form set: above 20 the probe loses accuracy.
 ORDER = 20
 

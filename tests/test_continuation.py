@@ -227,7 +227,7 @@ class TestDeliveredAccuracy:
 
 
     @pytest.mark.xfail(strict=True, reason="tol does not bound the endpoint below about 1e-11 "
-                       "on a path that grazes the cone (ROADMAP items 7 and 11)")
+                       "on a path that grazes the cone (ROADMAP items 8 and 11)")
     def test_endpoint_within_tol_beside_the_cone(self):
         # draw 0 of random_generic_germ(Random(8)): the closed form agrees
         # with a 30-digit mpmath.odefun to 1.4e-14 at the end, and is the
@@ -520,18 +520,12 @@ def count_builds(monkeypatch):
     return builds
 
 
-def shifted_estimate(U, V, x):
-    """The estimate the scan reads off a step's series, as an offset from
-    the step's end x."""
-    est = _jet(ORDER).estimate(U, V)
-    return None if est is None else (est[0] - x, est[1])
-
-
 @pytest.fixture(scope="module")
 def scan_halt_walks():
-    """Every walk of a 64-ray probe of the criterion-8 germs, from a scan
-    halt or from a zero read off a step's series in (1/u, 1/v): ((t, y,
-    est) per walk, series built inside it)."""
+    """Every walk of a 64-ray probe of the criterion-8 germs, from a pole
+    read off the series of a step in (1/u, 1/v), by its polynomial or by
+    the ratio test, or from a collapse: ((t, y, est) per walk, series
+    built inside it)."""
     halts, builds, walking = [], [], [False]
     real_walk = continuation._walk_localize
     jet = _jet(ORDER)
@@ -618,9 +612,12 @@ class TestProbe:
         # k tan(a t + b) with |a| = 11.2: its 36 poles within 5 lie 0.28
         # apart at least, and the probe clusters at TUBE_FLOOR * radius,
         # 0.025, so it reports each of them.  Off the pole line the state
-        # drifts onto another null solution (ROADMAP item 7): 251 points
-        # in all and 16 Blocked rays (286 and 20 with every step in (u, v)
-        # but the crossings; 365 points at a cluster width of 1e-4)
+        # drifts onto another null solution (ROADMAP item 8): 229 points
+        # in all and 18 Blocked rays (251 and 16 while a scan in (u, v)
+        # estimated poles; 286 and 20 with every step in (u, v) but the
+        # crossings; 365 points at a cluster width of 1e-4).  A null state
+        # reads a pole past its step off the step's polynomial: by the
+        # ratio test, as other states do, the probe reports 320 points
         g = germ(
             0.06739555708342478 - 1.0719587266288828j,
             -1.1343426328497264 - 0.03959481498269791j,
@@ -632,6 +629,22 @@ class TestProbe:
         assert len(poles) == 36
         assert all(min(abs(p - q) for q in rep.obstructions) < 1e-9 for p in poles)
         assert len(rep.obstructions) <= 252
+
+    def test_wide_fan_reports_a_rim_pole_as_the_narrow_one_does(self):
+        # draw 20 of random_generic_germ(Random(77)) has 5 poles within 5,
+        # one of them at |t - t0| = 4.96.  Both fans report all 5, each
+        # within 5.6e-12 of the closed-form set, with no Blocked ray.
+        # While a scan in (u, v) estimated poles, the 128-ray fan missed
+        # the rim pole: no ray read it in (1/u, 1/v), and no scan halted
+        # on it
+        r = random.Random(77)
+        g = [random_generic_germ(r) for _ in range(21)][20]
+        rim = -4.6068403381414 + 1.8308043325948j
+        for n_rays in (64, 128):
+            rep = completeness_probe(g, 5.0, n_rays, 1e-9)
+            assert len(rep.obstructions) == 5, n_rays
+            assert min(abs(p - rim) for p in rep.obstructions) < 1e-9, n_rays
+            assert all(ray.status != "Blocked" for ray in rep.per_ray)
 
     def test_entire_family_clean(self):
         rep = completeness_probe(germ(1, 1, 1, 1), 6.0, 16, 1e-9)
@@ -651,29 +664,34 @@ class TestProbe:
                 completeness_probe(germ(1, 0, 1, 0), radius, 16)
 
     def test_walk_locates_wherever_scan_can_halt(self):
-        # the scan halts a ray at a step's end state only on the estimate
-        # read off that step's series, and the walk starts from that
-        # state with that estimate; from every such pair on these rays
-        # the walk settles on a location, so halts that are suppressed
-        # unreported stay rare
+        # a ray reads a pole past its step by the ratio test on the series
+        # of u or v about the step's start, the reciprocal of the step's
+        # series in (1/u, 1/v), and walks there from that start.  Along
+        # these segments in (1/u, 1/v), from every step's start and either
+        # estimate the walk settles on a location, so candidates that are
+        # suppressed unreported stay rare
+        estimate = _jet(ORDER).estimate
         seen = 0
         for g in _DISCRETENESS_GERMS:
             for k in range(4):
                 end = g.t0 + 5.0 * cmath.exp(2j * math.pi * (k + 0.5) / 4)
-                states, ests = [], []
+                starts, ests = [(g.t0, _invert(g.state()))], []
                 _integrate_segment(
-                    g.state(),
+                    _invert(g.state()),
                     g.t0,
                     end,
                     1e-9,
-                    collect=lambda t, w: states.append((t, w)),
-                    on_step=lambda t, U, V, x: ests.append(shifted_estimate(U, V, x)),
+                    collect=lambda t, w: starts.append((t, w)),
+                    on_step=lambda t, W, Z, x: ests.append(
+                        [estimate(R, R) for R in map(continuation._reciprocal, (W, Z))]
+                    ),
                 )
-                for (t, y), est in zip(states, ests):
-                    if est is not None:
-                        seen += 1
-                        assert _walk_localize(t, y, 1e-9, est) is not None, (g, t)
-        assert seen >= 400
+                for (t, w), pair in zip(starts, ests):
+                    for est in pair:
+                        if est is not None:
+                            seen += 1
+                            assert _walk_localize(t, _invert(w), 1e-9, est) is not None, (g, t)
+        assert seen >= 900
 
     def test_sped_up_probe_reports_the_scaled_poles(self):
         # velocity times 2^17, radius 5 2^-17: the 10 points of the unscaled
@@ -688,10 +706,10 @@ class TestProbe:
             assert min(abs(p - q * 2.0**-k) for q in base.obstructions) <= 1e-12 * 2.0**-k
 
     def test_dense_lattice_halts_settle_once(self, ray_log):
-        # on rays 30 and 31 of the dense germ the halt states see two
-        # comparable poles, so nearest_singularity of the halt state alone
-        # fades, and the walk settles only from the estimate the scan
-        # halted on
+        # on rays 30 and 31 of the dense germ the ratio test on the series
+        # of u or v about a step's start reads this pole 0.29 and 0.31
+        # away, at spreads 0.06 and 0.04 (2.7e-3 off), and the walk
+        # settles on it
         pole = -4.858544879751536 + 0.6741201380620324j  # 1 + Y^2 = 0, residue -1
         rays = [(DENSE, k) for k in (0, 30, 31)]
         rays += [(g, k) for g in _DISCRETENESS_GERMS for k in range(33)]
@@ -708,10 +726,9 @@ class TestProbe:
             ), (g, k)
 
     def test_only_the_walk_calls_nearest_singularity(self, monkeypatch):
-        # the scan halts on the estimate each step reads off its own
-        # series, a zero is read off the series of its step in
-        # (1/u, 1/v), and Newton polishes either on the inverted state;
-        # no probe re-expands a state
+        # a pole is read off the series of its step in (1/u, 1/v), by its
+        # polynomial or by the ratio test on its reciprocal, and Newton
+        # polishes it on the inverted state; no probe re-expands a state
         calls = []
         real_estimate = continuation.nearest_singularity
 
@@ -725,28 +742,15 @@ class TestProbe:
             assert len(rep.obstructions) == 10, n_rays
         assert calls == []
 
-    def test_scan_gate_changes_no_report(self, monkeypatch):
-        # the scan runs the estimate only where the last raw coefficient
-        # ratio of u or v lies within SCAN_REACH tube widths of t; with no
-        # gate at all the reports are the same.  At a reach of 1.0 both
-        # reports change.  The gate is opened alone: SCAN_REACH also
-        # decides which steps are quiet enough to step from a neighbour's
-        # disc, and the fan shares as many series either way
-        germs = (DENSE, DRAW_77_16)
-        builds = count_builds(monkeypatch)
-        gated = [completeness_probe(g, 5.0, 64, 1e-9) for g in germs]
-        shared = len(builds)
-        monkeypatch.setattr(continuation, "_scan_gate", lambda U, V, x, near: True)
-        assert [completeness_probe(g, 5.0, 64, 1e-9) for g in germs] == gated
-        assert len(builds) == 2 * shared
-
     def test_fan_shares_its_t0_series_and_gates_estimates(self, monkeypatch):
         # a real germ's fan builds the series of its state once, for the
-        # first step of all its rays, and the scan runs the estimate on
-        # few of its steps (17% on the benchmark's six probe germs when
-        # every step ran in (u, v); under 1% since the chart swaps).  The
-        # disc at t0 lends whether the step is quiet or not: u = tan t,
-        # whose null states are never quiet, builds it once too
+        # first step of all its rays, and the ratio test runs on few of
+        # its steps: only in (1/u, 1/v), where Halley's first step puts a
+        # zero of w or z in the tube past the step (111 of 3851 steps on
+        # the benchmark's six probe germs, 2.9%; 17% when a scan estimated
+        # on every step in (u, v)).  The disc at t0 lends whether the step
+        # is quiet or not: u = tan t, whose null states are never quiet,
+        # builds it once too
         builds = count_builds(monkeypatch)
         steps, estimates = [0], [0]
         real_segment, jet = continuation._integrate_segment, _jet(ORDER)
@@ -772,8 +776,9 @@ class TestProbe:
         assert estimates[0] <= steps[0] / 4, (estimates[0], steps[0])
 
     def test_converged_halt_settles_without_series(self, scan_halt_walks):
-        # a halt on an estimate whose ratios have converged to rounding
-        # settles on that estimate: no integration, no re-estimate
+        # an estimate whose ratios have converged to rounding (45 of the
+        # 50 walks here, 10 of them zeros within their step) settles where
+        # it is: no integration, no re-estimate
         halts, builds = scan_halt_walks
         settled = [b for (_, _, est), b in zip(halts, builds) if est[1] <= SETTLED_SPREAD]
         assert len(settled) >= 30
@@ -871,9 +876,11 @@ class TestChartChoice:
 
     def test_without_the_chart_choice_a_pass_builds_more(self, monkeypatch):
         # with every step in (u, v), and no crossing segment, the rays
-        # step toward each pole until the scan halts, and again past it:
-        # the benchmark's probe pass builds 10037 series (10500 before
-        # rays stepped from their neighbour's discs), against 3092
+        # step toward each pole until the step rule collapses there, and
+        # read no pole but by that collapse: the benchmark's probe pass
+        # builds 10027 series (10037 while a scan in (u, v) halted on
+        # estimates, 10500 before rays stepped from their neighbour's
+        # discs), against 3073
         monkeypatch.setattr(continuation, "_flips", lambda y, inverted: False)
         builds = count_builds(monkeypatch)
         for g in _PROBE_PASS:
@@ -882,10 +889,11 @@ class TestChartChoice:
 
     def test_dense_lattice_reports_every_pole(self):
         # the dense germ's 334 poles within 5 lie about 0.5 apart, and
-        # next to zeros of u or v: a ray in (1/u, 1/v) beside a pole whose
-        # zero the step's series does not reach takes its next step in
-        # (u, v), where the scan sees the pole.  Stepping on in (1/u, 1/v)
-        # instead, the fan misses the pole at -0.22625 + 4.80983i
+        # next to zeros of u or v: a ray in (1/u, 1/v) reads a pole past
+        # its step by the ratio test on the series of u or v, the
+        # reciprocal of the step's series.  Read off the step's polynomial
+        # instead, as a null state's is, the fan misses the 3 rim poles
+        # -0.6369 + 4.6966i, -0.2263 + 4.8098i and 0.1844 + 4.9231i
         assert len(completeness_probe(DENSE, 5.0, 64, 1e-9).obstructions) == 334
 
     @pytest.mark.parametrize("k", [-40, -17, 17, 40])
@@ -971,6 +979,12 @@ class TestSharedDiscs:
 
 
 class TestInvertedChart:
+    def test_reciprocal_is_the_series_of_one_over_f(self):
+        # 1/(1 - t)^2 from (1 - t)^2; and f(0) = 0 has no reciprocal series
+        C = [1 + 0j, -2 + 0j, 1 + 0j] + [0j] * (ORDER - 2)
+        assert continuation._reciprocal(C) == [complex(k + 1) for k in range(ORDER + 1)]
+        assert continuation._reciprocal([0j, 1 + 0j, 0j]) is None
+
     @pytest.mark.parametrize("k", [None, 1.0, 2.0**-30, 2.0**40])
     def test_invert_is_an_involution(self, k):
         r = random.Random(5)
@@ -1068,14 +1082,12 @@ class TestInvertedChart:
         assert abs(p - math.pi / 2) < 1e-13
 
     def test_newton_puts_a_scan_halt_on_its_chain_root(self, monkeypatch):
-        # ray 17 of draw 5 (counting from 0) of
-        # random_generic_germ(Random(77)) reads a zero of w = 1/u or
-        # z = 1/v off the series of a step in (1/u, 1/v), past the step:
-        # its spread, 0.035, is above SETTLED_SPREAD, and it lies 1.4e-3
-        # off its pole.  The walk's Newton in that chart puts it 1.4e-14
-        # from the root of 1 + Y^2 that the closed form gives
-        r = random.Random(77)
-        g = [random_generic_germ(r) for _ in range(6)][5]
+        # ray 3 of the dense lattice DRAW_77_16 walks six times, from poles
+        # read off the series of steps in (1/u, 1/v) past the step, by the
+        # ratio test: their spreads, up to 0.038, are above SETTLED_SPREAD,
+        # and five of them lie from 3.9e-9 to 2.4e-3 off their poles (the
+        # sixth 9.8e-12).  The walk's Newton in that chart puts each within
+        # 3e-13 of the root of 1 + Y^2 that the closed form gives
         walks, real_walk = [], continuation._walk_localize
 
         def walk(t, y, tol, est):
@@ -1084,34 +1096,35 @@ class TestInvertedChart:
             return loc
 
         monkeypatch.setattr(continuation, "_walk_localize", walk)
-        _probe_ray(g, 2 * math.pi * 17 / 64, 5.0, 64, 1e-9)
-        (t, (off, spread), (p, _)), = walks
-        s = solve(g)
-        root = p
-        for _ in range(8):
-            Y, Yp = s.curve_point(root)
-            root -= (1 + Y * Y) / (2 * Y * Yp * s.D)
-        assert spread > SETTLED_SPREAD and abs(t + off - root) > 1e-9
-        assert abs(p - root) < 1e-12
+        _probe_ray(DRAW_77_16, 2 * math.pi * 3 / 64, 5.0, 64, 1e-9)
+        s = solve(DRAW_77_16)
+        starts = []
+        for t, (off, spread), (p, _) in walks:
+            root = p
+            for _ in range(8):
+                Y, Yp = s.curve_point(root)
+                root -= (1 + Y * Y) / (2 * Y * Yp * s.D)
+            assert spread > SETTLED_SPREAD and abs(p - root) < 1e-12
+            starts.append(abs(t + off - root))
+        assert len(walks) == 6 and sum(d > 1e-9 for d in starts) == 5 and max(starts) > 1e-3
 
     def test_a_walk_stops_once_its_newton_step_is_below_1e_8(self, monkeypatch):
-        # a tripwire on the walk of the zero above: it integrates to the
-        # zero's estimate, and its first Newton step from there is below
-        # 1e-8 (1 + |t|), so it integrates one more segment and stops; a
-        # stop at 1e-13 (1 + |t|) would integrate a third that moves no
-        # point
-        r = random.Random(77)
-        g = [random_generic_germ(r) for _ in range(6)][5]
+        # a tripwire on the walks of the ray above: each integrates to its
+        # estimate and on by Newton steps until one is below 1e-8
+        # (1 + |t|), taking 1, 1, 2, 3, 2 and 3 segments.  A stop at 1e-13
+        # (1 + |t|) would integrate 2, 2, 2, 3, 3 and 3, segments that move
+        # no point by more than the walk's resolution
         segments, walking = [], [False]
         real_segment, real_walk = continuation._integrate_segment, continuation._walk_localize
 
         def segment(*args, **kwargs):
             if walking[0]:
-                segments.append(args[1:3])
+                segments[-1] += 1
             return real_segment(*args, **kwargs)
 
         def walk(*args):
             walking[0] = True
+            segments.append(0)
             try:
                 return real_walk(*args)
             finally:
@@ -1119,8 +1132,8 @@ class TestInvertedChart:
 
         monkeypatch.setattr(continuation, "_integrate_segment", segment)
         monkeypatch.setattr(continuation, "_walk_localize", walk)
-        _probe_ray(g, 2 * math.pi * 17 / 64, 5.0, 64, 1e-9)
-        assert len(segments) == 2
+        _probe_ray(DRAW_77_16, 2 * math.pi * 3 / 64, 5.0, 64, 1e-9)
+        assert segments == [1, 1, 2, 3, 2, 3]
 
 
     def test_a_collapse_is_located_and_passed_in_the_other_chart(self, ray_log, monkeypatch):
@@ -1295,9 +1308,10 @@ class TestConeTouch:
         assert tr.completed
         at = next(s for s in tr.samples if s.t == touch)
         assert abs(at.u**2 + at.v**2) < 1e-4 * (abs(at.u) ** 2 + abs(at.v) ** 2)
-        # near the touch the scan can halt, but the walk must not settle
-        # there, so the probe reports nothing close to it; wide fans halt
-        # farther out, where Newton refuses the estimate
+        # near the touch a ray in (1/u, 1/v) can read a candidate (one,
+        # 0.010 from it, on the 64-ray fan of the second germ), but the
+        # walk must not settle there, so the probe reports nothing close
+        # to it
         for n_rays in (8, 16, 64):
             rep = completeness_probe(g, 5.0, n_rays, 1e-9)
             assert all(abs(p - touch) >= 0.5 for p in rep.obstructions), n_rays

@@ -293,14 +293,13 @@ def test_ratio_estimate_reads_the_last_five_ratios(monkeypatch):
 
 def test_max_spread_keeps_noisy_estimates_from_halting(monkeypatch):
     # the estimate refuses a ratio sequence whose relative spread exceeds
-    # MAX_SPREAD.  At 64 rays the scans of draws 13, 15 and 17 (counting
-    # from 0) of random_generic_germ(Random(77)) halt twice on
-    # estimates whose walks find nothing.  A jet compiled with no cap
-    # halts on 5 more such estimates (7), every one a walk that finds
-    # nothing, and finds the same points.  (A cap of 0.5 made 3 more
-    # before rays stepped from their neighbour's discs; since, it makes
-    # none on these draws.  Over draws 0-27 the walks that find nothing
-    # are 78 at 0.35, 86 at 0.5 and 186 with no cap: ROADMAP item 12)
+    # MAX_SPREAD.  At 64 rays the rays of draws 13, 15 and 17 (counting
+    # from 0) of random_generic_germ(Random(77)) walk 101 times, 7 of them
+    # from estimates whose walks find nothing.  A jet compiled with no cap
+    # walks from 6 more such estimates (13), every one a walk that finds
+    # nothing, and finds the same points.  (Over draws 0-27 the walks that
+    # find nothing are 137 at 0.35, 147 at 0.5 and 323 with no cap, and
+    # with no cap draws 16 and 24 lose 2 points each: ROADMAP item 12)
     r = random.Random(77)
     draws = [random_generic_germ(r) for _ in range(18)]
     germs = [draws[i] for i in (13, 15, 17)]
@@ -323,7 +322,7 @@ def test_max_spread_keeps_noisy_estimates_from_halting(monkeypatch):
     missed, reports = probe(_jet(ORDER))
     monkeypatch.setattr(taylor, "MAX_SPREAD", math.inf)
     loose_missed, loose = probe(_jet.__wrapped__(ORDER))
-    assert missed <= 2 and loose_missed > missed, (missed, loose_missed)
+    assert missed <= 7 and loose_missed > missed, (missed, loose_missed)
     for rep, other in zip(reports, loose):
         assert len(rep.obstructions) == len(other.obstructions)
         for p in rep.obstructions:
