@@ -15,33 +15,35 @@ last two terms of each list (Jorba & Zou 2005), stays below
 local error of every step at 1e-4 tol, and on the paths that the tests
 and perfbench check against a 30-digit reference, the endpoint error.
 
-Shots (``continue_path``) and loops step in the chart their own state
-picks (``_flips``): (k/u, k/v) where the coordinate nearest its own zero
-or pole is large, |c^2/(u^2 + v^2)| > 1/2, so that the point is a pole,
-and (u, v) elsewhere.  k = 2^(e_u + e_v), from the exponents of |u| and
-|v| where a march first enters (k/u, k/v), gives that chart the sizes of
-(v, u), so both judge the tail in like units: a power-of-two dilation
-commutes with the march where every component stays well above 1 in
-size.  Traces and loop states stay in (u, v).  A
+Every path is one march (``_march``), a shot (``continue_path``), a
+loop, a walk or a probe ray alike, and each step runs in the chart its
+own state picks (``_flips``): (k/u, k/v) where the coordinate nearest
+its own zero or pole is large, |c^2/(u^2 + v^2)| > 1/2, so that the
+point is a pole, and (u, v) elsewhere.  k = 2^(e_u + e_v), from the
+exponents of |u| and |v| where a march first enters (k/u, k/v), gives
+that chart the sizes of (v, u), so both judge the tail in like units: a
+power-of-two dilation commutes with the march where every component
+stays well above 1 in size.  A probe ray's chart is (1/u, 1/v), k = 1,
+since a fan's rays share their series in it.  Traces and loop states
+stay in (u, v).  A
 collapse (a step that no longer moves t, as the step rule shrinks it
 toward a singular point, whose new state is not finite, or that starts
 on the cone u^2 + v^2 = 0) sends the next step to the other chart; a
 path is obstructed where both charts collapse at one t, or where a step
 lands exactly on a pole.  A state with u or v exactly 0 (u = 1/(C - B t)
 on a null geodesic whose other coordinate is 0) has no image in
-(k/u, k/v): it halts after a step whose ratio-test estimate of the
-nearest singularity (Chang & Corliss 1980) has settled (relative spread
-at most ``SETTLED_SPREAD``) on a point of its rest.  No stop reads the
-size of the state or of a step, so a path passes beside a pole however
-closely.  Every stop carries one estimate (offset, spread) read off its
-own step's series; ``continue_path`` reports t + offset, with radius
-max(|offset| spread, 1e-12), as data, never as an exception.
+(k/u, k/v): on a shot it halts after a step whose ratio-test estimate of
+the nearest singularity (Chang & Corliss 1980) has settled (relative
+spread at most ``SETTLED_SPREAD``) on a point of its rest.  No stop
+reads the size of the state or of a step, so a path passes beside a
+pole however closely.  Every stop carries one estimate (offset, spread)
+read off its own step's series; ``continue_path`` reports t + offset,
+with radius max(|offset| spread, 1e-12), as data, never as an exception.
 
-A completeness probe ray owns its chart, (u, v) or (1/u, 1/v), picked
-by ``_flips`` after every step; a swap ends a segment at no series
-build.  The step rule has no direction, so a step's series holds its
-tail bound on a whole disc about the step's start, and the fan keeps
-every disc its rays build (``_Discs``).  Each ray steps first from the
+A completeness probe ray is one march from t0 to the rim.  The step
+rule has no direction, so a step's series holds its tail bound on a
+whole disc about the step's start, and the fan keeps every disc its
+rays build (``_Discs``), per chart.  Each ray steps first from the
 disc of the germ's own series, and on a quiet step (the state's own
 Halley step puts no pole of u or v within ``QUIET_REACH`` tube widths)
 from a disc of the ray traced before it that holds t, to where the ray
@@ -49,18 +51,20 @@ leaves that disc; such a step reads its poles off the disc's series,
 and walks from the disc's centre.  Shots, loops and walks never borrow.
 A ray reads poles in (1/u, 1/v) only, where each is a regular zero of
 w = 1/u or z = 1/v; in (u, v) it only steps.  After each step in
-(1/u, 1/v), for w and for z whose Halley step from t lands in the ray's
-capture tube: a zero within the step is read off the step's polynomial
-by Halley's method; one past it, by the ratio test on the series of u
-or v about the step's start, the reciprocal of the step's series, and a
-null state's (which drifts, ROADMAP item 8) by the polynomial again.  A
-point in the tube, not within its own uncertainty of a point the ray
-has, settles where it is if its spread is at most ``SETTLED_SPREAD``,
-and is otherwise polished by Newton on 1/u and 1/v (``_walk_localize``);
-either way the ray steps on.  A collapse in (u, v) is located; a ray is
-Blocked only where the other chart collapses at the same point too, and
-one whose u or v is 0 ends at its pole.  Unsettled candidates (cone
-touches, estimates averaging two poles) go unreported.
+(1/u, 1/v), its last included, for w and for z whose Halley step from t
+lands in the ray's capture tube: a zero within the step is read off the
+step's polynomial by Halley's method; one past it, by the ratio test on
+the series of u or v about the step's start, the reciprocal of the
+step's series, and a null state's (which drifts, ROADMAP item 8) by the
+polynomial again.  A point in the tube, not within its own uncertainty
+of a point the ray has, settles where it is if its spread is at most
+``SETTLED_SPREAD``, and is otherwise polished by Newton on 1/u and 1/v
+(``_walk_localize``); either way the ray steps on.  A pole where a step
+in (u, v) collapses is read as a zero by the next step, in (1/u, 1/v).
+A ray is Blocked where both charts collapse at one point, or where a
+step lands exactly on a pole, and one whose u or v is 0 ends at its
+pole; each is located from where the march stopped.  Unsettled
+candidates (cone touches, estimates averaging two poles) go unreported.
 
 The system is autonomous with real coefficients, so for a germ whose
 state is real, y(t0 + conj(t - t0)) = conj(y(t)) (Schwarz reflection):
@@ -246,9 +250,11 @@ def _flips(y: State, inverted: bool) -> bool:
 
 
 class _Expanded(tuple):
-    """A probe ray's state with the series discs its steps may step from,
-    ``discs`` (a ``_Discs``); it travels in the place of the state, so any
-    wrapper of ``_integrate_segment`` passes the discs on."""
+    """A probe ray's state in (u, v) with the series discs its steps may
+    step from, ``discs`` (a ``_Discs``); it travels in the place of the
+    state, so any wrapper of ``_integrate_segment`` passes the discs on,
+    and the march it starts inverts to (1/u, 1/v), where the fan's discs
+    lie."""
 
 
 def _quiet(w: State, inverted: bool, near: float) -> bool:
@@ -280,7 +286,8 @@ class _Discs:
     in the order a ray stepped outward: ``lent`` those of the ray traced
     before, the disc of the fan's first step at t0 first; ``kept`` that
     disc and the ray's own.  ``step`` is the disc of the latest step: its
-    origin.
+    origin.  ``inverted`` is the chart of the latest step; the march sets
+    it at each swap, since a ray's steps in both charts share the discs.
     """
 
     __slots__ = ("lent", "ahead", "kept", "t0", "e", "width", "inverted", "step")
@@ -291,7 +298,7 @@ class _Discs:
         self.ahead = [0, 0]
         self.kept = ([], [])
         self.kept[inverted].extend(lent[inverted][:1])
-        self.inverted = inverted  # the chart of the segment being marched
+        self.inverted = inverted  # the chart of the ray's first step
         self.step = None
 
     def lend(self, t: complex, w: State, s: float, place):
@@ -350,36 +357,40 @@ class _Segment:
         self.est = est
 
 
-def _march(y: State, t: complex, place, tol: float, collect, on_step, atlas: bool) -> _Segment:
-    """Order-``ORDER`` Taylor steps from t along a segment or arc.
+def _march(y: State, t: complex, place, tol: float, collect, on_step) -> _Segment:
+    """Order-``ORDER`` Taylor steps from t along a segment or arc, each in
+    the chart its state picks.
 
     Step rule, charts and stops as in the module docstring.
     ``place(s, t, h)`` gives the position s + h along the curve, its
     point, that point - t, and whether it ends the curve.
-    ``collect(t, y)`` records accepted steps; ``on_step(t, U, V, x)``
-    may return an estimate (offset from t, spread) to halt on at the
-    accepted state, U and V being the step's series about t - x.  A
-    collapse carries the estimate of the series it could not step with,
-    or (0, 0); a step that lands on a pole, (its offset, 0).  Without
-    ``atlas`` every step runs in y's own chart, by the series of a disc
-    that y's ``discs`` lends (``_Discs.lend``) or by its own, which it
-    keeps there once the step is accepted.  With it, each runs in the
-    chart its state picks, all handed out is in (u, v), and ``on_step``
-    reads only states with no image in (k/u, k/v).
+    ``collect(t, y)`` records accepted steps, in (u, v).  After every
+    accepted step that does not swap charts, the last included,
+    ``on_step(t, w, U, V, x)`` may return an estimate (offset from t,
+    spread) to halt on, w being the accepted state in the step's chart
+    and U and V the step's series about t - x.  A collapse carries the
+    estimate of the series it could not step with, or (0, 0), and one in
+    both charts at one t the (u, v) chart's; a step that lands on a pole,
+    (its offset, 0).  A state that carries ``discs`` (a probe ray's
+    ``_Expanded``) inverts to (1/u, 1/v), with no k, and steps by the
+    series of a disc they lend (``_Discs.lend``) or by its own, which it
+    keeps there once the step is accepted.
     """
     jet = _jet(ORDER)
     series, step_length, advance, estimate = jet.series, jet.length, jet.advance, jet.estimate
-    discs = None if atlas else getattr(y, "discs", None)
+    discs = getattr(y, "discs", None)
     if discs:  # a disc keeps the bare state, not the carrier of its discs
         y = tuple(y)
-    inverted, swap, w = False, atlas and _flips(y, False), y  # w: y in its chart
+    inverted, swap, w = False, _flips(y, False), y  # w: y in its chart
     tail = TAIL_FACTOR * tol
     s = 0.0
     collapsed = k = None
     while True:
         try:  # an image that leaves the doubles collapses like a step
             if swap:
-                inverted, k = not inverted, k or _scale(y)
+                inverted, k = not inverted, None if discs else k or _scale(y)
+                if discs:
+                    discs.inverted = inverted
                 w = _invert(y, k) if inverted else y
             lent = discs and discs.lend(t, w, s, place)
             if lent:
@@ -403,34 +414,33 @@ def _march(y: State, t: complex, place, tol: float, collect, on_step, atlas: boo
                 if not (y_new and all(map(cmath.isfinite, y_new))):
                     return _Segment("obstructed", t, y, (x, 0.0))
         if est is not None:
-            if not (atlas and y[0] and y[1]) or t == collapsed:
+            if t == collapsed:  # both charts collapse here
+                return _Segment("obstructed", t, y, first if inverted else est)
+            if not (y[0] and y[1]):
                 return _Segment("obstructed", t, y, est)
-            collapsed, swap = t, True
+            collapsed, first, swap = t, est, True
             continue
         w, y, s, t = w_new, y_new, s_new, t_new
         if discs and not lent:
-            discs.kept[discs.inverted].append(discs.step)
+            discs.kept[inverted].append(discs.step)
         if collect is not None:
             collect(t, y)
-        if last:
-            return _Segment("done", t, y)
-        halt = on_step is not None and not (atlas and y[0] and y[1]) and on_step(t, U, V, x)
+        swap = _flips(w, inverted)
+        halt = on_step is not None and not swap and on_step(t, w, U, V, x)
         if halt:
             return _Segment("halted", t, y, halt)
-        swap = atlas and _flips(w, inverted)
+        if last:
+            return _Segment("done", t, y)
 
 
 def _integrate_segment(
     y: State, t_from: complex, t_to: complex, tol: float, collect=None, on_step=None
 ) -> _Segment:
-    """``_march`` along the straight segment t_from -> t_to: in y's own
-    chart given an ``on_step`` (a probe ray owns its chart), else in the
-    chart each state picks, where a state with no image in (k/u, k/v)
-    halts after a step whose estimate has settled (spread at most
-    ``SETTLED_SPREAD``) on a point ahead: projection in (0, |t_to - t|],
-    lateral offset at most |offset| ``SETTLED_SPREAD``.  The estimate runs
-    only where the last raw coefficient ratio of u or v already puts a
-    singular point there, within ``SPREAD_FLOOR`` of its distance."""
+    """``_march`` along the straight segment t_from -> t_to.  Without an
+    ``on_step``, a state with no image in (k/u, k/v) halts after a step
+    whose estimate has settled (spread at most ``SETTLED_SPREAD``) on a
+    point ahead: projection in (0, |t_to - t|], lateral offset at most
+    |offset| ``SETTLED_SPREAD``."""
     L = abs(t_to - t_from)
     e = (t_to - t_from) / L
     estimate = _jet(ORDER).estimate
@@ -441,27 +451,20 @@ def _integrate_segment(
         s += h
         return s, t_from + s * e, h * e, False
 
-    def settled(t, U, V, x):
-        # w: a singular point's offset from t, turned onto the segment
-        rest = abs(t_to - t)
-        for c in (U, V):
-            if c[-1]:
-                w = (c[-2] / c[-1] - x) / e
-                near = SPREAD_FLOOR * w.real  # NaN and inf fail below
-                if abs(w.imag) <= near and w.real - near <= rest:
-                    break
-        else:
+    def settled(t, w, U, V, x):
+        if w[0] and w[1]:
             return None
         est = estimate(U, V)
         if est is None or not est[1] <= SETTLED_SPREAD:
             return None
         off, spread = est[0] - x, est[1]
-        w = off / e
-        if 0.0 < w.real <= rest and abs(w.imag) <= abs(off) * SETTLED_SPREAD:
+        # the singular point's offset from t, turned onto the segment
+        d = off / e
+        if 0.0 < d.real <= abs(t_to - t) and abs(d.imag) <= abs(off) * SETTLED_SPREAD:
             return off, spread
         return None
 
-    return _march(y, t_from, place, tol, collect, on_step or settled, on_step is None)
+    return _march(y, t_from, place, tol, collect, on_step or settled)
 
 
 def _check_tol(tol: float) -> None:
@@ -546,10 +549,6 @@ def _located(t: complex, est: tuple[complex, float]) -> tuple[complex, float]:
     return t + off, abs(off) * max(spread, SPREAD_FLOOR)
 
 
-#: A probe ray's segment halts on this where its next step swaps charts.
-_SWAP = (0j, 0.0)
-
-
 def _reciprocal(C: list[complex]) -> list[complex] | None:
     """The series of 1/f about the centre of C, the series of f, else None
     where f is 0 there: r[k] = -(C[1] r[k-1] + ... + C[k] r[0]) / C[0]."""
@@ -612,56 +611,40 @@ def _probe_ray(
     tol: float,
     discs: list[list] | None = None,
 ) -> RayResult:
-    """One ray of the fan, from g's state in the chart ``_flips`` picks for
-    it, stepping in (u, v) and reading poles in (1/u, 1/v) as the module
+    """One ray of the fan: one march from t0 to the rim, each step in the
+    chart its state picks, reading poles in (1/u, 1/v) as the module
     docstring says.  ``discs`` holds, per chart, the series discs
     (``_Discs``) its steps may step from, the disc of the fan's first step
     at t0 first; the ray leaves there, for the next ray, that disc and its
     own."""
     t0 = g.t0
     e = cmath.exp(1j * angle)
-    ray_end = t0 + radius * e
-    inverted = _flips(g.state(), False)
-    y: State = _invert(g.state()) if inverted else g.state()
-    t_cur = t0
     found: list[tuple[complex, float]] = []
     # candidates whose walks did not settle: suppressed, never reported
     unreached: list[tuple[complex, float]] = []
     sin_gap = math.sin(math.pi / n_rays)
-    status = "Completed"
-    # the state at the end of the latest step
-    end = [y]
-
-    def keep(t: complex, w: State) -> None:
-        end[0] = w
 
     def width(t: complex) -> float:
         return TUBE_WIDTH * abs(t - t0) * sin_gap + TUBE_FLOOR * radius
 
-    lender = _Discs(discs or ([], []), t0, e, width, inverted)
+    lender = _Discs(discs or ([], []), t0, e, width, _flips(g.state(), False))
 
     def suppressed(cand: complex, rc: float) -> bool:
         return any(abs(cand - p) < max(r, rc) for pts in (found, unreached) for p, r in pts)
 
     estimate = _jet(ORDER).estimate
 
-    def scan(t: complex, U, V, x: complex) -> tuple[complex, float] | None:
-        # in (u, v) a ray only steps, and swaps charts where the state
-        # picks (1/u, 1/v) for the next step
-        return _SWAP if _flips(end[0], False) else None
-
     def off_step(s: complex, x: complex) -> float:
         # distance of t - x + s from the step's segment [t - x, t]
         q = s / x
         return abs(x) * (abs(q.imag) if 0.0 <= q.real <= 1.0 else abs(q - (q.real > 1.0)))
 
-    def zeros(t: complex, W, Z, x: complex) -> tuple[complex, float] | None:
+    def zeros(t: complex, y: State, W, Z, x: complex) -> None:
         # in (1/u, 1/v) a pole of u or v is a zero of w = 1/u or z = 1/v:
         # each zero in the tube is located by the walk, and the ray steps
-        # on through it
-        y = end[0]
-        if _flips(y, True):
-            return _SWAP
+        # on through it.  In (u, v) a ray only steps
+        if not lender.inverted:
+            return None
         tube = width(t)
         null = not (y[2] and y[3])
         for C, c, o, dc in ((W, y[0], y[1], y[2]), (Z, y[1], y[0], y[3])):
@@ -694,38 +677,21 @@ def _probe_ray(
                 found.append(loc)
         return None
 
-    collapsed = None  # where the latest collapse stopped
-    while t_cur != ray_end:
-        end[0], lender.inverted = y, inverted
-        y = _Expanded(y)
-        y.discs = lender
-        res = _integrate_segment(y, t_cur, ray_end, tol, keep, zeros if inverted else scan)
-        if res.status == "done":
-            break
-        if res.status == "obstructed":
-            # a collapse: one in (u, v) is located, as the walk finds it
-            # or where it stopped.  The next step runs in the other chart,
-            # unless the state has no image there (u or v is 0: its ray
-            # ends at the pole) or the other chart has just collapsed here
-            # too.  That step starts on the pole, and a zero it reads
-            # within the walk's stop, 1e-8 (1 + |t|), of the located point
-            # is that point
-            if not inverted:
-                p, r = _walk_localize(res.t, res.y, tol, res.est) or _located(res.t, res.est)
-                found.append((p, max(r, 1e-8 * (1.0 + abs(p)))))
-            if not (res.y[0] and res.y[1]):
-                break
-            if res.t == collapsed:
-                status = "Blocked"
-                break
-            collapsed = res.t
-        t_cur, y, inverted = res.t, _invert(res.y), not inverted
-
+    start = _Expanded(g.state())
+    start.discs = lender
+    res = _integrate_segment(start, t0, t0 + radius * e, tol, None, zeros)
+    blocked = False
+    if res.status == "obstructed":
+        # located as the walk finds it or where the march stopped: Blocked
+        # where the state has an image in (1/u, 1/v), else u or v is 0 and
+        # the ray ends at its pole
+        found.append(_walk_localize(res.t, res.y, tol, res.est) or _located(res.t, res.est))
+        blocked = bool(res.y[0] and res.y[1])
     if discs is not None:
         discs[:] = lender.kept
     kept = tuple(p for p, _ in found if abs(p - t0) <= radius)
-    ray_status = status if status == "Blocked" else ("Obstructed" if kept else "Completed")
-    return RayResult(angle, ray_status, kept)
+    status = "Blocked" if blocked else ("Obstructed" if kept else "Completed")
+    return RayResult(angle, status, kept)
 
 
 def _cluster(points: list[complex], tol: float) -> list[complex]:
@@ -817,7 +783,7 @@ def loop_monodromy(
         t_new = center + loop_radius * cmath.exp(1j * a)
         return a, t_new, t_new - t, False
 
-    arc = _march(y0, base, place, tol, None, None, True)
+    arc = _march(y0, base, place, tol, None, None)
     if arc.status != "done":
         return LoopResult("Obstructed", y0, None, False, math.inf)
     y = arc.y

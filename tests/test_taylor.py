@@ -294,12 +294,14 @@ def test_ratio_estimate_reads_the_last_five_ratios(monkeypatch):
 def test_max_spread_keeps_noisy_estimates_from_halting(monkeypatch):
     # the estimate refuses a ratio sequence whose relative spread exceeds
     # MAX_SPREAD.  At 64 rays the rays of draws 13, 15 and 17 (counting
-    # from 0) of random_generic_germ(Random(77)) walk 101 times, 7 of them
-    # from estimates whose walks find nothing.  A jet compiled with no cap
-    # walks from 6 more such estimates (13), every one a walk that finds
-    # nothing, and finds the same points.  (Over draws 0-27 the walks that
-    # find nothing are 137 at 0.35, 147 at 0.5 and 323 with no cap, and
-    # with no cap draws 16 and 24 lose 2 points each: ROADMAP item 12)
+    # from 0) of random_generic_germ(Random(77)) walk 104 times, 8 of them
+    # from estimates whose walks find nothing (101 and 7 while a ray did
+    # not read its last step, and re-based t at each chart swap).
+    # A jet compiled with no cap walks from 7 more such estimates (15),
+    # every one a walk that finds nothing, and finds the same points.
+    # (Over draws 0-27 the walks that find nothing are 152 at 0.35, 155
+    # at 0.5 and 343 with no cap, each with the same points: ROADMAP
+    # item 12)
     r = random.Random(77)
     draws = [random_generic_germ(r) for _ in range(18)]
     germs = [draws[i] for i in (13, 15, 17)]
@@ -322,7 +324,7 @@ def test_max_spread_keeps_noisy_estimates_from_halting(monkeypatch):
     missed, reports = probe(_jet(ORDER))
     monkeypatch.setattr(taylor, "MAX_SPREAD", math.inf)
     loose_missed, loose = probe(_jet.__wrapped__(ORDER))
-    assert missed <= 7 and loose_missed > missed, (missed, loose_missed)
+    assert missed <= 8 and loose_missed > missed, (missed, loose_missed)
     for rep, other in zip(reports, loose):
         assert len(rep.obstructions) == len(other.obstructions)
         for p in rep.obstructions:

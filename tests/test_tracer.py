@@ -26,16 +26,18 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
         changed = sum(
             vars(obj)[k] is not v for obj, d in zip(PATCHED, before) for k, v in d.items()
         )
-        token = tracer.begin_op("probe and loop")
+        token = tracer.begin_op("probe, loop and shot")
         rep = continuation.completeness_probe(germ(1.3, -0.7, 0.9, 1.1), 5.0, 8, 1e-9)
         # no probe re-expands a state; the tracer still wraps the estimator
         continuation.nearest_singularity(germ(1.3, -0.7, 0.9, 1.1).state())
         loop = continuation.loop_monodromy(germ(1, 0, 1, 0), 1 + 0.3j, 0.5)
+        # v = 0 has no image in (k/u, k/v): this shot halts at its pole
+        shot = continuation.continue_path(germ(1, 0, 1, 0), continuation.PathPolyline((0, 2)))
         tracer.end_op(token, keep=True)
     finally:
         tracer.remove()
     assert changed > 0
-    assert rep.obstructions and loop.status == "Completed"
+    assert rep.obstructions and loop.status == "Completed" and shot.status == "Obstructed"
     for key in ("steps", "halts", "estimates", "estimate_hits", "ray_obstructions"):
         assert tracer.counts.get(key, 0) > 0, key
     assert set(tracer.summary()) >= {
